@@ -8,7 +8,6 @@ from zenosense.channel import (
     calibrate_unit_shift,
     constant_coupling,
     decay_parameter,
-    discrete_coupling,
     protected_survival_spectral,
     qze_scaling_report,
     run_protected,
@@ -18,14 +17,11 @@ from zenosense.channel import (
 )
 from zenosense.config import ConfigError, ExperimentConfig, load_config, parse_config, serialize_config
 from zenosense.detector import (
-    OutputDensity,
     SpatialHistogram,
-    bin_to_pixels,
     empirical_moment,
     pixel_masses,
     read_histogram_csv,
-    sample_positions,
-    theoretical_density,
+    sample_histogram,
     theoretical_state,
     write_histogram_csv,
 )
@@ -37,8 +33,6 @@ from zenosense.estimator import (
     build_report,
     estimate_from_masses,
     estimate_histogram,
-    l2_profile_estimate,
-    moment_estimate,
 )
 from zenosense.noise_model import (
     Configuration,

@@ -44,7 +44,6 @@ __all__ = [
     "calibrate_unit_shift",
     "constant_coupling",
     "uniform_coupling",
-    "discrete_coupling",
 ]
 
 DECAY_MODES = ("fixed-bath", "evolving-bath", "single-measurement")
@@ -260,17 +259,6 @@ def uniform_coupling(high: float) -> CouplingSampler:
 
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(0.0, float(high), size=n)
-
-    return sample
-
-
-def discrete_coupling(values: Sequence[float], probabilities: Sequence[float]) -> CouplingSampler:
-    """Sampler of i.i.d. couplings from a finite alphabet."""
-    vals = np.asarray(values, dtype=np.float64)
-    probs = np.asarray(probabilities, dtype=np.float64)
-
-    def sample(rng: np.random.Generator, n: int) -> np.ndarray:
-        return vals[rng.choice(vals.size, size=n, p=probs)]
 
     return sample
 

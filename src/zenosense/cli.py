@@ -24,7 +24,7 @@ from zenosense.channel import (
     uniform_coupling,
 )
 from zenosense.config import ConfigError, ExperimentConfig, load_config, serialize_config
-from zenosense.detector import read_histogram_csv, theoretical_density, write_histogram_csv
+from zenosense.detector import read_histogram_csv, theoretical_state, write_histogram_csv
 from zenosense.estimator import EstimateReport, beta_ci, candidate_table, default_mean_tolerance
 from zenosense.noise_model import Configuration, config_realization, enumerate_configurations
 from zenosense.pipeline import (
@@ -36,6 +36,7 @@ from zenosense.pipeline import (
     simulate_trials,
 )
 from zenosense.svgplot import Figure
+from zenosense.wavepacket import density_at
 
 __all__ = ["main"]
 
@@ -215,7 +216,7 @@ def _reproduce_fig2(out: Path, seed: int, photons: int) -> None:
     alphabet = config.alphabet(unit_shift)
     candidates = tuple(enumerate_configurations(alphabet.size, config.n_events))
     table = candidate_table(
-        alphabet,
+        alphabet.values,
         config.theta_rad,
         config.sigma_um,
         candidates,
@@ -244,20 +245,20 @@ def _reproduce_fig2(out: Path, seed: int, photons: int) -> None:
     for i, cand in enumerate(candidates):
         if i in (true_idx, recon_idx):
             continue
-        dens = theoretical_density(cand, config.theta_rad, sigma, alphabet)
+        dens = density_at(theoretical_state(cand, config.theta_rad, sigma, alphabet.values), grid)
         color = "#d62728" if i in subset else "#c8c8c8"
-        fig.add_line(grid, dens(grid), color=color, width=0.6)
-    recon_density = theoretical_density(
-        report_m.modal_config, config.theta_rad, sigma, alphabet
+        fig.add_line(grid, dens, color=color, width=0.6)
+    recon_density = density_at(
+        theoretical_state(report_m.modal_config, config.theta_rad, sigma, alphabet.values), grid
     )
-    true_density = theoretical_density(rec.truth, config.theta_rad, sigma, alphabet)
+    true_density = density_at(theoretical_state(rec.truth, config.theta_rad, sigma, alphabet.values), grid)
     if recon_idx != true_idx:
-        fig.add_line(grid, true_density(grid), color="#1f77b4", width=2.0, dash="6,4", label="true set")
-    fig.add_line(grid, recon_density(grid), color="#2ca02c", width=2.5, label="reconstructed set")
+        fig.add_line(grid, true_density, color="#1f77b4", width=2.0, dash="6,4", label="true set")
+    fig.add_line(grid, recon_density, color="#2ca02c", width=2.5, label="reconstructed set")
     fig.add_points(centers[window], measured_density, color="#000000", radius=1.6, label="measured")
     fig.save(out / "fig2.svg")
 
-    curve = np.column_stack([grid, np.asarray(true_density(grid))])
+    curve = np.column_stack([grid, true_density])
     _write_csv(out / "fig2_density_true.csv", ["x_um", "density_per_um"], curve)
     _write_json(
         out / "fig2_report.json",

@@ -1,56 +1,44 @@
-"""Output densities, photon-arrival sampling and pixelated detection.
+"""Output states, photon detection and pixel moments.
 
-Models the 1-D marginal of the camera: the theoretical arrival density of
-surviving photons is the squared modulus of the channel's output wavepacket,
-photon arrivals are drawn by inverse-CDF sampling on a dense grid, and
-detection bins arrivals into half-open pixels of fixed pitch. Default
-geometry mirrors a 1024-pixel row of 13 um pixels.
+Models the 1-D marginal of the camera: the arrival density of surviving
+photons is the squared modulus of the channel's output wavepacket, and a
+detector records how many photons land in each half-open pixel of fixed
+pitch. Pixel masses are exact (normal CDFs at the pixel edges), and a
+trial's counts are drawn by inverting the exact CDF at those edges.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from zenosense.noise_model import Configuration, NoiseAlphabet
+from zenosense.noise_model import Configuration
 from zenosense.seeds import as_rng
 from zenosense.wavepacket import (
     GaussianSum,
     apply_noise_kernel,
     cumulative_mass,
-    density_at,
     make_gaussian,
     moment,
 )
 
 __all__ = [
-    "DEFAULT_PIXEL_PITCH_UM",
-    "DEFAULT_PIXEL_COUNT",
     "SpatialHistogram",
-    "OutputDensity",
     "HistogramFormatError",
     "theoretical_state",
-    "theoretical_density",
-    "sample_positions",
-    "bin_to_pixels",
+    "sample_histogram",
     "empirical_moment",
     "pixel_masses",
     "write_histogram_csv",
     "read_histogram_csv",
 ]
 
-DEFAULT_PIXEL_PITCH_UM = 13.0
-DEFAULT_PIXEL_COUNT = 1024
-
 # Fraction of photons allowed to fall outside the pixel span before binning
 # is treated as a geometry error.
 MAX_OVERFLOW_FRACTION = 0.01
-
-_SUPPORT_SIGMAS = 8.0
-_GRID_POINTS_PER_SIGMA = 200
 
 
 @dataclass(frozen=True)
@@ -96,126 +84,57 @@ class SpatialHistogram:
         return self.offset + np.arange(self.n_pixels + 1) * self.pitch
 
 
-class OutputDensity:
-    """Normalized arrival density handle for a channel output state."""
-
-    __slots__ = ("state",)
-
-    def __init__(self, state: GaussianSum) -> None:
-        if not (state.norm_sq > 0.0):
-            raise ValueError("cannot build a density from a zero-norm state")
-        self.state = state
-
-    @property
-    def sigma(self) -> float:
-        return self.state.sigma
-
-    def __call__(self, x) -> np.ndarray | float:
-        return density_at(self.state, x)
-
-    def support(self) -> tuple[float, float]:
-        """Interval containing all but ~1e-15 of the arrival probability."""
-        pad = _SUPPORT_SIGMAS * self.sigma
-        return (
-            float(self.state.centers.min() - pad),
-            float(self.state.centers.max() + pad),
-        )
-
-    def grid(self, resolution: float | None = None) -> np.ndarray:
-        """Dense sampling grid over the support (resolution <= sigma/200)."""
-        lo, hi = self.support()
-        res = self.sigma / _GRID_POINTS_PER_SIGMA if resolution is None else resolution
-        n = int(math.ceil((hi - lo) / res)) + 1
-        return np.linspace(lo, hi, n)
-
-
 def theoretical_state(
-    config: Configuration, theta: float, sigma: float, alphabet: NoiseAlphabet
+    config: Configuration, theta: float, sigma: float, values: Sequence[float]
 ) -> GaussianSum:
     """Non-normalized output wavepacket for a noise configuration.
 
-    Applies one kernel per event; the kernels commute, so the result depends
-    only on the multiset of couplings, and its squared norm is the protected
-    survival probability of that configuration.
+    ``values`` are the alphabet's coupling shifts, one per count. Applies one
+    kernel per event; the kernels commute, so the result depends only on the
+    multiset of couplings, and its squared norm is the protected survival
+    probability of that configuration.
     """
-    if len(config.counts) != alphabet.size:
+    if len(config.counts) != len(values):
         raise ValueError("configuration and alphabet sizes differ")
     state = make_gaussian(sigma)
-    for nk, value in zip(config.counts, alphabet.values):
+    for nk, value in zip(config.counts, values):
         for _ in range(nk):
             state = apply_noise_kernel(state, theta, value)
     return state
 
 
-def theoretical_density(
-    config: Configuration, theta: float, sigma: float, alphabet: NoiseAlphabet
-) -> OutputDensity:
-    """Normalized arrival density of the surviving photons."""
-    return OutputDensity(theoretical_state(config, theta, sigma, alphabet))
-
-
-def sample_positions(
-    density: OutputDensity | GaussianSum,
-    count: int,
+def sample_histogram(
+    state: GaussianSum,
+    photons: int,
+    pitch: float,
+    n_pixels: int,
+    offset: float,
     seed: int | np.random.Generator,
-) -> np.ndarray:
-    """Draw photon arrival positions by inverse-CDF sampling.
-
-    The CDF is tabulated by trapezoidal accumulation on the density's dense
-    grid, then inverted with linear interpolation; deterministic under a
-    fixed seed. Rejects degenerate densities (zero or non-finite mass).
-    """
-    if count < 1:
-        raise ValueError(f"sample count must be >= 1, got {count}")
-    if isinstance(density, GaussianSum):
-        density = OutputDensity(density)
-    rng = as_rng(seed)
-    xs = density.grid()
-    pdf = np.asarray(density(xs))
-    if not np.all(np.isfinite(pdf)) or np.any(pdf < 0.0):
-        raise ValueError("density evaluates to invalid values on the grid")
-    dx = np.diff(xs)
-    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx)))
-    mass = cdf[-1]
-    if not (mass > 0.0) or not math.isfinite(mass):
-        raise ValueError("degenerate density: no probability mass on the grid")
-    cdf /= mass
-    u = rng.random(int(count))
-    return np.interp(u, cdf, xs)
-
-
-def bin_to_pixels(
-    positions,
-    pitch: float = DEFAULT_PIXEL_PITCH_UM,
-    n_pixels: int = DEFAULT_PIXEL_COUNT,
-    offset: float | None = None,
 ) -> SpatialHistogram:
-    """Bin arrival positions into half-open pixels.
+    """Detect ``photons`` arrivals of the state's normalized density.
 
-    A position exactly on a pixel boundary lands in the pixel to its right.
-    Counts are conserved: positions outside the span are tallied in
-    ``overflow``, and more than ``MAX_OVERFLOW_FRACTION`` of them is an
-    error (the geometry does not cover the beam).
+    Each photon's uniform draw is mapped through the exact CDF at the pixel
+    edges (the mass left of ``offset``, then the cumulative pixel masses),
+    which is inverse-CDF sampling followed by binning into half-open pixels
+    without ever forming a position. Counts are conserved: photons outside
+    the span are tallied in ``overflow``, and more than
+    ``MAX_OVERFLOW_FRACTION`` of them is an error (the geometry does not
+    cover the beam). Deterministic under a fixed seed.
     """
-    if n_pixels < 2:
-        raise ValueError(f"need at least 2 pixels, got {n_pixels}")
-    if not (pitch > 0.0):
-        raise ValueError(f"pixel pitch must be positive, got {pitch!r}")
-    if offset is None:
-        offset = -0.5 * n_pixels * pitch
-    pos = np.asarray(positions, dtype=np.float64)
-    if pos.size == 0:
-        return SpatialHistogram(pitch, offset, np.zeros(n_pixels, dtype=np.int64))
-    idx = np.floor((pos - offset) / pitch).astype(np.int64)
-    inside = (idx >= 0) & (idx < n_pixels)
-    overflow = int(pos.size - np.count_nonzero(inside))
-    if overflow > MAX_OVERFLOW_FRACTION * pos.size:
+    if photons < 1:
+        raise ValueError(f"sample count must be >= 1, got {photons}")
+    left = cumulative_mass(state, offset)
+    cdf = left + np.concatenate(([0.0], np.cumsum(pixel_masses(state, pitch, n_pixels, offset))))
+    u = as_rng(seed).random(int(photons))
+    # slot 0 is left overflow, slot i + 1 is pixel i, slot n_pixels + 1 right overflow
+    slots = np.bincount(np.searchsorted(cdf, u, side="right"), minlength=n_pixels + 2)
+    overflow = int(slots[0] + slots[-1])
+    if overflow > MAX_OVERFLOW_FRACTION * photons:
         raise ValueError(
-            f"{overflow} of {pos.size} positions "
-            f"({overflow / pos.size:.2%}) fall outside the pixel span"
+            f"{overflow} of {photons} photons "
+            f"({overflow / photons:.2%}) fall outside the pixel span"
         )
-    counts = np.bincount(idx[inside], minlength=n_pixels)
-    return SpatialHistogram(pitch, offset, counts, overflow=overflow)
+    return SpatialHistogram(pitch, offset, slots[1:-1], overflow=overflow)
 
 
 def empirical_moment(histogram: SpatialHistogram, order: int) -> float:

@@ -1,12 +1,13 @@
 """Reconstruction of noise-event configurations from measured histograms.
 
-Two estimators recover the event multiset {n_k} of one channel run from the
-pixelated arrival histogram:
+Two estimators, selected by ``estimate_histogram(method=...)``, recover the
+event multiset {n_k} of one channel run from the pixelated arrival
+histogram:
 
-* ``l2_profile_estimate`` minimizes the pixel-wise squared distance between
-  the measured distribution and each candidate's pixel-averaged theoretical
-  profile over the full profile.
-* ``moment_estimate`` is the two-stage search: keep the candidates whose
+* ``"l2"`` minimizes the pixel-wise squared distance between the measured
+  distribution and each candidate's pixel-averaged theoretical profile over
+  the full profile.
+* ``"moments"`` is the two-stage search: keep the candidates whose
   mean arrival position matches the measured one within a tolerance, then
   minimize the squared mismatch of the second moment taken about the
   measured mean. The tolerance doubles (up to 10 times) if the mean filter
@@ -40,8 +41,6 @@ from zenosense.noise_model import Configuration, NoiseAlphabet
 __all__ = [
     "TrialEstimate",
     "EstimateReport",
-    "l2_profile_estimate",
-    "moment_estimate",
     "estimate_histogram",
     "estimate_from_masses",
     "aggregate_trials",
@@ -86,35 +85,31 @@ class _CandidateSet:
     means: np.ndarray
     variances: np.ndarray
     sigma: float
-
-    def moment_groups(self) -> tuple[tuple[int, ...], ...]:
-        return candidate_moment_groups(self.means, self.variances, self.sigma)
-
-    def profile_groups(self) -> tuple[tuple[int, ...], ...]:
-        buckets: dict[bytes, list[int]] = {}
-        rounded = np.round(self.profiles / PROFILE_TOL)
-        for i in range(len(self.configs)):
-            buckets.setdefault(rounded[i].tobytes(), []).append(i)
-        return tuple(
-            tuple(ixs) for ixs in buckets.values() if len(ixs) > 1
-        )
+    moment_groups: tuple[tuple[int, ...], ...]
+    profile_groups: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=16)
-def _candidate_set(
-    alphabet: NoiseAlphabet,
+def candidate_table(
+    values: tuple[float, ...],
     theta: float,
     sigma: float,
-    configs: tuple[Configuration, ...],
+    candidates: tuple[Configuration, ...],
     pitch: float,
     n_pixels: int,
     offset: float,
 ) -> _CandidateSet:
-    profiles = np.empty((len(configs), n_pixels))
-    means = np.empty(len(configs))
-    variances = np.empty(len(configs))
-    for i, config in enumerate(configs):
-        state = theoretical_state(config, theta, sigma, alphabet)
+    """Cached pixel profiles, pixel-level moments and degeneracy groups.
+
+    Keyed on what the profiles depend on: the alphabet's coupling values
+    (not its event probabilities), the probe angle, the packet width, the
+    candidate tuple and the detector geometry.
+    """
+    profiles = np.empty((len(candidates), n_pixels))
+    means = np.empty(len(candidates))
+    variances = np.empty(len(candidates))
+    for i, config in enumerate(candidates):
+        state = theoretical_state(config, theta, sigma, values)
         masses = pixel_masses(state, pitch, n_pixels, offset)
         total = masses.sum()
         if not (total > 0.0):
@@ -124,22 +119,17 @@ def _candidate_set(
     profiles.setflags(write=False)
     means.setflags(write=False)
     variances.setflags(write=False)
-    return _CandidateSet(configs, profiles, means, variances, sigma)
-
-
-def candidate_table(
-    alphabet: NoiseAlphabet,
-    theta: float,
-    sigma: float,
-    candidates: Sequence[Configuration],
-    pitch: float,
-    n_pixels: int,
-    offset: float,
-) -> _CandidateSet:
-    """Cached pixel profiles and pixel-level moments for a candidate list."""
-    return _candidate_set(
-        alphabet, float(theta), float(sigma), tuple(candidates),
-        float(pitch), int(n_pixels), float(offset),
+    buckets: dict[bytes, list[int]] = {}
+    for i, row in enumerate(np.round(profiles / PROFILE_TOL)):
+        buckets.setdefault(row.tobytes(), []).append(i)
+    return _CandidateSet(
+        candidates,
+        profiles,
+        means,
+        variances,
+        sigma,
+        moment_groups=candidate_moment_groups(means, variances, sigma),
+        profile_groups=tuple(tuple(ixs) for ixs in buckets.values() if len(ixs) > 1),
     )
 
 
@@ -214,8 +204,8 @@ def estimate_from_masses(
     if not (total > 0.0):
         raise ValueError("mass vector has no weight")
     masses = masses / total
-    cand = _candidate_set(
-        alphabet, float(theta), float(sigma), tuple(candidates), float(pitch), int(n_pixels), float(offset)
+    cand = candidate_table(
+        alphabet.values, float(theta), float(sigma), tuple(candidates), float(pitch), int(n_pixels), float(offset)
     )
     if method == "l2":
         return _estimate_l2(masses, cand)
@@ -244,7 +234,7 @@ def _degeneracy(
 def _estimate_l2(masses: np.ndarray, cand: _CandidateSet) -> TrialEstimate:
     distances = np.sum((cand.profiles - masses) ** 2, axis=1)
     best = int(np.argmin(distances))  # argmin keeps the smallest index on ties
-    degenerate, partners = _degeneracy(cand, best, cand.profile_groups())
+    degenerate, partners = _degeneracy(cand, best, cand.profile_groups)
     return TrialEstimate(
         method="l2",
         index=best,
@@ -300,7 +290,7 @@ def _estimate_moments(
     objective = np.full(len(cand.configs), np.inf)
     objective[subset] = (central2 - second_about_m1[subset]) ** 2
     best = int(subset[np.argmin(objective[subset])])
-    degenerate, partners = _degeneracy(cand, best, cand.moment_groups())
+    degenerate, partners = _degeneracy(cand, best, cand.moment_groups)
     return TrialEstimate(
         method="moments",
         index=best,
@@ -335,39 +325,6 @@ def estimate_histogram(
         method=method,
         mean_tolerance=mean_tolerance,
     )
-
-
-def l2_profile_estimate(
-    histogram: SpatialHistogram,
-    candidates: Sequence[Configuration],
-    theta: float,
-    sigma: float,
-    alphabet: NoiseAlphabet,
-) -> Configuration:
-    """Full-profile argmin of the pixel-wise squared distance."""
-    return estimate_histogram(
-        histogram, candidates, theta, sigma, alphabet, method="l2"
-    ).config
-
-
-def moment_estimate(
-    histogram: SpatialHistogram,
-    candidates: Sequence[Configuration],
-    theta: float,
-    sigma: float,
-    alphabet: NoiseAlphabet,
-    mean_tolerance: float | None = None,
-) -> Configuration:
-    """Two-stage mean-filter + centered-second-moment match."""
-    return estimate_histogram(
-        histogram,
-        candidates,
-        theta,
-        sigma,
-        alphabet,
-        method="moments",
-        mean_tolerance=mean_tolerance,
-    ).config
 
 
 # --- trial aggregation and confidence intervals ------------------------------

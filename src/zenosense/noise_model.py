@@ -66,9 +66,6 @@ class NoiseAlphabet:
         """Physical coupling shifts G_k = multiplier_k * unit_shift."""
         return tuple(m * self.unit_shift for m in self.multipliers)
 
-    def with_unit_shift(self, unit_shift: float) -> "NoiseAlphabet":
-        return NoiseAlphabet(unit_shift, self.multipliers, self.probabilities)
-
 
 @dataclass(frozen=True)
 class Configuration:

@@ -1,11 +1,12 @@
 """End-to-end experiment orchestration shared by the CLI and the test suite.
 
 A run is a pure function of (config, master seed): trial i draws its channel
-realization from stream (seed, i, 0) and its photon arrivals from stream
-(seed, i, 1), so forced-realization runs and sampled runs consume identical
-seed paths and any trial can be regenerated on its own. Trials are mutually
-independent and could be processed in parallel; this implementation keeps
-them sequential for deterministic, dependency-free output.
+realization from stream (seed, i, 0) and the uniforms that place its photons
+in pixels from stream (seed, i, 1), so forced-realization runs and sampled
+runs consume identical seed paths and any trial can be regenerated on its
+own. Trials are mutually independent and could be processed in parallel;
+this implementation keeps them sequential for deterministic,
+dependency-free output.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 from zenosense.channel import ChannelRealization, RunReport, calibrate_unit_shift, run_protected
 from zenosense.config import ConfigError, ExperimentConfig
-from zenosense.detector import OutputDensity, SpatialHistogram, bin_to_pixels, sample_positions
+from zenosense.detector import SpatialHistogram, sample_histogram
 from zenosense.estimator import EstimateReport, TrialEstimate, build_report, estimate_histogram
 from zenosense.noise_model import (
     Configuration,
@@ -101,10 +102,13 @@ def simulate_trials(
             realization = sample_realization(alphabet, config.n_events, make_rng(seed, i, 0))
             truth = configuration_of(realization, alphabet)
         run = run_protected(config.theta_rad, config.sigma_um, realization)
-        density = OutputDensity(run.final_state)
-        positions = sample_positions(density, photons, make_rng(seed, i, 1))
-        histogram = bin_to_pixels(
-            positions, config.pixel_pitch_um, config.pixel_count, config.detector_offset_um
+        histogram = sample_histogram(
+            run.final_state,
+            photons,
+            config.pixel_pitch_um,
+            config.pixel_count,
+            config.detector_offset_um,
+            make_rng(seed, i, 1),
         )
         records.append(
             TrialRecord(

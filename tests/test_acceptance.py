@@ -21,7 +21,7 @@ from zenosense.channel import (
     run_unprotected,
 )
 from zenosense.config import ExperimentConfig
-from zenosense.detector import bin_to_pixels, pixel_masses, sample_positions, theoretical_density, theoretical_state
+from zenosense.detector import pixel_masses, sample_histogram, theoretical_state
 from zenosense.estimator import (
     beta_ci,
     candidate_moment_groups,
@@ -77,11 +77,10 @@ def test_criterion_2_configuration_recovery():
     alphabet = NoiseAlphabet(g, (0.0, 1.0, 2.0, 3.0, 4.0), (0.2,) * 5)
     truth = Configuration((2, 0, 2, 2, 0))
     candidates = tuple(enumerate_configurations(5, 6))
-    density = theoretical_density(truth, QUARTER, SIGMA, alphabet)
+    state = theoretical_state(truth, QUARTER, SIGMA, alphabet.values)
     hits = {"l2": 0, "moments": 0}
     for trial in range(100):
-        xs = sample_positions(density, 1_000_000, make_rng(2024, trial))
-        hist = bin_to_pixels(xs, GEOMETRY["pitch"], GEOMETRY["n_pixels"], GEOMETRY["offset"])
+        hist = sample_histogram(state, 1_000_000, **GEOMETRY, seed=make_rng(2024, trial))
         for method in hits:
             est = estimate_histogram(hist, candidates, QUARTER, SIGMA, alphabet, method=method)
             hits[method] += est.config == truth
@@ -264,7 +263,7 @@ def test_criterion_7_exhaustive_oracle_equivalence():
     g = _calibrated_unit_shift()
     alphabet = NoiseAlphabet(g, (0.0, 1.0, 2.0, 3.0, 4.0), (0.2,) * 5)
     candidates = tuple(enumerate_configurations(5, 6))
-    states = [theoretical_state(c, QUARTER, SIGMA, alphabet) for c in candidates]
+    states = [theoretical_state(c, QUARTER, SIGMA, alphabet.values) for c in candidates]
 
     # independent oracle: integrated squared distance on a dense grid,
     # moments by quadrature weights (trapezoid), degeneracy from moment pairs

@@ -5,17 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from zenosense.detector import bin_to_pixels, pixel_masses, sample_positions, theoretical_density, theoretical_state
+from zenosense.detector import pixel_masses, sample_histogram, theoretical_state
 from zenosense.estimator import (
     aggregate_trials,
     beta_ci,
     build_report,
     candidate_moment_groups,
+    candidate_table,
     default_mean_tolerance,
     estimate_from_masses,
     estimate_histogram,
-    l2_profile_estimate,
-    moment_estimate,
 )
 from zenosense.noise_model import Configuration, NoiseAlphabet, enumerate_configurations
 from zenosense.seeds import make_rng
@@ -32,14 +31,13 @@ TRUTH = Configuration((2, 0, 2, 2, 0))
 
 
 def noiseless_masses(config):
-    state = theoretical_state(config, QUARTER, SIGMA, ALPHABET)
+    state = theoretical_state(config, QUARTER, SIGMA, ALPHABET.values)
     return pixel_masses(state, GEOMETRY["pitch"], GEOMETRY["n_pixels"], GEOMETRY["offset"])
 
 
 def sampled_histogram(config, photons, seed):
-    density = theoretical_density(config, QUARTER, SIGMA, ALPHABET)
-    xs = sample_positions(density, photons, seed)
-    return bin_to_pixels(xs, GEOMETRY["pitch"], GEOMETRY["n_pixels"], GEOMETRY["offset"])
+    state = theoretical_state(config, QUARTER, SIGMA, ALPHABET.values)
+    return sample_histogram(state, photons, **GEOMETRY, seed=seed)
 
 
 class TestNoiselessRecovery:
@@ -60,8 +58,8 @@ class TestNoiselessRecovery:
 class TestFiniteStatistics:
     def test_reference_set_at_one_million_photons(self):
         hist = sampled_histogram(TRUTH, 1_000_000, seed=77)
-        assert l2_profile_estimate(hist, CANDIDATES, QUARTER, SIGMA, ALPHABET) == TRUTH
-        assert moment_estimate(hist, CANDIDATES, QUARTER, SIGMA, ALPHABET) == TRUTH
+        for method in ("l2", "moments"):
+            assert estimate_histogram(hist, CANDIDATES, QUARTER, SIGMA, ALPHABET, method=method).config == TRUTH
 
     def test_recovery_rate_non_decreasing_in_photons(self):
         # statistical acceptance: 100 repetitions per photon count, 2% slack
@@ -83,12 +81,12 @@ class TestFiniteStatistics:
 
         hist = SpatialHistogram(13.0, -6656.0, np.zeros(1024, dtype=int))
         with pytest.raises(ValueError, match="empty"):
-            moment_estimate(hist, CANDIDATES, QUARTER, SIGMA, ALPHABET)
+            estimate_histogram(hist, CANDIDATES, QUARTER, SIGMA, ALPHABET, method="moments")
 
     def test_empty_candidates_rejected(self):
         hist = sampled_histogram(TRUTH, 1000, seed=1)
         with pytest.raises(ValueError):
-            moment_estimate(hist, (), QUARTER, SIGMA, ALPHABET)
+            estimate_histogram(hist, (), QUARTER, SIGMA, ALPHABET, method="moments")
 
 
 class TestMomentEstimatorStages:
@@ -142,6 +140,18 @@ class TestDegeneracyFlags:
             CANDIDATES, QUARTER, SIGMA, ALPHABET, method="moments",
         )
         assert not est.degenerate
+
+
+class TestCandidateTable:
+    def test_shared_across_event_probabilities(self):
+        # profiles depend on the coupling values, not on how often each occurs
+        skewed = NoiseAlphabet(G, ALPHABET.multipliers, (0.1, 0.3, 0.3, 0.2, 0.1))
+        geometry = (GEOMETRY["pitch"], GEOMETRY["n_pixels"], GEOMETRY["offset"])
+        masses = noiseless_masses(TRUTH)
+        estimate_from_masses(masses, *geometry, CANDIDATES, QUARTER, SIGMA, ALPHABET)
+        misses = candidate_table.cache_info().misses
+        estimate_from_masses(masses, *geometry, CANDIDATES, QUARTER, SIGMA, skewed)
+        assert candidate_table.cache_info().misses == misses
 
 
 class TestAggregation:
