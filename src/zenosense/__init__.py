@@ -18,7 +18,6 @@ from zenosense.channel import (
 from zenosense.config import ConfigError, ExperimentConfig, load_config, parse_config, serialize_config
 from zenosense.detector import (
     SpatialHistogram,
-    empirical_moment,
     pixel_masses,
     read_histogram_csv,
     sample_histogram,
@@ -33,6 +32,7 @@ from zenosense.estimator import (
     build_report,
     estimate_from_masses,
     estimate_histogram,
+    pixel_moments,
 )
 from zenosense.noise_model import (
     Configuration,

@@ -16,6 +16,7 @@ always computed exactly from norms.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -195,9 +196,9 @@ def second_order_survival(theta: float, sigma: float, total_coupling: float) -> 
 
 _hermite_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-# Node counts beyond this add no accuracy at double precision; the Gaussian
-# weight suppresses the unresolved high-frequency filter components to the
-# 1e-13 absolute level.
+# Cap on the quadrature rule: the filter matrix is n_nodes x N, and the node
+# rule of ``protected_survival_spectral`` asks for 0.75 lambda^2 + 64 nodes,
+# which exceeds the cap for lambda > 73.3 (see its docstring for the error).
 _MAX_HERMITE_NODES = 4096
 
 
@@ -219,7 +220,14 @@ def protected_survival_spectral(
     cos(p g_j) over the initial Gaussian momentum density. The cost is
     linear in N, so this path stays tractable where the component-resolved
     run would blow up (continuous couplings, N >> 10). Node count grows with
-    the total phase sigma_p * sum(g_j) to keep the cosine series converged.
+    the total phase lambda = sum(g_j) / (2 sigma) as 0.75 lambda^2 + 64 to
+    keep the cosine series converged.
+
+    Accuracy: 1e-13 absolute while the node rule is met, lambda <= 73.3. Above
+    that the rule is capped at ``_MAX_HERMITE_NODES`` and a RuntimeWarning
+    names lambda and the node count used. Measured against the exact lattice
+    sum for constant couplings, the error stays <= 1.2e-13 up to lambda = 250,
+    then grows to 1e-10 at lambda = 400, 1e-7 at 600 and 1.8e-5 at 1000.
     """
     ProbeState(theta)
     if not (sigma > 0.0):
@@ -228,9 +236,16 @@ def protected_survival_spectral(
     if g.size == 0:
         raise ValueError("couplings must be non-empty")
     sp = 1.0 / (2.0 * sigma)
+    lam = sp * float(g.sum())
     if n_nodes is None:
-        lam = sp * float(g.sum())
         n_nodes = max(96, int(0.75 * lam * lam) + 64)
+    if n_nodes > _MAX_HERMITE_NODES:
+        warnings.warn(
+            f"spectral survival at lambda = {lam:.4g} needs {n_nodes} Gauss-Hermite nodes "
+            f"but uses {_MAX_HERMITE_NODES}; 1e-13 accuracy is guaranteed only up to lambda = 73.3",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     z, w = _hermite_rule(n_nodes)
     p = sp * z
     c2 = math.cos(theta) ** 2

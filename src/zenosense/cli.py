@@ -25,7 +25,13 @@ from zenosense.channel import (
 )
 from zenosense.config import ConfigError, ExperimentConfig, load_config, serialize_config
 from zenosense.detector import read_histogram_csv, theoretical_state, write_histogram_csv
-from zenosense.estimator import EstimateReport, beta_ci, candidate_table, default_mean_tolerance
+from zenosense.estimator import (
+    EstimateReport,
+    beta_ci,
+    candidate_table,
+    default_mean_tolerance,
+    pixel_moments,
+)
 from zenosense.noise_model import Configuration, config_realization, enumerate_configurations
 from zenosense.pipeline import (
     REFERENCE_CONFIG,
@@ -231,7 +237,7 @@ def _reproduce_fig2(out: Path, seed: int, photons: int) -> None:
     window = (centers >= grid[0]) & (centers <= grid[-1])
     measured_density = hist.counts[window] / (hist.total * hist.pitch)
 
-    m1 = float(np.sum((hist.counts / hist.total) * centers))
+    m1 = float(pixel_moments(hist.counts / hist.total, hist.pitch, hist.offset)[0])
     tol = default_mean_tolerance(table.means, sigma)
     subset = np.flatnonzero(np.abs(table.means - m1) <= tol)
     true_idx = candidates.index(rec.truth)

@@ -45,10 +45,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not (0.0 <= self.theta_rad <= math.pi / 2.0):
             raise ConfigError(f"theta_rad must lie in [0, pi/2], got {self.theta_rad!r}")
-        if not (self.sigma_um > 0.0):
-            raise ConfigError(f"sigma_um must be positive, got {self.sigma_um!r}")
-        if self.unit_shift_um is not None and not (self.unit_shift_um > 0.0):
-            raise ConfigError(f"unit_shift_um must be positive, got {self.unit_shift_um!r}")
+        if not (0.0 < self.sigma_um < math.inf):
+            raise ConfigError(f"sigma_um must be positive and finite, got {self.sigma_um!r}")
+        if self.unit_shift_um is not None and not (0.0 < self.unit_shift_um < math.inf):
+            raise ConfigError(f"unit_shift_um must be positive and finite, got {self.unit_shift_um!r}")
         if not (0.0 < self.calibration_target < 1.0):
             raise ConfigError(
                 f"calibration_target must lie in (0, 1), got {self.calibration_target!r}"
@@ -59,8 +59,10 @@ class ExperimentConfig:
             raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
         if self.photons_per_trial < 1:
             raise ConfigError(f"photons_per_trial must be >= 1, got {self.photons_per_trial}")
-        if not (self.pixel_pitch_um > 0.0):
-            raise ConfigError(f"pixel_pitch_um must be positive, got {self.pixel_pitch_um!r}")
+        if not (0.0 < self.pixel_pitch_um < math.inf):
+            raise ConfigError(f"pixel_pitch_um must be positive and finite, got {self.pixel_pitch_um!r}")
+        if not math.isfinite(self.detector_offset_um):
+            raise ConfigError(f"detector_offset_um must be finite, got {self.detector_offset_um!r}")
         if self.pixel_count < 2:
             raise ConfigError(f"pixel_count must be >= 2, got {self.pixel_count}")
         if self.estimator not in ("l2", "moments"):

@@ -1,4 +1,4 @@
-"""Output states, photon detection and pixel moments.
+"""Output states, photon detection and pixel masses.
 
 Models the 1-D marginal of the camera: the arrival density of surviving
 photons is the squared modulus of the channel's output wavepacket, and a
@@ -10,6 +10,7 @@ trial's counts are drawn by inverting the exact CDF at those edges.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,7 +23,6 @@ from zenosense.wavepacket import (
     apply_noise_kernel,
     cumulative_mass,
     make_gaussian,
-    moment,
 )
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "HistogramFormatError",
     "theoretical_state",
     "sample_histogram",
-    "empirical_moment",
     "pixel_masses",
     "write_histogram_csv",
     "read_histogram_csv",
@@ -137,18 +136,6 @@ def sample_histogram(
     return SpatialHistogram(pitch, offset, slots[1:-1], overflow=overflow)
 
 
-def empirical_moment(histogram: SpatialHistogram, order: int) -> float:
-    """Moment of the normalized histogram, pixel centers as x values."""
-    if order not in (1, 2):
-        raise ValueError(f"moment order must be 1 or 2, got {order!r}")
-    total = histogram.total
-    if total <= 0:
-        raise ValueError("cannot take moments of an empty histogram")
-    centers = histogram.centers()
-    weights = histogram.counts / total
-    return float(np.sum(weights * centers**order))
-
-
 def pixel_masses(
     state: GaussianSum,
     pitch: float,
@@ -176,32 +163,6 @@ def pixel_masses(
         cum = np.asarray(cumulative_mass(state, edges[i0 : i1 + 1]))
         masses[i0:i1] = np.maximum(np.diff(cum), 0.0)
     return masses
-
-
-def pixel_moments(
-    state: GaussianSum, pitch: float, n_pixels: int, offset: float
-) -> tuple[float, float]:
-    """(mean, variance) a pixelated detector would report at infinite statistics.
-
-    Matches the functional applied to measured histograms (pixel centers as
-    representative positions), so theoretical and empirical moments share
-    the same pitch-scale discretization and it cancels in comparisons.
-    """
-    masses = pixel_masses(state, pitch, n_pixels, offset)
-    total = masses.sum()
-    if not (total > 0.0):
-        raise ValueError("state carries no mass on the pixel span")
-    centers = offset + (np.arange(n_pixels) + 0.5) * pitch
-    w = masses / total
-    m1 = float(np.sum(w * centers))
-    m2 = float(np.sum(w * centers**2))
-    return m1, m2 - m1 * m1
-
-
-def continuous_moments(state: GaussianSum) -> tuple[float, float]:
-    """(mean, variance) of the un-pixelated density, closed form."""
-    m1 = moment(state, 1)
-    return m1, moment(state, 2) - m1 * m1
 
 
 # --- CSV serialization -------------------------------------------------------
@@ -245,6 +206,8 @@ def read_histogram_csv(path) -> SpatialHistogram:
                 idx, center, count = int(row[0]), float(row[1]), int(row[2])
             except ValueError as exc:
                 raise HistogramFormatError(f"{path}:{lineno}: {exc}") from exc
+            if not math.isfinite(center):
+                raise HistogramFormatError(f"{path}:{lineno}: non-finite pixel center {center!r}")
             if idx != len(rows):
                 raise HistogramFormatError(
                     f"{path}:{lineno}: pixel index {idx} out of order"

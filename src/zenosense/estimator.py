@@ -30,12 +30,7 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import beta as beta_dist
 
-from zenosense.detector import (
-    SpatialHistogram,
-    pixel_masses,
-    pixel_moments,
-    theoretical_state,
-)
+from zenosense.detector import SpatialHistogram, pixel_masses, theoretical_state
 from zenosense.noise_model import Configuration, NoiseAlphabet
 
 __all__ = [
@@ -49,6 +44,7 @@ __all__ = [
     "candidate_table",
     "candidate_moment_groups",
     "default_mean_tolerance",
+    "pixel_moments",
 ]
 
 # Candidates whose pixel-level means and variances agree within these
@@ -106,8 +102,6 @@ def candidate_table(
     candidate tuple and the detector geometry.
     """
     profiles = np.empty((len(candidates), n_pixels))
-    means = np.empty(len(candidates))
-    variances = np.empty(len(candidates))
     for i, config in enumerate(candidates):
         state = theoretical_state(config, theta, sigma, values)
         masses = pixel_masses(state, pitch, n_pixels, offset)
@@ -115,7 +109,7 @@ def candidate_table(
         if not (total > 0.0):
             raise ValueError(f"candidate {config.counts} carries no mass on the detector")
         profiles[i] = masses / total
-        means[i], variances[i] = pixel_moments(state, pitch, n_pixels, offset)
+    means, variances = pixel_moments(profiles, pitch, offset)
     profiles.setflags(write=False)
     means.setflags(write=False)
     variances.setflags(write=False)
@@ -131,6 +125,23 @@ def candidate_table(
         moment_groups=candidate_moment_groups(means, variances, sigma),
         profile_groups=tuple(tuple(ixs) for ixs in buckets.values() if len(ixs) > 1),
     )
+
+
+def pixel_moments(weights: np.ndarray, pitch: float, offset: float) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, variance) of normalized pixel weights, pixel centers as positions.
+
+    The one pixel-center functional: measured histograms and candidate
+    profiles both go through it, so the pitch-scale discretization is the
+    same on both sides and cancels in comparisons. ``weights`` has shape
+    ``(n_pixels,)`` or ``(rows, n_pixels)`` and must already sum to 1 along
+    its last axis; pixel i sits at ``offset + (i + 0.5) * pitch``. Both
+    results have the shape of ``weights`` without its last axis.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    centers = offset + (np.arange(weights.shape[-1]) + 0.5) * pitch
+    m1 = np.sum(weights * centers, axis=-1)
+    m2 = np.sum(weights * centers**2, axis=-1)
+    return m1, m2 - m1 * m1
 
 
 def candidate_moment_groups(
@@ -210,7 +221,8 @@ def estimate_from_masses(
     if method == "l2":
         return _estimate_l2(masses, cand)
     if method == "moments":
-        return _estimate_moments(masses, cand, pitch, n_pixels, offset, mean_tolerance)
+        m1, central2 = pixel_moments(masses, pitch, offset)
+        return _estimate_moments(float(m1), float(central2), cand, mean_tolerance)
     raise ValueError(f"unknown estimator {method!r}; expected 'l2' or 'moments'")
 
 
@@ -247,17 +259,8 @@ def _estimate_l2(masses: np.ndarray, cand: _CandidateSet) -> TrialEstimate:
 
 
 def _estimate_moments(
-    masses: np.ndarray,
-    cand: _CandidateSet,
-    pitch: float,
-    n_pixels: int,
-    offset: float,
-    mean_tolerance: float | None,
+    m1: float, central2: float, cand: _CandidateSet, mean_tolerance: float | None
 ) -> TrialEstimate:
-    centers = offset + (np.arange(n_pixels) + 0.5) * pitch
-    m1 = float(np.sum(masses * centers))
-    m2 = float(np.sum(masses * centers**2))
-    central2 = m2 - m1 * m1
     tol = (
         default_mean_tolerance(cand.means, cand.sigma)
         if mean_tolerance is None

@@ -45,6 +45,8 @@ class NoiseAlphabet:
             raise ValueError("alphabet needs at least one value")
         if len(mult) != len(probs):
             raise ValueError("multipliers and probabilities must have equal length")
+        if not all(math.isfinite(x) for x in mult + probs):
+            raise ValueError("alphabet multipliers and event probabilities must be finite")
         if any(m < 0.0 for m in mult):
             raise ValueError("alphabet values must be non-negative")
         if any(b <= a for a, b in zip(mult, mult[1:])):

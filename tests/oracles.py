@@ -140,3 +140,23 @@ def random_state(rng: np.random.Generator, max_components: int = 16, complex_amp
     else:
         amps = rng.uniform(0.05, 1.0, size=n).astype(complex)
     return GaussianSum(sigma, amps, centers)
+
+
+def lattice_survival(theta: float, sigma: float, h: float, multipliers) -> float:
+    """Exact protected survival for couplings on a lattice, g_j = m_j * h.
+
+    The output wavepacket has amplitude a_k on the copy shifted by k * h,
+    where a_k is the coefficient of z^k in prod_j (s^2 + c^2 z^{m_j}); its
+    squared norm is the lattice sum of a_k a_l times the Gaussian overlap
+    exp(-(k - l)^2 h^2 / (8 sigma^2)). Integer multipliers only.
+    """
+    c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
+    a = np.ones(1)
+    for m in multipliers:
+        factor = np.zeros(int(m) + 1)
+        factor[0] += s2
+        factor[int(m)] += c2
+        a = np.convolve(a, factor)
+    k = np.arange(a.size)
+    overlap = np.exp(-((k[:, None] - k[None, :]) ** 2) * h * h / (8.0 * sigma * sigma))
+    return float(a @ overlap @ a)

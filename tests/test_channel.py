@@ -1,6 +1,7 @@
 """Channel protocols, decay parameters and the QZE scaling study."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +245,22 @@ class TestSpectralSurvival:
     def test_handles_long_channels(self):
         val = protected_survival_spectral(QUARTER, 1.0, np.full(100, 0.5))
         assert 0.0 < val < 1.0
+
+    @pytest.mark.parametrize("g_over_sigma", [0.5, 1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("n", [1, 10, 36])
+    def test_matches_lattice_sum_where_node_rule_is_met(self, g_over_sigma, n):
+        # lambda = N g / (2 sigma) <= 72, under the node cap
+        sigma = 1.3
+        exact = oracles.lattice_survival(QUARTER, sigma, g_over_sigma * sigma, [1] * n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spectral = protected_survival_spectral(QUARTER, sigma, np.full(n, g_over_sigma * sigma))
+        assert abs(spectral - exact) <= 1e-12
+
+    def test_warns_where_node_cap_binds(self):
+        # g = 4 sigma, N = 500: lambda = 1000, error 1.8e-5 against the lattice sum
+        with pytest.warns(RuntimeWarning, match="lambda = 1000"):
+            protected_survival_spectral(QUARTER, 1.0, np.full(500, 4.0))
 
 
 class TestScalingReport:

@@ -70,6 +70,14 @@ class TestValidation:
             dict(forced_config=(1, 1, 1, 1, 1)),  # sums to 5, n_events 6
             dict(forced_config=(2, 2, 2)),  # wrong length
             dict(calibration_target=1.5),
+            dict(detector_offset_um=math.nan),
+            dict(detector_offset_um=math.inf),
+            dict(alphabet_multipliers=(0.0, math.nan, 2.0, 3.0, 4.0)),
+            dict(alphabet_multipliers=(0.0, 1.0, 2.0, 3.0, math.inf)),
+            dict(event_probabilities=(math.nan, 0.2, 0.2, 0.2, 0.2)),
+            dict(sigma_um=math.inf),
+            dict(pixel_pitch_um=math.inf),
+            dict(unit_shift_um=math.inf),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -8,20 +8,23 @@ import pytest
 from zenosense.detector import (
     HistogramFormatError,
     SpatialHistogram,
-    continuous_moments,
-    empirical_moment,
     pixel_masses,
-    pixel_moments,
     read_histogram_csv,
     sample_histogram,
     theoretical_state,
     write_histogram_csv,
 )
+from zenosense.estimator import pixel_moments
 from zenosense.noise_model import Configuration, NoiseAlphabet
 from zenosense.wavepacket import GaussianSum, apply_noise_kernel, density_at, make_gaussian, moment
 
 QUARTER = math.pi / 4.0
 ALPHABET = NoiseAlphabet(0.76, (0.0, 1.0, 2.0, 3.0, 4.0), (0.2,) * 5)
+
+
+def histogram_moments(hist):
+    """(mean, variance) of a measured histogram, pixel centers as positions."""
+    return pixel_moments(hist.counts / hist.total, hist.pitch, hist.offset)
 
 
 def support_grid(state, points_per_sigma=200):
@@ -88,7 +91,8 @@ class TestSamplePositions:
     def test_mean_within_clt_bound(self):
         # pixel centers are symmetric about 0, so pixelation adds no bias
         hist = sample_histogram(make_gaussian(1.0), 1_000_000, pitch=0.01, n_pixels=2000, offset=-10.0, seed=5)
-        assert abs(empirical_moment(hist, 1)) < 4.0 / math.sqrt(1_000_000)
+        mean, _ = histogram_moments(hist)
+        assert abs(mean) < 4.0 / math.sqrt(1_000_000)
 
     def test_deterministic(self):
         state = theoretical_state(Configuration((2, 0, 2, 2, 0)), QUARTER, 1.0, ALPHABET.values)
@@ -151,13 +155,9 @@ class TestEmpiricalMoment:
     def test_symmetric_two_pixel(self):
         # equal counts in pixels centered at -1.5 and +1.5
         hist = SpatialHistogram(1.0, -2.0, [7, 0, 0, 7])
-        assert empirical_moment(hist, 1) == pytest.approx(0.0, abs=1e-12)
-        assert empirical_moment(hist, 2) == pytest.approx(1.5**2, rel=1e-12)
-
-    def test_empty_rejected(self):
-        hist = SpatialHistogram(1.0, 0.0, [0, 0])
-        with pytest.raises(ValueError):
-            empirical_moment(hist, 1)
+        mean, var = histogram_moments(hist)
+        assert mean == pytest.approx(0.0, abs=1e-12)
+        assert var + mean**2 == pytest.approx(1.5**2, rel=1e-12)
 
     def test_monte_carlo_matches_closed_form(self):
         config = Configuration((2, 0, 2, 2, 0))
@@ -167,10 +167,12 @@ class TestEmpiricalMoment:
         m1, m2 = moment(state, 1), moment(state, 2)
         var = m2 - m1 * m1
         se_mean = math.sqrt(var / photons)
-        assert abs(empirical_moment(hist, 1) - m1) < 5.0 * se_mean
+        mean, var_hist = histogram_moments(hist)
+        second = var_hist + mean**2
+        assert abs(mean - m1) < 5.0 * se_mean
         x4 = float(np.sum(hist.counts * hist.centers() ** 4)) / hist.total
-        se_m2 = math.sqrt((x4 - empirical_moment(hist, 2) ** 2) / photons)
-        assert abs(empirical_moment(hist, 2) - m2) < 5.0 * se_m2
+        se_m2 = math.sqrt((x4 - second**2) / photons)
+        assert abs(second - m2) < 5.0 * se_m2
 
 
 class TestPixelation:
@@ -182,10 +184,16 @@ class TestPixelation:
     def test_second_moment_bias_quadratic_in_pitch(self):
         # bias ~ pitch^2/12; refining the pitch 4x shrinks it ~16x
         state = theoretical_state(Configuration((2, 0, 2, 2, 0)), QUARTER, 1.0, ALPHABET.values)
-        _, var_exact = continuous_moments(state)
+        m1 = moment(state, 1)
+        var_exact = moment(state, 2) - m1 * m1
         pitch = 0.4
-        _, var_coarse = pixel_moments(state, pitch, 80, -6.0)
-        _, var_fine = pixel_moments(state, pitch / 4, 320, -6.0)
+
+        def pixel_variance(pitch, n_pixels):
+            masses = pixel_masses(state, pitch, n_pixels, -6.0)
+            return pixel_moments(masses / masses.sum(), pitch, -6.0)[1]
+
+        var_coarse = pixel_variance(pitch, 80)
+        var_fine = pixel_variance(pitch / 4, 320)
         bias_coarse = abs(var_coarse - var_exact)
         bias_fine = abs(var_fine - var_exact)
         assert bias_coarse <= 1.2 * pitch**2 / 12.0
@@ -206,6 +214,13 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("pixel_index,center_x_um,count\n0,1.0,5\n1,2.0,oops\n")
         with pytest.raises(HistogramFormatError, match=r"bad\.csv:3"):
+            read_histogram_csv(path)
+
+    def test_non_finite_center_names_file_and_line(self, tmp_path):
+        # a nan center after the second row slips past the spacing check
+        path = tmp_path / "bad.csv"
+        path.write_text("pixel_index,center_x_um,count\n0,1.0,5\n1,2.0,3\n2,nan,1\n")
+        with pytest.raises(HistogramFormatError, match=r"bad\.csv:4"):
             read_histogram_csv(path)
 
     def test_bad_header_rejected(self, tmp_path):

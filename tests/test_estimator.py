@@ -15,6 +15,7 @@ from zenosense.estimator import (
     default_mean_tolerance,
     estimate_from_masses,
     estimate_histogram,
+    pixel_moments,
 )
 from zenosense.noise_model import Configuration, NoiseAlphabet, enumerate_configurations
 from zenosense.seeds import make_rng
@@ -152,6 +153,17 @@ class TestCandidateTable:
         misses = candidate_table.cache_info().misses
         estimate_from_masses(masses, *geometry, CANDIDATES, QUARTER, SIGMA, skewed)
         assert candidate_table.cache_info().misses == misses
+
+    def test_moments_are_the_shared_functional_of_profiles(self):
+        # candidate moments and a measured trial's go through one functional,
+        # so a noiseless trial reproduces its candidate's moments exactly
+        pitch, offset = GEOMETRY["pitch"], GEOMETRY["offset"]
+        table = candidate_table(ALPHABET.values, QUARTER, SIGMA, CANDIDATES, pitch, GEOMETRY["n_pixels"], offset)
+        means, variances = pixel_moments(table.profiles, pitch, offset)
+        assert np.array_equal(table.means, means)
+        assert np.array_equal(table.variances, variances)
+        rows = [pixel_moments(profile, pitch, offset) for profile in table.profiles]
+        assert np.array_equal(np.array(rows), np.column_stack([means, variances]))
 
 
 class TestAggregation:

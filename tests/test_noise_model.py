@@ -37,6 +37,9 @@ class TestNoiseAlphabet:
             dict(unit_shift=1.0, multipliers=(0.0, 1.0), probabilities=(0.7, 0.6)),
             dict(unit_shift=1.0, multipliers=(0.0, 1.0), probabilities=(-0.1, 1.1)),
             dict(unit_shift=1.0, multipliers=(0.0, 1.0), probabilities=(0.5,)),
+            dict(unit_shift=1.0, multipliers=(0.0, math.nan, 2.0), probabilities=(0.2, 0.3, 0.5)),
+            dict(unit_shift=1.0, multipliers=(0.0, 1.0, math.inf), probabilities=(0.2, 0.3, 0.5)),
+            dict(unit_shift=1.0, multipliers=(0.0, 1.0, 2.0), probabilities=(math.nan, 0.5, 0.5)),
         ],
     )
     def test_invalid_alphabets_rejected(self, kwargs):
