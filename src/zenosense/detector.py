@@ -18,12 +18,7 @@ import numpy as np
 
 from zenosense.noise_model import Configuration
 from zenosense.seeds import as_rng
-from zenosense.wavepacket import (
-    GaussianSum,
-    apply_noise_kernel,
-    cumulative_mass,
-    make_gaussian,
-)
+from zenosense.wavepacket import GaussianSum, cumulative_mass, fold_kernels
 
 __all__ = [
     "SpatialHistogram",
@@ -95,11 +90,8 @@ def theoretical_state(
     """
     if len(config.counts) != len(values):
         raise ValueError("configuration and alphabet sizes differ")
-    state = make_gaussian(sigma)
-    for nk, value in zip(config.counts, values):
-        for _ in range(nk):
-            state = apply_noise_kernel(state, theta, value)
-    return state
+    couplings = [value for nk, value in zip(config.counts, values) for _ in range(nk)]
+    return fold_kernels(theta, sigma, couplings)
 
 
 def sample_histogram(

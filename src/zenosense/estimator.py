@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv
 
 from zenosense.detector import SpatialHistogram, pixel_masses, theoretical_state
 from zenosense.noise_model import Configuration, NoiseAlphabet
@@ -375,8 +375,8 @@ def beta_ci(successes: int, total: int, level: float) -> tuple[float, float]:
     a = successes + 1.0
     b = total - successes + 1.0
     tail = 0.5 * (1.0 - level)
-    lo = 0.0 if successes == 0 else float(beta_dist.ppf(tail, a, b))
-    hi = 1.0 if successes == total else float(beta_dist.ppf(1.0 - tail, a, b))
+    lo = 0.0 if successes == 0 else float(betaincinv(a, b, tail))
+    hi = 1.0 if successes == total else float(betaincinv(a, b, 1.0 - tail))
     return (min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0))
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 from scipy.special import ndtr
@@ -35,6 +36,7 @@ __all__ = [
     "make_gaussian",
     "inner_product",
     "apply_noise_kernel",
+    "fold_kernels",
     "moment",
     "momentum_second_moment",
     "density_at",
@@ -176,6 +178,19 @@ def apply_noise_kernel(state: GaussianSum, theta: float, g: float) -> GaussianSu
     amps = np.concatenate((state.amplitudes * s2, state.amplitudes * c2))
     cents = np.concatenate((state.centers, state.centers + g))
     return GaussianSum(state.sigma, amps, cents)
+
+
+def fold_kernels(theta: float, sigma: float, couplings: Iterable[float]) -> GaussianSum:
+    """Bath state after one noise kernel per coupling, in the given order.
+
+    Starts from the unit Gaussian of width ``sigma``. The kernels commute, so
+    the order only moves the last bits; the squared norm of the result is the
+    protected survival probability of the whole sequence.
+    """
+    state = make_gaussian(sigma)
+    for g in couplings:
+        state = apply_noise_kernel(state, theta, g)
+    return state
 
 
 def _pair_weights(state: GaussianSum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

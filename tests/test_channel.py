@@ -20,7 +20,7 @@ from zenosense.channel import (
     uniform_coupling,
 )
 from zenosense.noise_model import NoiseAlphabet, config_realization, enumerate_configurations
-from zenosense.wavepacket import apply_noise_kernel, make_gaussian
+from zenosense.wavepacket import apply_noise_kernel, make_gaussian, momentum_second_moment
 
 import oracles
 
@@ -257,10 +257,51 @@ class TestSpectralSurvival:
             spectral = protected_survival_spectral(QUARTER, sigma, np.full(n, g_over_sigma * sigma))
         assert abs(spectral - exact) <= 1e-12
 
-    def test_warns_where_node_cap_binds(self):
-        # g = 4 sigma, N = 500: lambda = 1000, error 1.8e-5 against the lattice sum
-        with pytest.warns(RuntimeWarning, match="lambda = 1000"):
-            protected_survival_spectral(QUARTER, 1.0, np.full(500, 4.0))
+    @pytest.mark.parametrize("g_over_sigma, n", [(4.0, 500), (8.0, 100), (8.0, 500)])
+    def test_exact_for_long_lattice_channels(self, g_over_sigma, n):
+        # lambda = N g / (2 sigma) from 400 to 2000
+        sigma = 1.3
+        exact = oracles.lattice_survival(QUARTER, sigma, g_over_sigma * sigma, [1] * n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spectral = protected_survival_spectral(QUARTER, sigma, np.full(n, g_over_sigma * sigma))
+        assert abs(spectral - exact) <= 1e-13
+
+
+class TestStepRecord:
+    @staticmethod
+    def pairwise_record(theta, sigma, couplings):
+        """Step survivals and moments from norm ratios and pair sums."""
+        state = make_gaussian(sigma)
+        steps, moments = [], []
+        for g in couplings:
+            moments.append(momentum_second_moment(state))
+            nxt = apply_noise_kernel(state, theta, g)
+            steps.append(nxt.norm_sq / state.norm_sq)
+            state = nxt
+        return steps, moments
+
+    def check(self, theta, sigma, couplings):
+        report = run_protected(theta, sigma, ChannelRealization(tuple(couplings)))
+        steps, moments = self.pairwise_record(theta, sigma, couplings)
+        assert np.max(np.abs(np.subtract(report.step_survivals, steps))) <= 1e-12
+        rel = np.abs(np.subtract(report.momentum_moments, moments)) / np.asarray(moments)
+        assert np.max(rel) <= 1e-12
+
+    def test_continuous_channels(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            n = int(rng.integers(1, 11))
+            theta = float(rng.uniform(0.0, math.pi / 2))
+            sigma = float(rng.uniform(0.5, 2.0))
+            self.check(theta, sigma, rng.uniform(0.0, 3.0 * sigma, size=n))
+
+    def test_lattice_channels(self):
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            n = int(rng.integers(1, 61))
+            h = float(rng.uniform(0.2, 2.0))
+            self.check(QUARTER, 1.0, h * rng.integers(0, 5, size=n))
 
 
 class TestScalingReport:

@@ -1,10 +1,14 @@
 """Configuration reconstruction, aggregation and Beta credible intervals."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import zenosense
 from zenosense.detector import pixel_masses, sample_histogram, theoretical_state
 from zenosense.estimator import (
     aggregate_trials,
@@ -240,6 +244,13 @@ class TestBetaCi:
             beta_ci(61, 60, 0.68)
         with pytest.raises(ValueError):
             beta_ci(3, 60, 1.5)
+
+    def test_package_import_leaves_scipy_stats_unloaded(self):
+        src = os.path.dirname(os.path.dirname(zenosense.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, zenosense; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestReport:
