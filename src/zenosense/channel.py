@@ -114,9 +114,7 @@ def run_protected(theta: float, sigma: float, realization: ChannelRealization) -
     """
     ProbeState(theta)
     state = fold_kernels(theta, sigma, realization.couplings)
-    p, w, prefix = _filter_products(theta, sigma, realization.couplings)
-    survivals = w @ prefix
-    moments = (w * p * p) @ prefix[:, :-1] / survivals[:-1]
+    survivals, moments = _grid_survivals_and_moments(theta, sigma, realization.couplings)
     steps = survivals[1:] / survivals[:-1]
     return RunReport(
         final_state=state,
@@ -152,8 +150,9 @@ def decay_parameter(
 
     J = DeltaS^2 * sum_j g_j^2 * B2_j, with DeltaS^2 = sin^2 cos^2 theta.
     ``fixed-bath`` reuses the initial bath momentum moment B2_1 = 1/(4 sigma^2)
-    for every step; ``evolving-bath`` takes the per-step moments recorded by a
-    protected run; ``single-measurement`` is J_1 = DeltaS^2 * B2_1 * (sum g_j)^2.
+    for every step; ``evolving-bath`` takes the per-step moments that a
+    protected run records, from the momentum grid alone (no kernel fold);
+    ``single-measurement`` is J_1 = DeltaS^2 * B2_1 * (sum g_j)^2.
     """
     probe = ProbeState(theta)
     if not (sigma > 0.0):
@@ -166,8 +165,7 @@ def decay_parameter(
     if mode == "fixed-bath":
         return float(ds2 * v1 * np.sum(g * g))
     if mode == "evolving-bath":
-        report = run_protected(theta, sigma, realization)
-        b2 = np.asarray(report.momentum_moments)
+        _, b2 = _grid_survivals_and_moments(theta, sigma, realization.couplings)
         return float(ds2 * np.sum(g * g * b2))
     raise ValueError(f"unknown decay mode {mode!r}; expected one of {DECAY_MODES}")
 
@@ -225,6 +223,20 @@ def _filter_products(
     prefix[:, 0] = 1.0
     np.cumprod(filt, axis=1, out=prefix[:, 1:])
     return p, w, prefix
+
+
+def _grid_survivals_and_moments(
+    theta: float, sigma: float, couplings: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Survivals S_0..S_N and the bath momentum second moments before each event.
+
+    ``moments[j]`` is <P^2> after j surviving measurements,
+    ``(w p^2) @ prefix[:, j] / S_j`` on the momentum grid, for j < N.
+    """
+    p, w, prefix = _filter_products(theta, sigma, couplings)
+    survivals = w @ prefix
+    moments = (w * p * p) @ prefix[:, :-1] / survivals[:-1]
+    return survivals, moments
 
 
 def protected_survival_spectral(theta: float, sigma: float, couplings: Sequence[float]) -> float:

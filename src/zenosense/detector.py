@@ -4,7 +4,8 @@ Models the 1-D marginal of the camera: the arrival density of surviving
 photons is the squared modulus of the channel's output wavepacket, and a
 detector records how many photons land in each half-open pixel of fixed
 pitch. Pixel masses are exact (normal CDFs at the pixel edges), and a
-trial's counts are drawn by inverting the exact CDF at those edges.
+trial's counts are drawn by inverting the exact CDF at those edges, one
+bucket lookup per photon.
 """
 
 from __future__ import annotations
@@ -111,14 +112,21 @@ def sample_histogram(
     the span are tallied in ``overflow``, and more than
     ``MAX_OVERFLOW_FRACTION`` of them is an error (the geometry does not
     cover the beam). Deterministic under a fixed seed.
+
+    The per-photon work is a bucket lookup. Uniforms and CDF are scaled by
+    the power of two 2**14, which is exact, so every comparison of a uniform
+    with an edge keeps its outcome; a photon whose bucket [b, b + 1) holds no
+    scaled edge strictly inside lies at or above the same edges as b itself,
+    so its slot is read off the bucket. Only photons in the at most
+    n_pixels + 1 buckets that hold an edge, at most (n_pixels + 1) / 2**14 of
+    the probability mass, go through a binary search over the edges. The
+    counts are those of one binary search per photon, bit for bit.
     """
     if photons < 1:
         raise ValueError(f"sample count must be >= 1, got {photons}")
     left = cumulative_mass(state, offset)
     cdf = left + np.concatenate(([0.0], np.cumsum(pixel_masses(state, pitch, n_pixels, offset))))
-    u = as_rng(seed).random(int(photons))
-    # slot 0 is left overflow, slot i + 1 is pixel i, slot n_pixels + 1 right overflow
-    slots = np.bincount(np.searchsorted(cdf, u, side="right"), minlength=n_pixels + 2)
+    slots = _count_slots(cdf, as_rng(seed).random(int(photons)))
     overflow = int(slots[0] + slots[-1])
     if overflow > MAX_OVERFLOW_FRACTION * photons:
         raise ValueError(
@@ -126,6 +134,41 @@ def sample_histogram(
             f"({overflow / photons:.2%}) fall outside the pixel span"
         )
     return SpatialHistogram(pitch, offset, slots[1:-1], overflow=overflow)
+
+
+# Buckets per unit of u. A power of two, so scaling u and the CDF by it is
+# exact; at most n_pixels + 1 buckets hold an edge, so for the default 1024
+# pixels the photons that reach the binary search carry at most 6% of the
+# mass (0.9% on the reference set, whose tail edges share buckets).
+_BUCKETS = 2**14
+
+
+def _count_slots(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Photons per slot ``searchsorted(cdf, u, side="right")``; scales ``u`` in place.
+
+    Slot 0 is left overflow, slot i + 1 is pixel i, slot n_pixels + 1 right
+    overflow. A bucket [b, b + 1) of the scaled uniforms with no scaled edge
+    strictly inside maps whole to the slot that counts the edges <= b, which
+    are the edges whose ceiling is <= b. Only the photons of the buckets that
+    do hold an edge ("mixed" buckets) are placed by binary search.
+    """
+    u *= _BUCKETS
+    edges = cdf * _BUCKETS
+    buckets = u.astype(np.intp)
+    per_bucket = np.bincount(buckets, minlength=_BUCKETS)
+    floors = np.floor(edges)
+    mixed = np.zeros(_BUCKETS, dtype=np.intp)
+    mixed[floors[(floors != edges) & (floors >= 0) & (floors < _BUCKETS)].astype(np.intp)] = 1
+    # pure buckets [ceil(e_(s-1)), ceil(e_s)) all land in slot s
+    per_bucket[mixed == 1] = 0
+    cum = np.concatenate(([0], np.cumsum(per_bucket)))
+    bounds = np.clip(np.ceil(edges), 0, _BUCKETS).astype(np.intp)
+    slots = np.diff(cum[np.concatenate(([0], bounds, [_BUCKETS]))])
+    # in place, so no second full-length array: each photon's bucket index
+    # becomes its bucket's mixed flag (mode="clip" keeps numpy from buffering)
+    np.take(mixed, buckets, out=buckets, mode="clip")
+    resolved = np.searchsorted(edges, u[np.flatnonzero(buckets)], side="right")
+    return slots + np.bincount(resolved, minlength=cdf.size + 1)
 
 
 def pixel_masses(

@@ -160,3 +160,11 @@ def lattice_survival(theta: float, sigma: float, h: float, multipliers) -> float
     k = np.arange(a.size)
     overlap = np.exp(-((k[:, None] - k[None, :]) ** 2) * h * h / (8.0 * sigma * sigma))
     return float(a @ overlap @ a)
+
+
+def slot_counts(cdf, u):
+    """Photons per slot by one binary search per uniform over the CDF edges.
+
+    Slot 0 is left overflow, slot i + 1 pixel i, the last slot right overflow.
+    """
+    return np.bincount(np.searchsorted(cdf, u, side="right"), minlength=len(cdf) + 1)

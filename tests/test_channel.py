@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from zenosense import channel
 from zenosense.channel import (
     ChannelRealization,
     ProbeState,
@@ -155,6 +156,25 @@ class TestDecayParameter:
         got = decay_parameter(QUARTER, 1.0, real, "evolving-bath")
         assert got == pytest.approx(expected, rel=1e-13)
         assert got < decay_parameter(QUARTER, 1.0, real, "fixed-bath")
+
+    def test_evolving_bath_needs_no_kernel_fold(self, monkeypatch):
+        # the fold costs 2^N components for continuous couplings; the grid
+        # moments must reproduce the run's recorded value exactly without it
+        rng = np.random.default_rng(11)
+        cases = [rng.uniform(0.0, 2.0, size=n) for n in (1, 6, 10)]
+        cases.append(np.array([0.0, 1.0, 1.0, 3.0, 4.0, 4.0]))
+        expected = []
+        for g in cases:
+            real = ChannelRealization(tuple(g))
+            b2 = np.asarray(run_protected(QUARTER, 1.0, real).momentum_moments)
+            expected.append(float(0.25 * np.sum(g * g * b2)))
+
+        def no_fold(*args):
+            raise AssertionError("decay_parameter folded the kernels")
+
+        monkeypatch.setattr(channel, "fold_kernels", no_fold)
+        for g, want in zip(cases, expected):
+            assert decay_parameter(QUARTER, 1.0, ChannelRealization(tuple(g)), "evolving-bath") == want
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):

@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from zenosense.config import ExperimentConfig
 from zenosense.detector import (
     HistogramFormatError,
     SpatialHistogram,
+    _BUCKETS as BUCKETS,
+    _count_slots,
     pixel_masses,
     read_histogram_csv,
     sample_histogram,
@@ -15,8 +18,18 @@ from zenosense.detector import (
     write_histogram_csv,
 )
 from zenosense.estimator import pixel_moments
-from zenosense.noise_model import Configuration, NoiseAlphabet
-from zenosense.wavepacket import GaussianSum, apply_noise_kernel, density_at, make_gaussian, moment
+from zenosense.noise_model import Configuration, NoiseAlphabet, enumerate_configurations
+from zenosense.pipeline import resolve_unit_shift
+from zenosense.wavepacket import (
+    GaussianSum,
+    apply_noise_kernel,
+    cumulative_mass,
+    density_at,
+    make_gaussian,
+    moment,
+)
+
+import oracles
 
 QUARTER = math.pi / 4.0
 ALPHABET = NoiseAlphabet(0.76, (0.0, 1.0, 2.0, 3.0, 4.0), (0.2,) * 5)
@@ -149,6 +162,91 @@ class TestBinToPixels:
         hist = sample_histogram(state, 5000, pitch=0.5, n_pixels=40, offset=-5.0, seed=6)
         assert hist.overflow > 0
         assert hist.total + hist.overflow == 5000
+
+
+def edge_cdf(state, pitch, n_pixels, offset):
+    """The CDF at the pixel edges that ``sample_histogram`` inverts."""
+    left = cumulative_mass(state, offset)
+    return left + np.concatenate(([0.0], np.cumsum(pixel_masses(state, pitch, n_pixels, offset))))
+
+
+def assert_counts_match_oracle(cdf, u):
+    expected = oracles.slot_counts(cdf, u)
+    got = _count_slots(cdf, u.copy())
+    assert np.array_equal(got, expected)
+
+
+class TestSlotCounting:
+    """The bucketed counting step against one binary search per photon."""
+
+    @pytest.fixture(scope="class")
+    def default_cdfs(self):
+        config = ExperimentConfig()
+        values = config.alphabet(resolve_unit_shift(config)).values
+        candidates = enumerate_configurations(len(values), config.n_events)
+        return [
+            edge_cdf(
+                theoretical_state(c, config.theta_rad, config.sigma_um, values),
+                config.pixel_pitch_um,
+                config.pixel_count,
+                config.detector_offset_um,
+            )
+            for c in candidates
+        ]
+
+    @pytest.mark.parametrize("photons", [100_000, 1_000_000])
+    def test_every_default_candidate_state(self, default_cdfs, photons):
+        assert len(default_cdfs) == 210
+        u = np.random.default_rng(photons).random(photons)
+        # the oracle's counts do not depend on the order of u, and sorted
+        # uniforms make its binary searches cheap
+        ordered = np.sort(u)
+        for cdf in default_cdfs:
+            got = _count_slots(cdf, u.copy())
+            assert np.array_equal(got, oracles.slot_counts(cdf, ordered))
+
+    def test_uniforms_on_edges_and_bucket_boundaries(self, default_cdfs):
+        grid = np.arange(BUCKETS) / BUCKETS
+        # edges on bucket boundaries, between them, and clustered in one bucket
+        synthetic = np.sort(
+            np.concatenate((grid[::37], (np.arange(300) + 0.5) / 1000.0, 0.4 + grid[1:40] / BUCKETS))
+        )
+        for cdf in (default_cdfs[0], default_cdfs[105], default_cdfs[-1], synthetic):
+            on_edges = cdf[(cdf >= 0.0) & (cdf < 1.0)]
+            u = np.concatenate(
+                (
+                    on_edges,
+                    np.nextafter(on_edges, 0.0),
+                    grid,
+                    np.nextafter(grid[1:], 0.0),
+                    [0.0, np.nextafter(1.0, 0.0)],
+                )
+            )
+            assert_counts_match_oracle(cdf, u)
+
+    def test_last_edge_rounding_above_one(self):
+        cdf = np.concatenate((np.linspace(0.0, 1.0, 101)[:-1], [np.nextafter(1.0, 2.0)]))
+        u = np.concatenate((np.random.default_rng(3).random(10_000), [np.nextafter(1.0, 0.0), 0.0]))
+        assert_counts_match_oracle(cdf, u)
+        counts = _count_slots(cdf, u.copy())
+        assert counts[-1] == 0 and counts[0] == 0
+
+    def test_overflow_on_both_sides(self):
+        cdf = np.linspace(0.3, 0.6, 51)
+        u = np.random.default_rng(4).random(100_000)
+        counts = _count_slots(cdf, u.copy())
+        assert counts[0] > 0 and counts[-1] > 0
+        assert_counts_match_oracle(cdf, u)
+
+    def test_packet_narrower_than_one_bucket(self):
+        # all pixel mass inside one bucket of width 1 / BUCKETS in u
+        k = 6000
+        cdf = (k + np.linspace(0.1, 0.9, 41)) / BUCKETS
+        rng = np.random.default_rng(5)
+        u = np.concatenate(((k + rng.random(10_000)) / BUCKETS, rng.random(10_000)))
+        counts = _count_slots(cdf, u.copy())
+        assert counts[1:-1].sum() > 0
+        assert_counts_match_oracle(cdf, u)
 
 
 class TestEmpiricalMoment:
