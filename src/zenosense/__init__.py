@@ -38,7 +38,6 @@ from zenosense.noise_model import (
     Configuration,
     NoiseAlphabet,
     config_realization,
-    config_to_probs,
     configuration_of,
     enumerate_configurations,
     multinomial_pmf,

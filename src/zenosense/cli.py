@@ -222,7 +222,8 @@ def _reproduce_fig2(out: Path, seed: int, photons: int) -> None:
     alphabet = config.alphabet(unit_shift)
     candidates = tuple(enumerate_configurations(alphabet.size, config.n_events))
     table = candidate_table(
-        alphabet.values,
+        alphabet.multipliers,
+        alphabet.unit_shift,
         config.theta_rad,
         config.sigma_um,
         candidates,

@@ -69,11 +69,12 @@ class ExperimentConfig:
             raise ConfigError(f"estimator must be 'l2' or 'moments', got {self.estimator!r}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be non-negative, got {self.master_seed}")
-        # delegate alphabet checks (lengths, monotonicity, distribution)
+        # delegate alphabet checks (lengths, integer multipliers, monotonicity,
+        # distribution)
         try:
             self.alphabet(unit_shift=1.0)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"alphabet_multipliers, event_probabilities: {exc}") from exc
         if self.forced_config is not None:
             cfg = Configuration(self.forced_config)
             if len(cfg.counts) != len(self.alphabet_multipliers):

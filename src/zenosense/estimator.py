@@ -30,8 +30,9 @@ from typing import Sequence
 import numpy as np
 from scipy.special import betaincinv
 
-from zenosense.detector import SpatialHistogram, pixel_masses, theoretical_state
+from zenosense.detector import SpatialHistogram
 from zenosense.noise_model import Configuration, NoiseAlphabet
+from zenosense.wavepacket import lattice_masses
 
 __all__ = [
     "TrialEstimate",
@@ -87,7 +88,8 @@ class _CandidateSet:
 
 @lru_cache(maxsize=16)
 def candidate_table(
-    values: tuple[float, ...],
+    multipliers: tuple[float, ...],
+    unit_shift: float,
     theta: float,
     sigma: float,
     candidates: tuple[Configuration, ...],
@@ -97,25 +99,25 @@ def candidate_table(
 ) -> _CandidateSet:
     """Cached pixel profiles, pixel-level moments and degeneracy groups.
 
-    Keyed on what the profiles depend on: the alphabet's coupling values
-    (not its event probabilities), the probe angle, the packet width, the
-    candidate tuple and the detector geometry.
+    Keyed on what the profiles depend on: the alphabet's integer-valued
+    multipliers and unit shift (not its event probabilities), the probe angle, the
+    packet width, the candidate tuple and the detector geometry. The
+    profiles of all candidates come from one lattice evaluation
+    (``wavepacket.lattice_masses``), each normalized to its mass on the
+    detector.
     """
-    profiles = np.empty((len(candidates), n_pixels))
-    for i, config in enumerate(candidates):
-        state = theoretical_state(config, theta, sigma, values)
-        masses = pixel_masses(state, pitch, n_pixels, offset)
-        total = masses.sum()
-        if not (total > 0.0):
-            raise ValueError(f"candidate {config.counts} carries no mass on the detector")
-        profiles[i] = masses / total
+    edges = offset + np.arange(n_pixels + 1) * pitch
+    counts = np.array([config.counts for config in candidates])
+    profiles = lattice_masses(theta, sigma, unit_shift, multipliers, counts, edges)
+    totals = profiles.sum(axis=1)
+    missed = np.flatnonzero(~(totals > 0.0))
+    if missed.size:
+        raise ValueError(f"candidate {candidates[missed[0]].counts} carries no mass on the detector")
+    profiles /= totals[:, None]
     means, variances = pixel_moments(profiles, pitch, offset)
     profiles.setflags(write=False)
     means.setflags(write=False)
     variances.setflags(write=False)
-    buckets: dict[bytes, list[int]] = {}
-    for i, row in enumerate(np.round(profiles / PROFILE_TOL)):
-        buckets.setdefault(row.tobytes(), []).append(i)
     return _CandidateSet(
         candidates,
         profiles,
@@ -123,8 +125,40 @@ def candidate_table(
         variances,
         sigma,
         moment_groups=candidate_moment_groups(means, variances, sigma),
-        profile_groups=tuple(tuple(ixs) for ixs in buckets.values() if len(ixs) > 1),
+        profile_groups=_profile_groups(profiles),
     )
+
+
+# Rows per block when profiles are hashed for grouping.
+_HASH_BLOCK = 256
+
+
+def _profile_groups(profiles: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Groups of rows whose values rounded to ``PROFILE_TOL`` are bitwise equal.
+
+    Rows are hashed a block at a time, a linear hash over the bits of the
+    rounded values, so no full-size rounded copy is formed; rows that share
+    a hash are compared exactly. Groups are ordered by their smallest index.
+    """
+    n, n_pixels = profiles.shape
+    # odd multiples of the odd golden-ratio constant, modulo 2**64
+    mix = np.arange(1, 2 * n_pixels, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    hashes = np.empty(n, dtype=np.uint64)
+    for start in range(0, n, _HASH_BLOCK):
+        rounded = np.round(profiles[start : start + _HASH_BLOCK] / PROFILE_TOL)
+        hashes[start : start + _HASH_BLOCK] = (rounded.view(np.uint64) * mix).sum(axis=1)
+    buckets: dict[int, list[int]] = {}
+    for i, key in enumerate(hashes.tolist()):
+        buckets.setdefault(key, []).append(i)
+    groups: list[tuple[int, ...]] = []
+    for ixs in buckets.values():
+        if len(ixs) < 2:
+            continue
+        exact: dict[bytes, list[int]] = {}
+        for i in ixs:
+            exact.setdefault(np.round(profiles[i] / PROFILE_TOL).tobytes(), []).append(i)
+        groups.extend(tuple(g) for g in exact.values() if len(g) > 1)
+    return tuple(sorted(groups))
 
 
 def pixel_moments(weights: np.ndarray, pitch: float, offset: float) -> tuple[np.ndarray, np.ndarray]:
@@ -147,30 +181,47 @@ def pixel_moments(weights: np.ndarray, pitch: float, offset: float) -> tuple[np.
 def candidate_moment_groups(
     means: np.ndarray, variances: np.ndarray, sigma: float
 ) -> tuple[tuple[int, ...], ...]:
-    """Groups of candidate indices with colliding (mean, variance) pairs."""
+    """Groups of candidate indices with colliding (mean, variance) pairs.
+
+    In ascending-mean order each candidate is compared with the ones after
+    it until a mean gap exceeds the mean tolerance; a pair whose variances
+    agree within the variance tolerance is joined, and groups are the
+    connected components. Groups are ordered by their smallest index.
+    """
     mean_tol = DEGENERATE_MEAN_TOL_FACTOR * sigma
     var_tol = DEGENERATE_VAR_TOL_FACTOR * sigma * sigma
+    means = np.asarray(means)
+    variances = np.asarray(variances)
     n = len(means)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     order = np.argsort(means, kind="stable")
-    for a in range(n):
-        for b in range(a + 1, n):
-            i, j = int(order[a]), int(order[b])
-            if means[j] - means[i] > mean_tol:
+    sorted_means = means[order]
+    sorted_vars = variances[order]
+    # labels[p] is the root of sorted position p's component; roots are the
+    # smallest positions, since hooks always point down
+    labels = np.arange(n)
+    # pairs (p, p + k) of sorted positions, one offset k at a time; a head
+    # whose window closed at k stays closed, as the sorted means ascend
+    heads = np.arange(n)
+    for k in range(1, n):
+        heads = heads[heads < n - k]
+        heads = heads[~(sorted_means[heads + k] - sorted_means[heads] > mean_tol)]
+        if heads.size == 0:
+            break
+        p = heads[np.abs(sorted_vars[heads] - sorted_vars[heads + k]) <= var_tol]
+        while True:
+            a, b = labels[p], labels[p + k]
+            split = a != b
+            if not split.any():
                 break
-            if abs(variances[i] - variances[j]) <= var_tol:
-                parent[find(i)] = find(j)
+            np.minimum.at(labels, np.maximum(a, b)[split], np.minimum(a, b)[split])
+            while not np.array_equal(labels[labels], labels):
+                labels = labels[labels]
+    roots = np.empty(n, dtype=np.intp)
+    roots[order] = order[labels]
     groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(tuple(sorted(g)) for g in groups.values() if len(g) > 1)
+    for i, root in enumerate(roots.tolist()):
+        groups.setdefault(root, []).append(i)
+    return tuple(tuple(g) for g in groups.values() if len(g) > 1)
 
 
 def default_mean_tolerance(means: np.ndarray, sigma: float) -> float:
@@ -216,7 +267,14 @@ def estimate_from_masses(
         raise ValueError("mass vector has no weight")
     masses = masses / total
     cand = candidate_table(
-        alphabet.values, float(theta), float(sigma), tuple(candidates), float(pitch), int(n_pixels), float(offset)
+        alphabet.multipliers,
+        alphabet.unit_shift,
+        float(theta),
+        float(sigma),
+        tuple(candidates),
+        float(pitch),
+        int(n_pixels),
+        float(offset),
     )
     if method == "l2":
         return _estimate_l2(masses, cand)

@@ -16,7 +16,6 @@ __all__ = [
     "sample_realization",
     "enumerate_configurations",
     "multinomial_pmf",
-    "config_to_probs",
     "config_realization",
     "configuration_of",
 ]
@@ -28,7 +27,8 @@ class NoiseAlphabet:
 
     Values are stored as dimensionless multiples of a unit shift g
     (e.g. (0, g, 2g, 3g, 4g)), so a single calibrated g/sigma drives the
-    whole channel.
+    whole channel. The multipliers must be integers (stored as floats), so
+    every output state lives on the lattice of shifts k * g.
     """
 
     unit_shift: float
@@ -49,6 +49,8 @@ class NoiseAlphabet:
             raise ValueError("alphabet multipliers and event probabilities must be finite")
         if any(m < 0.0 for m in mult):
             raise ValueError("alphabet values must be non-negative")
+        if not all(m.is_integer() for m in mult):
+            raise ValueError(f"alphabet multipliers must be integers, got {mult!r}")
         if any(b <= a for a, b in zip(mult, mult[1:])):
             raise ValueError("alphabet values must be strictly increasing")
         if any(p < 0.0 for p in probs):
@@ -140,14 +142,6 @@ def multinomial_pmf(config: Configuration, alphabet: NoiseAlphabet) -> float:
     for nk, pk in zip(config.counts, alphabet.probabilities):
         prob *= pk**nk
     return prob
-
-
-def config_to_probs(config: Configuration) -> tuple[float, ...]:
-    """Per-trial event frequencies n_k / N."""
-    n = config.total
-    if n == 0:
-        raise ValueError("cannot normalize a configuration with zero events")
-    return tuple(nk / n for nk in config.counts)
 
 
 def config_realization(config: Configuration, alphabet: NoiseAlphabet) -> ChannelRealization:

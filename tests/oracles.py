@@ -1,9 +1,12 @@
 """Independent numerical oracles for the closed-form algebra.
 
-Everything here evaluates wavefunctions from the explicit Gaussian formula
+Most of this evaluates wavefunctions from the explicit Gaussian formula
 and integrates with adaptive quadrature (piecewise between packet centers,
 tolerance 1e-12 on a support of +/- 10 sigma beyond the outermost centers).
-None of it shares code with the closed-form paths it checks.
+The candidate-table oracles at the end recompute the table one candidate at
+a time, by kernel fold and pixel masses, and its degeneracy groups by plain
+loops over pairs and rows. None of it shares code with the closed-form
+paths it checks.
 """
 
 from __future__ import annotations
@@ -168,3 +171,50 @@ def slot_counts(cdf, u):
     Slot 0 is left overflow, slot i + 1 pixel i, the last slot right overflow.
     """
     return np.bincount(np.searchsorted(cdf, u, side="right"), minlength=len(cdf) + 1)
+
+
+def candidate_profiles(candidates, theta, sigma, values, pitch, n_pixels, offset):
+    """Normalized pixel profiles, one kernel fold and pixel-mass pass per candidate."""
+    from zenosense.detector import pixel_masses, theoretical_state
+
+    profiles = np.empty((len(candidates), n_pixels))
+    for i, config in enumerate(candidates):
+        masses = pixel_masses(theoretical_state(config, theta, sigma, values), pitch, n_pixels, offset)
+        total = masses.sum()
+        if not (total > 0.0):
+            raise ValueError(f"candidate {config.counts} carries no mass on the detector")
+        profiles[i] = masses / total
+    return profiles
+
+
+def moment_groups(means, variances, mean_tol, var_tol):
+    """Union-find over every pair in a sorted-mean window, one pair at a time."""
+    n = len(means)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    order = np.argsort(means, kind="stable")
+    for a in range(n):
+        for b in range(a + 1, n):
+            i, j = int(order[a]), int(order[b])
+            if means[j] - means[i] > mean_tol:
+                break
+            if abs(variances[i] - variances[j]) <= var_tol:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return tuple(tuple(sorted(g)) for g in groups.values() if len(g) > 1)
+
+
+def profile_groups(profiles, tol):
+    """Rows keyed by the bytes of their values rounded to ``tol``."""
+    buckets = {}
+    for i, row in enumerate(np.round(profiles / tol)):
+        buckets.setdefault(row.tobytes(), []).append(i)
+    return tuple(tuple(ixs) for ixs in buckets.values() if len(ixs) > 1)

@@ -78,11 +78,18 @@ class TestValidation:
             dict(sigma_um=math.inf),
             dict(pixel_pitch_um=math.inf),
             dict(unit_shift_um=math.inf),
+            dict(alphabet_multipliers=(0.0, 1.0, 1.5, 3.0, 4.0)),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             ExperimentConfig(**kwargs)
+
+    def test_non_integer_multiplier_names_key(self):
+        with pytest.raises(ConfigError, match=r"cfg\.txt: alphabet_multipliers.*integers"):
+            parse_config("alphabet_multipliers = 0, 1, 1.5, 3, 4\n", source="cfg.txt")
+        # the float form written by serialize_config still parses
+        assert parse_config("alphabet_multipliers = 0.0, 1.0, 2.0, 3.0, 4.0\n") == ExperimentConfig()
 
     def test_forced_config_accepted(self):
         config = ExperimentConfig(forced_config=(2, 0, 2, 2, 0))

@@ -9,8 +9,12 @@ import numpy as np
 import pytest
 
 import zenosense
+from zenosense import estimator
 from zenosense.detector import pixel_masses, sample_histogram, theoretical_state
 from zenosense.estimator import (
+    DEGENERATE_MEAN_TOL_FACTOR,
+    DEGENERATE_VAR_TOL_FACTOR,
+    PROFILE_TOL,
     aggregate_trials,
     beta_ci,
     build_report,
@@ -162,12 +166,109 @@ class TestCandidateTable:
         # candidate moments and a measured trial's go through one functional,
         # so a noiseless trial reproduces its candidate's moments exactly
         pitch, offset = GEOMETRY["pitch"], GEOMETRY["offset"]
-        table = candidate_table(ALPHABET.values, QUARTER, SIGMA, CANDIDATES, pitch, GEOMETRY["n_pixels"], offset)
+        table = candidate_table(
+            ALPHABET.multipliers, G, QUARTER, SIGMA, CANDIDATES, pitch, GEOMETRY["n_pixels"], offset
+        )
         means, variances = pixel_moments(table.profiles, pitch, offset)
         assert np.array_equal(table.means, means)
         assert np.array_equal(table.variances, variances)
         rows = [pixel_moments(profile, pitch, offset) for profile in table.profiles]
         assert np.array_equal(np.array(rows), np.column_stack([means, variances]))
+
+
+class TestLatticeTable:
+    """The one-pass lattice table against the per-candidate fold it replaced."""
+
+    @pytest.mark.parametrize(
+        "multipliers,n_events,theta,sigma,unit_shift,offset",
+        [
+            *[((0, 1, 2, 3, 4), 6, theta, SIGMA, G, -6656.0) for theta in (QUARTER, 0.3, 0.0, math.pi / 2)],
+            # the detector starts at -3000 um so that it holds the 70 g shift
+            *[((0, 3, 7), 10, theta, SIGMA, G, -3000.0) for theta in (QUARTER, 0.3, 0.0, math.pi / 2)],
+            *[((1, 2), 10, theta, SIGMA, G, -6656.0) for theta in (QUARTER, 0.3, 0.0, math.pi / 2)],
+            # packet narrow against the 13 um pitch
+            ((0, 1, 2, 3, 4), 6, QUARTER, 3.0, 2.3, -6656.0),
+            # detector ends at 1200 um, inside the beams of the high-shift candidates
+            ((0, 1, 2, 3, 4), 6, QUARTER, SIGMA, G, 1200.0 - 1024 * 13.0),
+        ],
+    )
+    def test_matches_per_candidate_fold(self, multipliers, n_events, theta, sigma, unit_shift, offset):
+        pitch, n_pixels = GEOMETRY["pitch"], GEOMETRY["n_pixels"]
+        candidates = tuple(enumerate_configurations(len(multipliers), n_events))
+        values = tuple(m * unit_shift for m in multipliers)
+        table = candidate_table(
+            tuple(float(m) for m in multipliers), unit_shift, theta, sigma, candidates, pitch, n_pixels, offset
+        )
+        profiles = oracles.candidate_profiles(candidates, theta, sigma, values, pitch, n_pixels, offset)
+        means, variances = pixel_moments(profiles, pitch, offset)
+        assert np.max(np.abs(table.profiles - profiles)) <= 1e-14
+        assert np.max(np.abs(table.means - means)) <= 1e-11
+        assert np.max(np.abs(table.variances - variances) / variances) <= 1e-12
+        mean_tol, var_tol = DEGENERATE_MEAN_TOL_FACTOR * sigma, DEGENERATE_VAR_TOL_FACTOR * sigma**2
+        assert table.moment_groups == oracles.moment_groups(means, variances, mean_tol, var_tol)
+        assert table.profile_groups == oracles.profile_groups(profiles, PROFILE_TOL)
+
+    # candidate (0, 0, 0, 0, 6) spans centers 0 to 24 g = 2737 um; each
+    # detector ends 15 sigma short of it, where normal tails are tiny but
+    # not zero
+    @pytest.mark.parametrize("offset", [2737.0 + 15 * SIGMA, -15 * SIGMA - 1024 * 13.0])
+    def test_beam_off_the_detector_raises(self, offset):
+        geometry = (GEOMETRY["pitch"], GEOMETRY["n_pixels"], offset)
+        with pytest.raises(ValueError, match="carries no mass on the detector"):
+            oracles.candidate_profiles(CANDIDATES[:1], QUARTER, SIGMA, ALPHABET.values, *geometry)
+        with pytest.raises(ValueError, match=r"candidate \(0, 0, 0, 0, 6\) carries no mass on the detector"):
+            candidate_table(ALPHABET.multipliers, G, QUARTER, SIGMA, CANDIDATES[:1], *geometry)
+
+    def test_non_integer_multipliers_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            candidate_table((0.0, 1.5), G, QUARTER, SIGMA, (Configuration((1, 1)),), 13.0, 1024, -6656.0)
+
+
+class TestDegeneracyGroups:
+    """Vectorized grouping against the plain pair and row loops."""
+
+    @pytest.mark.parametrize("theta", [QUARTER, 0.0, math.pi / 2])
+    def test_moment_and_profile_groups_of_a_wide_table(self, theta):
+        # at pi/4 a mean depends only on the shift total, so windows hold
+        # dozens of candidates; at 0 and pi/2 whole windows are degenerate
+        candidates = tuple(enumerate_configurations(5, 10))
+        table = candidate_table(ALPHABET.multipliers, G, theta, SIGMA, candidates, 13.0, 1024, -6656.0)
+        mean_tol, var_tol = DEGENERATE_MEAN_TOL_FACTOR * SIGMA, DEGENERATE_VAR_TOL_FACTOR * SIGMA**2
+        groups = oracles.moment_groups(table.means, table.variances, mean_tol, var_tol)
+        assert candidate_moment_groups(table.means, table.variances, SIGMA) == groups
+        assert table.profile_groups == oracles.profile_groups(np.asarray(table.profiles), PROFILE_TOL)
+        if theta != QUARTER:
+            assert groups and table.profile_groups
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_synthetic_chained_windows(self, seed):
+        # means on a coarse grid with sub-tolerance jitter make overlapping
+        # (not nested) windows; variance steps just under the tolerance chain
+        # pairs that are not directly joined
+        rng = np.random.default_rng(seed)
+        n = 400
+        means = rng.integers(0, 12, n) + rng.uniform(0.0, 2.5e-6, n)
+        variances = 1.0 + rng.integers(0, 6, n) * 0.9e-6 + rng.choice([0.0, 0.5], n)
+        groups = oracles.moment_groups(means, variances, 1e-6, 1e-6)
+        assert candidate_moment_groups(means, variances, 1.0) == groups
+        assert any(len(g) > 2 for g in groups)
+
+    def test_gaps_equal_to_the_tolerances_join(self):
+        # sigma = 1 makes both tolerances exactly 1e-6, and both gaps below
+        # compute to exactly 1e-6
+        means = np.array([0.0, 1e-6, 5.0, 5.0])
+        variances = np.array([1.0, 1.0, 0.0, 1e-6])
+        groups = oracles.moment_groups(means, variances, 1e-6, 1e-6)
+        assert candidate_moment_groups(means, variances, 1.0) == groups == ((0, 1), (2, 3))
+
+    def test_profile_hash_collision_is_split(self, monkeypatch):
+        # with a unit tolerance the rounded rows are the rows; integers in
+        # [2**52, 2**53) have consecutive bit patterns, so row 2 collides
+        # with rows 0 and 1 under the odd-multiplier hash yet differs from them
+        monkeypatch.setattr(estimator, "PROFILE_TOL", 1.0)
+        base = 2.0**52
+        rows = np.array([[base, base + 1.0], [base, base + 1.0], [base + 3.0, base]])
+        assert estimator._profile_groups(rows) == ((0, 1),)
 
 
 class TestAggregation:

@@ -12,7 +12,6 @@ from zenosense.noise_model import (
     Configuration,
     NoiseAlphabet,
     config_realization,
-    config_to_probs,
     configuration_of,
     enumerate_configurations,
     multinomial_pmf,
@@ -40,6 +39,8 @@ class TestNoiseAlphabet:
             dict(unit_shift=1.0, multipliers=(0.0, math.nan, 2.0), probabilities=(0.2, 0.3, 0.5)),
             dict(unit_shift=1.0, multipliers=(0.0, 1.0, math.inf), probabilities=(0.2, 0.3, 0.5)),
             dict(unit_shift=1.0, multipliers=(0.0, 1.0, 2.0), probabilities=(math.nan, 0.5, 0.5)),
+            dict(unit_shift=1.0, multipliers=(0.0, 1.5), probabilities=(0.5, 0.5)),
+            dict(unit_shift=1.0, multipliers=(0.0, 1.0, 2.0 + 1e-9), probabilities=(0.2, 0.3, 0.5)),
         ],
     )
     def test_invalid_alphabets_rejected(self, kwargs):
@@ -54,21 +55,6 @@ class TestConfiguration:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             Configuration((1, -1))
-
-    def test_probs_reference_set(self):
-        assert config_to_probs(Configuration((2, 0, 2, 2, 0))) == pytest.approx(
-            (1 / 3, 0.0, 1 / 3, 1 / 3, 0.0)
-        )
-
-    def test_probs_degenerate_and_mixed(self):
-        assert config_to_probs(Configuration((6, 0, 0, 0, 0))) == (1.0, 0.0, 0.0, 0.0, 0.0)
-        assert config_to_probs(Configuration((1, 1, 1, 1, 2))) == pytest.approx(
-            (1 / 6, 1 / 6, 1 / 6, 1 / 6, 1 / 3)
-        )
-
-    def test_zero_events_rejected(self):
-        with pytest.raises(ValueError):
-            config_to_probs(Configuration((0, 0)))
 
 
 class TestSampleRealization:
