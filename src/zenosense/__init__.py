@@ -12,13 +12,11 @@ from zenosense.channel import (
     qze_scaling_report,
     run_protected,
     run_unprotected,
-    second_order_survival,
     uniform_coupling,
 )
 from zenosense.config import ConfigError, ExperimentConfig, load_config, parse_config, serialize_config
 from zenosense.detector import (
     SpatialHistogram,
-    pixel_masses,
     read_histogram_csv,
     sample_histogram,
     theoretical_state,
@@ -47,12 +45,9 @@ from zenosense.seeds import derive_seed, make_rng
 from zenosense.wavepacket import (
     GaussianSum,
     apply_noise_kernel,
-    cumulative_mass,
     density_at,
     inner_product,
     make_gaussian,
-    moment,
-    momentum_second_moment,
 )
 
 __version__ = "0.1.0"

@@ -32,7 +32,6 @@ __all__ = [
     "run_protected",
     "run_unprotected",
     "decay_parameter",
-    "second_order_survival",
     "protected_survival_spectral",
     "qze_scaling_report",
     "calibrate_unit_shift",
@@ -168,19 +167,6 @@ def decay_parameter(
         _, b2 = _grid_survivals_and_moments(theta, sigma, realization.couplings)
         return float(ds2 * np.sum(g * g * b2))
     raise ValueError(f"unknown decay mode {mode!r}; expected one of {DECAY_MODES}")
-
-
-def second_order_survival(theta: float, sigma: float, total_coupling: float) -> float:
-    """Short-interval expansion 1 - G^2 DeltaS^2 B2, clamped to [0, 1].
-
-    Only meaningful for small total coupling G; the clamp guarantees a valid
-    probability is always returned.
-    """
-    probe = ProbeState(theta)
-    if not (sigma > 0.0):
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    v1 = 1.0 / (4.0 * sigma * sigma)
-    return _clip01(1.0 - total_coupling**2 * probe.delta_s_squared * v1)
 
 
 # --- momentum-space survival ------------------------------------------------

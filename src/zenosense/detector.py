@@ -1,11 +1,11 @@
-"""Output states, photon detection and pixel masses.
+"""Output states, photon detection and histogram files.
 
 Models the 1-D marginal of the camera: the arrival density of surviving
 photons is the squared modulus of the channel's output wavepacket, and a
 detector records how many photons land in each half-open pixel of fixed
-pitch. Pixel masses are exact (normal CDFs at the pixel edges), and a
-trial's counts are drawn by inverting the exact CDF at those edges, one
-bucket lookup per photon.
+pitch. A trial's counts are drawn by inverting the exact CDF at the pixel
+edges, one bucket lookup per photon; the CDF comes from slot masses the
+caller supplies (``wavepacket.lattice_masses`` in the pipeline).
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ import numpy as np
 
 from zenosense.noise_model import Configuration
 from zenosense.seeds import as_rng
-from zenosense.wavepacket import GaussianSum, cumulative_mass, fold_kernels
+from zenosense.wavepacket import GaussianSum, fold_kernels
 
 __all__ = [
     "SpatialHistogram",
     "HistogramFormatError",
     "theoretical_state",
     "sample_histogram",
-    "pixel_masses",
     "write_histogram_csv",
     "read_histogram_csv",
 ]
@@ -96,22 +95,25 @@ def theoretical_state(
 
 
 def sample_histogram(
-    state: GaussianSum,
+    slot_masses: np.ndarray,
     photons: int,
     pitch: float,
-    n_pixels: int,
     offset: float,
     seed: int | np.random.Generator,
 ) -> SpatialHistogram:
-    """Detect ``photons`` arrivals of the state's normalized density.
+    """Detect ``photons`` arrivals distributed as ``slot_masses``.
 
-    Each photon's uniform draw is mapped through the exact CDF at the pixel
-    edges (the mass left of ``offset``, then the cumulative pixel masses),
-    which is inverse-CDF sampling followed by binning into half-open pixels
-    without ever forming a position. Counts are conserved: photons outside
-    the span are tallied in ``overflow``, and more than
-    ``MAX_OVERFLOW_FRACTION`` of them is an error (the geometry does not
-    cover the beam). Deterministic under a fixed seed.
+    The slots are the mass left of ``offset``, one mass per pixel and the
+    mass right of the pixel span, so there are ``len(slot_masses) - 2``
+    pixels. The masses need not be normalized: the pipeline passes a row of
+    ``wavepacket.lattice_masses`` over the pixel edges with -inf and +inf
+    added, which sums to the state's squared norm. Each photon's uniform
+    draw is mapped through the CDF at the pixel edges (cumulative slot
+    masses over their total), which is inverse-CDF sampling followed by
+    binning into half-open pixels without ever forming a position. Counts
+    are conserved: photons outside the span are tallied in ``overflow``, and
+    more than ``MAX_OVERFLOW_FRACTION`` of them is an error (the geometry
+    does not cover the beam). Deterministic under a fixed seed.
 
     The per-photon work is a bucket lookup. Uniforms and CDF are scaled by
     the power of two 2**14, which is exact, so every comparison of a uniform
@@ -124,8 +126,15 @@ def sample_histogram(
     """
     if photons < 1:
         raise ValueError(f"sample count must be >= 1, got {photons}")
-    left = cumulative_mass(state, offset)
-    cdf = left + np.concatenate(([0.0], np.cumsum(pixel_masses(state, pitch, n_pixels, offset))))
+    masses = np.asarray(slot_masses, dtype=np.float64)
+    if masses.ndim != 1 or masses.size < 4:
+        raise ValueError("slot masses must be 1-d: left overflow, at least 2 pixels, right overflow")
+    if not np.all(np.isfinite(masses)) or np.any(masses < 0.0):
+        raise ValueError("slot masses must be finite and non-negative")
+    total = masses.sum()
+    if not (0.0 < total < math.inf):
+        raise ValueError(f"slot masses must have a positive finite sum, got {total!r}")
+    cdf = np.cumsum(masses[:-1]) / total
     slots = _count_slots(cdf, as_rng(seed).random(int(photons)))
     overflow = int(slots[0] + slots[-1])
     if overflow > MAX_OVERFLOW_FRACTION * photons:
@@ -169,35 +178,6 @@ def _count_slots(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     np.take(mixed, buckets, out=buckets, mode="clip")
     resolved = np.searchsorted(edges, u[np.flatnonzero(buckets)], side="right")
     return slots + np.bincount(resolved, minlength=cdf.size + 1)
-
-
-def pixel_masses(
-    state: GaussianSum,
-    pitch: float,
-    n_pixels: int,
-    offset: float,
-) -> np.ndarray:
-    """Exact per-pixel probability masses of the normalized density.
-
-    This is the pixel-averaged theoretical density (times the pitch): what an
-    ideal detector with infinite statistics would record. Evaluation is
-    windowed to pixels within 9 sigma of the outermost packet centers; the
-    remainder carries < 1e-18 of the mass and is returned as zero.
-    """
-    if n_pixels < 2:
-        raise ValueError(f"need at least 2 pixels, got {n_pixels}")
-    if not (pitch > 0.0):
-        raise ValueError(f"pixel pitch must be positive, got {pitch!r}")
-    edges = offset + np.arange(n_pixels + 1) * pitch
-    lo = state.centers.min() - 9.0 * state.sigma
-    hi = state.centers.max() + 9.0 * state.sigma
-    i0 = int(np.clip(np.searchsorted(edges, lo) - 1, 0, n_pixels))
-    i1 = int(np.clip(np.searchsorted(edges, hi) + 1, 0, n_pixels))
-    masses = np.zeros(n_pixels)
-    if i1 > i0:
-        cum = np.asarray(cumulative_mass(state, edges[i0 : i1 + 1]))
-        masses[i0:i1] = np.maximum(np.diff(cum), 0.0)
-    return masses
 
 
 # --- CSV serialization -------------------------------------------------------

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from zenosense.channel import ChannelRealization, RunReport, calibrate_unit_shift, run_protected
 from zenosense.config import ConfigError, ExperimentConfig
 from zenosense.detector import SpatialHistogram, sample_histogram
@@ -26,6 +28,7 @@ from zenosense.noise_model import (
     sample_realization,
 )
 from zenosense.seeds import derive_seed, make_rng
+from zenosense.wavepacket import lattice_masses
 
 __all__ = [
     "TrialRecord",
@@ -85,8 +88,15 @@ def simulate_trials(
     photons: int | None = None,
     master_seed: int | None = None,
 ) -> list[TrialRecord]:
-    """Simulate L trials: sample noise, run the protected channel, detect."""
+    """Simulate L trials: sample noise, run the protected channel, detect.
+
+    A trial's truth is a lattice state, so its slot masses (left overflow,
+    pixels, right overflow) come from one ``lattice_masses`` row over the
+    pixel edges with -inf and +inf added.
+    """
     alphabet = config.alphabet(unit_shift)
+    pixel_edges = config.detector_offset_um + np.arange(config.pixel_count + 1) * config.pixel_pitch_um
+    edges = np.concatenate(([-np.inf], pixel_edges, [np.inf]))
     n_trials = config.n_trials if n_trials is None else n_trials
     photons = config.photons_per_trial if photons is None else photons
     seed = config.master_seed if master_seed is None else master_seed
@@ -102,13 +112,11 @@ def simulate_trials(
             realization = sample_realization(alphabet, config.n_events, make_rng(seed, i, 0))
             truth = configuration_of(realization, alphabet)
         run = run_protected(config.theta_rad, config.sigma_um, realization)
+        masses = lattice_masses(
+            config.theta_rad, config.sigma_um, unit_shift, alphabet.multipliers, [truth.counts], edges
+        )
         histogram = sample_histogram(
-            run.final_state,
-            photons,
-            config.pixel_pitch_um,
-            config.pixel_count,
-            config.detector_offset_um,
-            make_rng(seed, i, 1),
+            masses[0], photons, config.pixel_pitch_um, config.detector_offset_um, make_rng(seed, i, 1)
         )
         records.append(
             TrialRecord(

@@ -11,15 +11,15 @@ and every quantity of interest has an exact pairwise closed form:
 
 * overlap of two shifted packets:   <f_a|f_b> = exp(-(a-b)^2 / (8 sigma^2))
 * packet product identity:          f(x-a) f(x-b) = <f_a|f_b> * N(x; (a+b)/2, sigma^2)
-* momentum matrix element:          <f_a|P^2|f_b> = v (1 - v (a-b)^2) <f_a|f_b>,
-                                    with v = 1/(4 sigma^2)
 
 (N(x; m, s^2) is the unit-mass normal density.) All public operations below
 are evaluated through these identities; the library never integrates
-numerically. States are kept non-normalized on purpose: the running squared
-norm of the bath state is exactly the survival probability of the
-polarization qubit, and normalization happens only inside the moment /
-density accessors.
+numerically. ``lattice_masses`` is the one path to the mass of a state
+between given points: the candidate table and every simulated trial take
+their pixel masses from it. States are kept non-normalized on purpose: the
+running squared norm of the bath state is exactly the survival probability
+of the polarization qubit, and normalization happens only inside the
+density accessor.
 """
 
 from __future__ import annotations
@@ -37,10 +37,7 @@ __all__ = [
     "inner_product",
     "apply_noise_kernel",
     "fold_kernels",
-    "moment",
-    "momentum_second_moment",
     "density_at",
-    "cumulative_mass",
     "lattice_masses",
     "MERGE_TOLERANCE_FACTOR",
 ]
@@ -194,65 +191,15 @@ def fold_kernels(theta: float, sigma: float, couplings: Iterable[float]) -> Gaus
     return state
 
 
-def _pair_weights(state: GaussianSum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hermitian pair-weight matrix W, pair midpoints, pair separations."""
-    sigma = state.sigma
-    d = state.centers[:, None] - state.centers[None, :]
-    overlap = np.exp(-(d * d) / (8.0 * sigma * sigma))
-    w = (np.conj(state.amplitudes)[:, None] * state.amplitudes[None, :]) * overlap
-    mid = 0.5 * (state.centers[:, None] + state.centers[None, :])
-    return w, mid, d
-
-
-def _require_normalizable(state: GaussianSum) -> float:
-    n = state.norm_sq
-    if not (n > 0.0):
-        raise ValueError("operation undefined for a zero-norm state")
-    return n
-
-
-def moment(state: GaussianSum, order: int) -> float:
-    """Spatial moment E[x^order] of the normalized density, order in {0, 1, 2}.
-
-    Uses the packet-product identity, under which each component pair
-    contributes a normal density at the pair midpoint with variance sigma^2.
-    Order 0 returns exactly 1. Rejects zero-norm states.
-    """
-    if order not in (0, 1, 2):
-        raise ValueError(f"moment order must be 0, 1 or 2, got {order!r}")
-    norm = _require_normalizable(state)
-    if order == 0:
-        return 1.0
-    w, mid, _ = _pair_weights(state)
-    if order == 1:
-        num = np.sum(w * mid).real
-    else:
-        num = np.sum(w * (mid * mid + state.sigma**2)).real
-    return float(num / norm)
-
-
-def momentum_second_moment(state: GaussianSum) -> float:
-    """Second moment <P_x^2> of the normalized state (inverse length squared).
-
-    Pairwise closed form <f_a|P^2|f_b> = v (1 - v d^2) <f_a|f_b> with
-    v = 1/(4 sigma^2) and d = a - b. For the unit Gaussian this is exactly v;
-    one noise kernel strictly lowers it (the sub-packet splitting broadens
-    the wavepacket). Rejects zero-norm states.
-    """
-    norm = _require_normalizable(state)
-    v = 1.0 / (4.0 * state.sigma**2)
-    w, _, d = _pair_weights(state)
-    num = np.sum(w * (v * (1.0 - v * d * d))).real
-    return float(num / norm)
-
-
 def density_at(state: GaussianSum, x) -> np.ndarray | float:
     """Normalized spatial probability density |psi(x)|^2 / <psi|psi>.
 
     Accepts a scalar or array of positions; vectorized over the input shape.
     Rejects zero-norm states.
     """
-    norm = _require_normalizable(state)
+    norm = state.norm_sq
+    if not (norm > 0.0):
+        raise ValueError("density undefined for a zero-norm state")
     xs = np.asarray(x, dtype=np.float64)
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs)
@@ -262,24 +209,6 @@ def density_at(state: GaussianSum, x) -> np.ndarray | float:
     psi = np.exp(-0.25 * z * z) @ state.amplitudes
     rho = pref * pref * np.abs(psi) ** 2 / norm
     return float(rho[0]) if scalar else rho
-
-
-def cumulative_mass(state: GaussianSum, x) -> np.ndarray | float:
-    """P(X <= x) of the normalized density, exact through normal CDFs.
-
-    Each component pair contributes its overlap weight times the CDF of a
-    normal at the pair midpoint with variance sigma^2.
-    """
-    norm = _require_normalizable(state)
-    xs = np.asarray(x, dtype=np.float64)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    w, mid, _ = _pair_weights(state)
-    w_flat = np.real(w).ravel()
-    mid_flat = mid.ravel()
-    cdf = ndtr((xs[..., None] - mid_flat) / state.sigma) @ w_flat / norm
-    cdf = np.clip(cdf, 0.0, 1.0)
-    return float(cdf[0]) if scalar else cdf
 
 
 def lattice_masses(
@@ -311,7 +240,9 @@ def lattice_masses(
     gets exactly zero. Not normalized: a row summed over the whole line is
     the squared norm of its state, the protected survival probability.
     Multipliers must be non-negative integers and ``edges`` strictly
-    increasing.
+    increasing; the first edge may be -inf and the last +inf (the cut
+    keeps every value finite), which gives the masses beyond the finite
+    edges.
     """
     if not all(float(m).is_integer() and m >= 0 for m in multipliers):
         raise ValueError(f"lattice multipliers must be non-negative integers, got {multipliers!r}")

@@ -3,10 +3,12 @@
 Most of this evaluates wavefunctions from the explicit Gaussian formula
 and integrates with adaptive quadrature (piecewise between packet centers,
 tolerance 1e-12 on a support of +/- 10 sigma beyond the outermost centers).
-The candidate-table oracles at the end recompute the table one candidate at
-a time, by kernel fold and pixel masses, and its degeneracy groups by plain
-loops over pairs and rows. None of it shares code with the closed-form
-paths it checks.
+The pair-sum accessors evaluate any ``GaussianSum`` (lattice or not) as a
+sum over all M^2 component pairs: spatial and momentum moments, the CDF,
+pixel masses and the detector's slot masses. The candidate-table oracles at
+the end recompute the table one candidate at a time, by kernel fold and
+pair-sum pixel masses, and its degeneracy groups by plain loops over pairs
+and rows. None of it shares code with the lattice paths it checks.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 
 def psi(state, x):
@@ -165,6 +168,98 @@ def lattice_survival(theta: float, sigma: float, h: float, multipliers) -> float
     return float(a @ overlap @ a)
 
 
+def _pair_weights(state):
+    """Hermitian pair-weight matrix W, pair midpoints, pair separations."""
+    sigma = state.sigma
+    d = state.centers[:, None] - state.centers[None, :]
+    overlap = np.exp(-(d * d) / (8.0 * sigma * sigma))
+    w = (np.conj(state.amplitudes)[:, None] * state.amplitudes[None, :]) * overlap
+    mid = 0.5 * (state.centers[:, None] + state.centers[None, :])
+    return w, mid, d
+
+
+def _require_normalizable(state) -> float:
+    n = state.norm_sq
+    if not (n > 0.0):
+        raise ValueError("operation undefined for a zero-norm state")
+    return n
+
+
+def moment(state, order: int) -> float:
+    """Spatial moment E[x^order] of the normalized density, order in {0, 1, 2}.
+
+    Uses the packet-product identity, under which each component pair
+    contributes a normal density at the pair midpoint with variance sigma^2.
+    Order 0 returns exactly 1. Rejects zero-norm states.
+    """
+    if order not in (0, 1, 2):
+        raise ValueError(f"moment order must be 0, 1 or 2, got {order!r}")
+    norm = _require_normalizable(state)
+    if order == 0:
+        return 1.0
+    w, mid, _ = _pair_weights(state)
+    if order == 1:
+        num = np.sum(w * mid).real
+    else:
+        num = np.sum(w * (mid * mid + state.sigma**2)).real
+    return float(num / norm)
+
+
+def momentum_second_moment(state) -> float:
+    """Second moment <P_x^2> of the normalized state (inverse length squared).
+
+    Pairwise closed form <f_a|P^2|f_b> = v (1 - v d^2) <f_a|f_b> with
+    v = 1/(4 sigma^2) and d = a - b. Rejects zero-norm states.
+    """
+    norm = _require_normalizable(state)
+    v = 1.0 / (4.0 * state.sigma**2)
+    w, _, d = _pair_weights(state)
+    num = np.sum(w * (v * (1.0 - v * d * d))).real
+    return float(num / norm)
+
+
+def cumulative_mass(state, x):
+    """P(X <= x) of the normalized density, exact through normal CDFs.
+
+    Each component pair contributes its overlap weight times the CDF of a
+    normal at the pair midpoint with variance sigma^2.
+    """
+    norm = _require_normalizable(state)
+    xs = np.asarray(x, dtype=np.float64)
+    scalar = xs.ndim == 0
+    xs = np.atleast_1d(xs)
+    w, mid, _ = _pair_weights(state)
+    cdf = ndtr((xs[..., None] - mid.ravel()) / state.sigma) @ np.real(w).ravel() / norm
+    cdf = np.clip(cdf, 0.0, 1.0)
+    return float(cdf[0]) if scalar else cdf
+
+
+def pixel_masses(state, pitch, n_pixels, offset):
+    """Per-pixel masses of the normalized density, by pair-sum CDFs.
+
+    Evaluation is windowed to pixels within 9 sigma of the outermost packet
+    centers; the remainder carries < 1e-18 of the mass and is returned as
+    zero.
+    """
+    edges = offset + np.arange(n_pixels + 1) * pitch
+    lo = state.centers.min() - 9.0 * state.sigma
+    hi = state.centers.max() + 9.0 * state.sigma
+    i0 = int(np.clip(np.searchsorted(edges, lo) - 1, 0, n_pixels))
+    i1 = int(np.clip(np.searchsorted(edges, hi) + 1, 0, n_pixels))
+    masses = np.zeros(n_pixels)
+    if i1 > i0:
+        cum = np.asarray(cumulative_mass(state, edges[i0 : i1 + 1]))
+        masses[i0:i1] = np.maximum(np.diff(cum), 0.0)
+    return masses
+
+
+def slot_masses(state, pitch, n_pixels, offset):
+    """Left overflow, pixel masses and right overflow of the normalized density."""
+    left = cumulative_mass(state, offset)
+    pixels = pixel_masses(state, pitch, n_pixels, offset)
+    return np.concatenate(([left], pixels, [max(1.0 - left - pixels.sum(), 0.0)]))
+
+
 def slot_counts(cdf, u):
     """Photons per slot by one binary search per uniform over the CDF edges.
 
@@ -175,7 +270,7 @@ def slot_counts(cdf, u):
 
 def candidate_profiles(candidates, theta, sigma, values, pitch, n_pixels, offset):
     """Normalized pixel profiles, one kernel fold and pixel-mass pass per candidate."""
-    from zenosense.detector import pixel_masses, theoretical_state
+    from zenosense.detector import theoretical_state
 
     profiles = np.empty((len(candidates), n_pixels))
     for i, config in enumerate(candidates):

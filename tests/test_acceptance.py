@@ -13,6 +13,7 @@ import pytest
 
 from zenosense.channel import (
     ChannelRealization,
+    ProbeState,
     calibrate_unit_shift,
     constant_coupling,
     decay_parameter,
@@ -21,7 +22,7 @@ from zenosense.channel import (
     run_unprotected,
 )
 from zenosense.config import ExperimentConfig
-from zenosense.detector import pixel_masses, sample_histogram, theoretical_state
+from zenosense.detector import sample_histogram, theoretical_state
 from zenosense.estimator import (
     beta_ci,
     candidate_moment_groups,
@@ -78,9 +79,10 @@ def test_criterion_2_configuration_recovery():
     truth = Configuration((2, 0, 2, 2, 0))
     candidates = tuple(enumerate_configurations(5, 6))
     state = theoretical_state(truth, QUARTER, SIGMA, alphabet.values)
+    masses = oracles.slot_masses(state, **GEOMETRY)
     hits = {"l2": 0, "moments": 0}
     for trial in range(100):
-        hist = sample_histogram(state, 1_000_000, **GEOMETRY, seed=make_rng(2024, trial))
+        hist = sample_histogram(masses, 1_000_000, GEOMETRY["pitch"], GEOMETRY["offset"], make_rng(2024, trial))
         for method in hits:
             est = estimate_histogram(hist, candidates, QUARTER, SIGMA, alphabet, method=method)
             hits[method] += est.config == truth
@@ -199,14 +201,8 @@ def test_criterion_5_qze_scaling():
 
 def test_criterion_6_analytics_oracle_suite():
     """Closed forms vs quadrature at 1e-10; quartic residual; cooling sequence."""
-    from zenosense.wavepacket import (
-        GaussianSum,
-        density_at,
-        inner_product,
-        moment,
-        momentum_second_moment,
-    )
-    from zenosense.channel import second_order_survival
+    from zenosense.wavepacket import GaussianSum, density_at, inner_product
+    from oracles import moment, momentum_second_moment
 
     t0 = time.time()
     rng = np.random.default_rng(606)
@@ -230,13 +226,17 @@ def test_criterion_6_analytics_oracle_suite():
         worst = max(worst, abs(inner_product(state, other) - oracles.quad_overlap(state, other)))
     closed_forms_ok = worst < 1e-10
 
-    # second-order expansion residual shrinks 16x (+/- 10%) when G halves
+    # residual of the second-order expansion 1 - G^2 DeltaS^2 / (4 sigma^2)
+    # (sigma = 1) shrinks 16x (+/- 10%) when G halves
+    def second_order(g_total):
+        return 1.0 - g_total**2 * ProbeState(QUARTER).delta_s_squared / 4.0
+
     residual_ok = True
     for g_total in (0.4, 0.2, 0.1):
         exact_hi = run_unprotected(QUARTER, 1.0, ChannelRealization((g_total,)))
         exact_lo = run_unprotected(QUARTER, 1.0, ChannelRealization((g_total / 2,)))
-        r_hi = abs(exact_hi - second_order_survival(QUARTER, 1.0, g_total))
-        r_lo = abs(exact_lo - second_order_survival(QUARTER, 1.0, g_total / 2))
+        r_hi = abs(exact_hi - second_order(g_total))
+        r_lo = abs(exact_lo - second_order(g_total / 2))
         residual_ok &= abs(r_hi / r_lo - 16.0) <= 1.6
 
     # momentum moments strictly decrease along protected runs
@@ -290,7 +290,7 @@ def test_criterion_7_exhaustive_oracle_equivalence():
     flagged = set()
     for t, truth in enumerate(candidates):
         l2_oracle_pick = int(np.argmin(d2[t]))
-        masses = pixel_masses(states[t], **GEOMETRY)
+        masses = oracles.pixel_masses(states[t], **GEOMETRY)
         est = estimate_from_masses(
             masses, GEOMETRY["pitch"], GEOMETRY["n_pixels"], GEOMETRY["offset"],
             candidates, QUARTER, SIGMA, alphabet, method="moments",

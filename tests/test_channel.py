@@ -17,11 +17,10 @@ from zenosense.channel import (
     qze_scaling_report,
     run_protected,
     run_unprotected,
-    second_order_survival,
     uniform_coupling,
 )
 from zenosense.noise_model import NoiseAlphabet, config_realization, enumerate_configurations
-from zenosense.wavepacket import apply_noise_kernel, make_gaussian, momentum_second_moment
+from zenosense.wavepacket import apply_noise_kernel, make_gaussian
 
 import oracles
 
@@ -182,23 +181,14 @@ class TestDecayParameter:
 
 
 class TestSecondOrderSurvival:
-    def test_trivial_points(self):
-        assert second_order_survival(QUARTER, 1.0, 0.0) == 1.0
-        assert second_order_survival(math.pi / 2, 1.0, 5.0) == 1.0
-
-    def test_small_coupling_value(self):
-        # 1 - (0.2)^2 * 1/4 * 1/4 = 0.9975
-        assert second_order_survival(QUARTER, 1.0, 0.2) == pytest.approx(0.9975, abs=1e-12)
-
-    def test_clamped_at_zero(self):
-        assert second_order_survival(QUARTER, 1.0, 100.0) == 0.0
-
     def test_quartic_residual_shrinkage(self):
+        # the short-interval expansion 1 - G^2 DeltaS^2 / (4 sigma^2)
         sigma = 1.0
+        ds2 = ProbeState(QUARTER).delta_s_squared
         ratios = []
         for g_total in (0.4, 0.2, 0.1):
             exact = run_unprotected(QUARTER, sigma, ChannelRealization((g_total,)))
-            approx = second_order_survival(QUARTER, sigma, g_total)
+            approx = 1.0 - g_total**2 * ds2 / (4.0 * sigma**2)
             ratios.append(abs(exact - approx))
         assert ratios[0] / ratios[1] == pytest.approx(16.0, rel=0.1)
         assert ratios[1] / ratios[2] == pytest.approx(16.0, rel=0.1)
@@ -295,7 +285,7 @@ class TestStepRecord:
         state = make_gaussian(sigma)
         steps, moments = [], []
         for g in couplings:
-            moments.append(momentum_second_moment(state))
+            moments.append(oracles.momentum_second_moment(state))
             nxt = apply_noise_kernel(state, theta, g)
             steps.append(nxt.norm_sq / state.norm_sq)
             state = nxt

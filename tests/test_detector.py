@@ -11,7 +11,6 @@ from zenosense.detector import (
     SpatialHistogram,
     _BUCKETS as BUCKETS,
     _count_slots,
-    pixel_masses,
     read_histogram_csv,
     sample_histogram,
     theoretical_state,
@@ -19,20 +18,30 @@ from zenosense.detector import (
 )
 from zenosense.estimator import pixel_moments
 from zenosense.noise_model import Configuration, NoiseAlphabet, enumerate_configurations
-from zenosense.pipeline import resolve_unit_shift
-from zenosense.wavepacket import (
-    GaussianSum,
-    apply_noise_kernel,
-    cumulative_mass,
-    density_at,
-    make_gaussian,
-    moment,
-)
+from zenosense.pipeline import resolve_unit_shift, simulate_trials
+from zenosense.seeds import make_rng
+from zenosense.wavepacket import GaussianSum, apply_noise_kernel, density_at, lattice_masses, make_gaussian
 
 import oracles
 
 QUARTER = math.pi / 4.0
 ALPHABET = NoiseAlphabet(0.76, (0.0, 1.0, 2.0, 3.0, 4.0), (0.2,) * 5)
+
+
+def slot_edges(pitch, n_pixels, offset):
+    """Pixel edges with -inf and +inf added: the slots ``sample_histogram`` counts into."""
+    return np.concatenate(([-np.inf], offset + np.arange(n_pixels + 1) * pitch, [np.inf]))
+
+
+def lattice_slots(counts, pitch, n_pixels, offset):
+    """Slot masses of a lattice state of ``ALPHABET`` at unit width, as the pipeline takes them."""
+    edges = slot_edges(pitch, n_pixels, offset)
+    return lattice_masses(QUARTER, 1.0, ALPHABET.unit_shift, ALPHABET.multipliers, [counts], edges)[0]
+
+
+def detect(state, photons, pitch, n_pixels, offset, seed):
+    """``sample_histogram`` of any state, fed the oracle's pair-sum slot masses."""
+    return sample_histogram(oracles.slot_masses(state, pitch, n_pixels, offset), photons, pitch, offset, seed)
 
 
 def histogram_moments(hist):
@@ -94,8 +103,6 @@ class TestTheoreticalDensity:
         null = GaussianSum(1.0, [1.0, -1.0], [0.0, 0.0])
         with pytest.raises(ValueError):
             density_at(null, 0.0)
-        with pytest.raises(ValueError):
-            sample_histogram(null, 100, pitch=1.0, n_pixels=10, offset=-5.0, seed=1)
 
 
 class TestSamplePositions:
@@ -103,28 +110,44 @@ class TestSamplePositions:
 
     def test_mean_within_clt_bound(self):
         # pixel centers are symmetric about 0, so pixelation adds no bias
-        hist = sample_histogram(make_gaussian(1.0), 1_000_000, pitch=0.01, n_pixels=2000, offset=-10.0, seed=5)
+        hist = detect(make_gaussian(1.0), 1_000_000, pitch=0.01, n_pixels=2000, offset=-10.0, seed=5)
         mean, _ = histogram_moments(hist)
         assert abs(mean) < 4.0 / math.sqrt(1_000_000)
 
     def test_deterministic(self):
         state = theoretical_state(Configuration((2, 0, 2, 2, 0)), QUARTER, 1.0, ALPHABET.values)
-        a = sample_histogram(state, 1000, pitch=0.1, n_pixels=200, offset=-8.0, seed=11)
-        b = sample_histogram(state, 1000, pitch=0.1, n_pixels=200, offset=-8.0, seed=11)
+        a = detect(state, 1000, pitch=0.1, n_pixels=200, offset=-8.0, seed=11)
+        b = detect(state, 1000, pitch=0.1, n_pixels=200, offset=-8.0, seed=11)
         assert np.array_equal(a.counts, b.counts)
         assert a.overflow == b.overflow
 
     def test_narrow_density_lands_in_two_pixels(self):
         # packet much narrower than the pitch: everything in <= 2 adjacent bins
         state = GaussianSum(0.05, [1.0], [3.4])
-        hist = sample_histogram(state, 20_000, pitch=1.0, n_pixels=10, offset=0.0, seed=2)
+        hist = detect(state, 20_000, pitch=1.0, n_pixels=10, offset=0.0, seed=2)
         occupied = np.flatnonzero(hist.counts)
         assert len(occupied) <= 2
         assert np.all(np.diff(occupied) == 1) if len(occupied) == 2 else True
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
-            sample_histogram(make_gaussian(1.0), 0, pitch=1.0, n_pixels=10, offset=-5.0, seed=1)
+            detect(make_gaussian(1.0), 0, pitch=1.0, n_pixels=10, offset=-5.0, seed=1)
+
+    @pytest.mark.parametrize(
+        "masses",
+        [
+            np.ones((2, 4)),  # not 1-d
+            np.ones(3),  # fewer than two pixels
+            [0.1, 0.5, -0.1, 0.5],  # negative
+            [0.1, np.nan, 0.4, 0.1],  # not finite
+            [0.1, np.inf, 0.4, 0.1],
+            np.zeros(6),  # no mass
+        ],
+        ids=["2-d", "3-slots", "negative", "nan", "inf", "zero-sum"],
+    )
+    def test_slot_mass_validation(self, masses):
+        with pytest.raises(ValueError, match="slot masses"):
+            sample_histogram(masses, 100, pitch=1.0, offset=-5.0, seed=1)
 
 
 class TestBinToPixels:
@@ -133,8 +156,8 @@ class TestBinToPixels:
     def test_frequencies_within_binomial_bound_of_masses(self):
         state = theoretical_state(Configuration((2, 0, 2, 2, 0)), QUARTER, 1.0, ALPHABET.values)
         photons = 1_000_000
-        masses = pixel_masses(state, 0.05, 400, -6.0)
-        hist = sample_histogram(state, photons, pitch=0.05, n_pixels=400, offset=-6.0, seed=8)
+        masses = oracles.pixel_masses(state, 0.05, 400, -6.0)
+        hist = detect(state, photons, pitch=0.05, n_pixels=400, offset=-6.0, seed=8)
         expected = photons * masses
         sd = np.sqrt(expected * (1.0 - masses))
         # per pixel where the binomial is near normal; the sparse tails pooled
@@ -147,27 +170,34 @@ class TestBinToPixels:
         # non-overlapping sub-packets: 0.2% of the mass on each side of the span
         state = GaussianSum(0.05, np.sqrt([0.002, 0.996, 0.002]), [-50.0, 2.5, 99.0])
         photons = 100_000
-        hist = sample_histogram(state, photons, pitch=1.0, n_pixels=10, offset=0.0, seed=4)
+        hist = detect(state, photons, pitch=1.0, n_pixels=10, offset=0.0, seed=4)
         expected = 0.004 * photons
         assert abs(hist.overflow - expected) < 5.0 * math.sqrt(expected)
         assert hist.total == photons - hist.overflow
         assert hist.counts[2] == hist.total
         bad = GaussianSum(0.05, np.sqrt([0.9, 0.1]), [2.5, 99.0])
         with pytest.raises(ValueError, match="outside"):
-            sample_histogram(bad, photons, pitch=1.0, n_pixels=10, offset=0.0, seed=4)
+            detect(bad, photons, pitch=1.0, n_pixels=10, offset=0.0, seed=4)
 
     def test_counts_conserved(self):
         # 2.5 sigma from the right edge: ~0.6% of the photons overflow
         state = GaussianSum(1.0, [1.0], [12.5])
-        hist = sample_histogram(state, 5000, pitch=0.5, n_pixels=40, offset=-5.0, seed=6)
+        hist = detect(state, 5000, pitch=0.5, n_pixels=40, offset=-5.0, seed=6)
         assert hist.overflow > 0
         assert hist.total + hist.overflow == 5000
 
 
-def edge_cdf(state, pitch, n_pixels, offset):
-    """The CDF at the pixel edges that ``sample_histogram`` inverts."""
-    left = cumulative_mass(state, offset)
-    return left + np.concatenate(([0.0], np.cumsum(pixel_masses(state, pitch, n_pixels, offset))))
+def edge_cdf(masses):
+    """The CDF at the pixel edges that ``sample_histogram`` inverts for these slot masses."""
+    return np.cumsum(masses[:-1]) / masses.sum()
+
+
+def lattice_cdfs(theta, unit_shift, multipliers, n_events, config):
+    """Edge CDF of every candidate, one ``lattice_masses`` row each as in the pipeline."""
+    edges = slot_edges(config.pixel_pitch_um, config.pixel_count, config.detector_offset_um)
+    candidates = enumerate_configurations(len(multipliers), n_events)
+    rows = [lattice_masses(theta, config.sigma_um, unit_shift, multipliers, [c.counts], edges)[0] for c in candidates]
+    return candidates, [edge_cdf(row) for row in rows]
 
 
 def assert_counts_match_oracle(cdf, u):
@@ -182,17 +212,8 @@ class TestSlotCounting:
     @pytest.fixture(scope="class")
     def default_cdfs(self):
         config = ExperimentConfig()
-        values = config.alphabet(resolve_unit_shift(config)).values
-        candidates = enumerate_configurations(len(values), config.n_events)
-        return [
-            edge_cdf(
-                theoretical_state(c, config.theta_rad, config.sigma_um, values),
-                config.pixel_pitch_um,
-                config.pixel_count,
-                config.detector_offset_um,
-            )
-            for c in candidates
-        ]
+        unit_shift = resolve_unit_shift(config)
+        return lattice_cdfs(config.theta_rad, unit_shift, config.alphabet_multipliers, config.n_events, config)[1]
 
     @pytest.mark.parametrize("photons", [100_000, 1_000_000])
     def test_every_default_candidate_state(self, default_cdfs, photons):
@@ -204,6 +225,30 @@ class TestSlotCounting:
         for cdf in default_cdfs:
             got = _count_slots(cdf, u.copy())
             assert np.array_equal(got, oracles.slot_counts(cdf, ordered))
+
+    def test_lattice_cdfs_match_pair_sum_oracle(self):
+        config = ExperimentConfig()
+        unit_shift = resolve_unit_shift(config)
+        cases = [(config.theta_rad, config.alphabet_multipliers, config.n_events)]
+        cases += [(theta, (0.0, 3.0, 7.0), 10) for theta in (QUARTER, 0.0, math.pi / 2)]
+        # sorted uniforms: photons per slot are differences of the number of
+        # uniforms below each edge
+        ordered = [np.sort(np.random.default_rng(n).random(n)) for n in (100_000, 1_000_000)]
+
+        def counts(cdf, u):
+            return np.diff(np.concatenate(([0], np.searchsorted(u, cdf), [u.size])))
+
+        for theta, multipliers, n_events in cases:
+            values = tuple(m * unit_shift for m in multipliers)
+            candidates, cdfs = lattice_cdfs(theta, unit_shift, multipliers, n_events, config)
+            for candidate, cdf in zip(candidates, cdfs):
+                state = theoretical_state(candidate, theta, config.sigma_um, values)
+                ref = edge_cdf(
+                    oracles.slot_masses(state, config.pixel_pitch_um, config.pixel_count, config.detector_offset_um)
+                )
+                assert np.max(np.abs(cdf - ref)) <= 1e-14
+                for u in ordered:
+                    assert np.array_equal(counts(cdf, u), counts(ref, u))
 
     def test_uniforms_on_edges_and_bucket_boundaries(self, default_cdfs):
         grid = np.arange(BUCKETS) / BUCKETS
@@ -249,6 +294,36 @@ class TestSlotCounting:
         assert_counts_match_oracle(cdf, u)
 
 
+class TestPipelineDetection:
+    @pytest.mark.parametrize(
+        "n_events, forced, geometry",
+        [
+            (6, (2, 0, 2, 2, 0), {}),
+            # a span that leaves ~0.3% of the mass on each side
+            (10, (3, 1, 2, 2, 2), dict(pixel_count=147, detector_offset_um=130.0)),
+        ],
+        ids=["N6", "N10"],
+    )
+    def test_lattice_slots_detect_as_pair_sum(self, n_events, forced, geometry):
+        # the pipeline's lattice row and the oracle's pair sum put every photon
+        # of stream (seed, i, 1) in the same slot
+        config = ExperimentConfig(n_events=n_events, forced_config=forced, n_trials=3, **geometry)
+        unit_shift = resolve_unit_shift(config)
+        values = config.alphabet(unit_shift).values
+        state = theoretical_state(Configuration(forced), config.theta_rad, config.sigma_um, values)
+        masses = oracles.slot_masses(state, config.pixel_pitch_um, config.pixel_count, config.detector_offset_um)
+        for record in simulate_trials(config, unit_shift):
+            ref = sample_histogram(
+                masses,
+                config.photons_per_trial,
+                config.pixel_pitch_um,
+                config.detector_offset_um,
+                make_rng(config.master_seed, record.index, 1),
+            )
+            assert np.array_equal(record.histogram.counts, ref.counts)
+            assert record.histogram.overflow == ref.overflow
+
+
 class TestEmpiricalMoment:
     def test_symmetric_two_pixel(self):
         # equal counts in pixels centered at -1.5 and +1.5
@@ -261,8 +336,8 @@ class TestEmpiricalMoment:
         config = Configuration((2, 0, 2, 2, 0))
         sigma, photons = 1.0, 1_000_000
         state = theoretical_state(config, QUARTER, sigma, ALPHABET.values)
-        hist = sample_histogram(state, photons, pitch=0.05, n_pixels=600, offset=-10.0, seed=31)
-        m1, m2 = moment(state, 1), moment(state, 2)
+        hist = detect(state, photons, pitch=0.05, n_pixels=600, offset=-10.0, seed=31)
+        m1, m2 = oracles.moment(state, 1), oracles.moment(state, 2)
         var = m2 - m1 * m1
         se_mean = math.sqrt(var / photons)
         mean, var_hist = histogram_moments(hist)
@@ -275,19 +350,23 @@ class TestEmpiricalMoment:
 
 class TestPixelation:
     def test_masses_sum_to_one(self):
-        state = theoretical_state(Configuration((1, 1, 2, 1, 1)), QUARTER, 1.0, ALPHABET.values)
-        masses = pixel_masses(state, 0.1, 400, -10.0)
-        assert masses.sum() == pytest.approx(1.0, abs=1e-12)
+        config = Configuration((1, 1, 2, 1, 1))
+        state = theoretical_state(config, QUARTER, 1.0, ALPHABET.values)
+        slots = lattice_slots(config.counts, 0.1, 400, -10.0)
+        # the slots carry the state's squared norm, the pixels all of it
+        assert slots.sum() == pytest.approx(state.norm_sq, rel=1e-12)
+        assert slots[1:-1].sum() / slots.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_second_moment_bias_quadratic_in_pitch(self):
         # bias ~ pitch^2/12; refining the pitch 4x shrinks it ~16x
-        state = theoretical_state(Configuration((2, 0, 2, 2, 0)), QUARTER, 1.0, ALPHABET.values)
-        m1 = moment(state, 1)
-        var_exact = moment(state, 2) - m1 * m1
+        config = Configuration((2, 0, 2, 2, 0))
+        state = theoretical_state(config, QUARTER, 1.0, ALPHABET.values)
+        m1 = oracles.moment(state, 1)
+        var_exact = oracles.moment(state, 2) - m1 * m1
         pitch = 0.4
 
         def pixel_variance(pitch, n_pixels):
-            masses = pixel_masses(state, pitch, n_pixels, -6.0)
+            masses = lattice_slots(config.counts, pitch, n_pixels, -6.0)[1:-1]
             return pixel_moments(masses / masses.sum(), pitch, -6.0)[1]
 
         var_coarse = pixel_variance(pitch, 80)
@@ -300,7 +379,7 @@ class TestPixelation:
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
-        hist = sample_histogram(make_gaussian(30.0), 10_000, pitch=13.0, n_pixels=64, offset=-416.0, seed=1)
+        hist = detect(make_gaussian(30.0), 10_000, pitch=13.0, n_pixels=64, offset=-416.0, seed=1)
         path = tmp_path / "hist.csv"
         write_histogram_csv(hist, path)
         back = read_histogram_csv(path)

@@ -10,7 +10,7 @@ import pytest
 
 import zenosense
 from zenosense import estimator
-from zenosense.detector import pixel_masses, sample_histogram, theoretical_state
+from zenosense.detector import sample_histogram, theoretical_state
 from zenosense.estimator import (
     DEGENERATE_MEAN_TOL_FACTOR,
     DEGENERATE_VAR_TOL_FACTOR,
@@ -41,12 +41,13 @@ TRUTH = Configuration((2, 0, 2, 2, 0))
 
 def noiseless_masses(config):
     state = theoretical_state(config, QUARTER, SIGMA, ALPHABET.values)
-    return pixel_masses(state, GEOMETRY["pitch"], GEOMETRY["n_pixels"], GEOMETRY["offset"])
+    return oracles.pixel_masses(state, **GEOMETRY)
 
 
 def sampled_histogram(config, photons, seed):
     state = theoretical_state(config, QUARTER, SIGMA, ALPHABET.values)
-    return sample_histogram(state, photons, **GEOMETRY, seed=seed)
+    masses = oracles.slot_masses(state, **GEOMETRY)
+    return sample_histogram(masses, photons, GEOMETRY["pitch"], GEOMETRY["offset"], seed)
 
 
 class TestNoiselessRecovery:
