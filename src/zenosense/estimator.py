@@ -161,6 +161,10 @@ def _profile_groups(profiles: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(groups))
 
 
+# Rows of weights multiplied by the pixel centers at a time in ``pixel_moments``.
+_MOMENT_BLOCK = 256
+
+
 def pixel_moments(weights: np.ndarray, pitch: float, offset: float) -> tuple[np.ndarray, np.ndarray]:
     """(mean, variance) of normalized pixel weights, pixel centers as positions.
 
@@ -169,13 +173,23 @@ def pixel_moments(weights: np.ndarray, pitch: float, offset: float) -> tuple[np.
     same on both sides and cancels in comparisons. ``weights`` has shape
     ``(n_pixels,)`` or ``(rows, n_pixels)`` and must already sum to 1 along
     its last axis; pixel i sits at ``offset + (i + 0.5) * pitch``. Both
-    results have the shape of ``weights`` without its last axis.
+    results have the shape of ``weights`` without its last axis. Rows are
+    weighted ``_MOMENT_BLOCK`` at a time, so the temporaries stay small at
+    any table size; each row's sums are those of the whole-array expression.
     """
     weights = np.asarray(weights, dtype=np.float64)
     centers = offset + (np.arange(weights.shape[-1]) + 0.5) * pitch
-    m1 = np.sum(weights * centers, axis=-1)
-    m2 = np.sum(weights * centers**2, axis=-1)
-    return m1, m2 - m1 * m1
+    centers_sq = centers**2
+    rows = weights.reshape(-1, weights.shape[-1])
+    m1 = np.empty(rows.shape[0])
+    m2 = np.empty(rows.shape[0])
+    for start in range(0, rows.shape[0], _MOMENT_BLOCK):
+        block = slice(start, start + _MOMENT_BLOCK)
+        np.sum(rows[block] * centers, axis=-1, out=m1[block])
+        np.sum(rows[block] * centers_sq, axis=-1, out=m2[block])
+    # [()] turns the 0-d results of 1-d weights into scalars
+    m1 = m1.reshape(weights.shape[:-1])[()]
+    return m1, m2.reshape(weights.shape[:-1])[()] - m1 * m1
 
 
 def candidate_moment_groups(

@@ -1,6 +1,7 @@
 """Detector forward model: output densities, photon detection, moments."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from zenosense.detector import (
     HistogramFormatError,
     SpatialHistogram,
     _BUCKETS as BUCKETS,
+    _CHUNK as CHUNK,
     _count_slots,
+    _uniform_chunks,
     read_histogram_csv,
     sample_histogram,
     theoretical_state,
@@ -202,7 +205,7 @@ def lattice_cdfs(theta, unit_shift, multipliers, n_events, config):
 
 def assert_counts_match_oracle(cdf, u):
     expected = oracles.slot_counts(cdf, u)
-    got = _count_slots(cdf, u.copy())
+    got = _count_slots(cdf, [u.copy()])
     assert np.array_equal(got, expected)
 
 
@@ -223,7 +226,7 @@ class TestSlotCounting:
         # uniforms make its binary searches cheap
         ordered = np.sort(u)
         for cdf in default_cdfs:
-            got = _count_slots(cdf, u.copy())
+            got = _count_slots(cdf, [u.copy()])
             assert np.array_equal(got, oracles.slot_counts(cdf, ordered))
 
     def test_lattice_cdfs_match_pair_sum_oracle(self):
@@ -273,13 +276,13 @@ class TestSlotCounting:
         cdf = np.concatenate((np.linspace(0.0, 1.0, 101)[:-1], [np.nextafter(1.0, 2.0)]))
         u = np.concatenate((np.random.default_rng(3).random(10_000), [np.nextafter(1.0, 0.0), 0.0]))
         assert_counts_match_oracle(cdf, u)
-        counts = _count_slots(cdf, u.copy())
+        counts = _count_slots(cdf, [u.copy()])
         assert counts[-1] == 0 and counts[0] == 0
 
     def test_overflow_on_both_sides(self):
         cdf = np.linspace(0.3, 0.6, 51)
         u = np.random.default_rng(4).random(100_000)
-        counts = _count_slots(cdf, u.copy())
+        counts = _count_slots(cdf, [u.copy()])
         assert counts[0] > 0 and counts[-1] > 0
         assert_counts_match_oracle(cdf, u)
 
@@ -289,9 +292,61 @@ class TestSlotCounting:
         cdf = (k + np.linspace(0.1, 0.9, 41)) / BUCKETS
         rng = np.random.default_rng(5)
         u = np.concatenate(((k + rng.random(10_000)) / BUCKETS, rng.random(10_000)))
-        counts = _count_slots(cdf, u.copy())
+        counts = _count_slots(cdf, [u.copy()])
         assert counts[1:-1].sum() > 0
         assert_counts_match_oracle(cdf, u)
+
+
+@pytest.fixture(scope="module")
+def reference_slots():
+    """Default config and the slot masses of its reference set (2, 0, 2, 2, 0), as the pipeline takes them."""
+    config = ExperimentConfig()
+    edges = slot_edges(config.pixel_pitch_um, config.pixel_count, config.detector_offset_um)
+    unit_shift = resolve_unit_shift(config)
+    masses = lattice_masses(
+        config.theta_rad, config.sigma_um, unit_shift, config.alphabet_multipliers, [(2, 0, 2, 2, 0)], edges
+    )[0]
+    return config, masses
+
+
+class TestChunkedStream:
+    """``sample_histogram`` draws and counts its uniforms ``CHUNK`` at a time."""
+
+    PHOTONS = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7, 1_000_000]
+
+    @pytest.mark.parametrize("photons", PHOTONS)
+    def test_counts_match_one_draw(self, reference_slots, photons):
+        config, masses = reference_slots
+        expected = oracles.slot_counts(edge_cdf(masses), np.random.default_rng(photons).random(photons))
+        hist = sample_histogram(masses, photons, config.pixel_pitch_um, config.detector_offset_um, photons)
+        assert np.array_equal(hist.counts, expected[1:-1])
+        assert hist.overflow == expected[0] + expected[-1]
+
+    @pytest.mark.parametrize("photons", PHOTONS)
+    def test_two_sided_overflow_matches_one_draw(self, photons):
+        cdf = np.linspace(0.3, 0.6, 51)
+        got = _count_slots(cdf, _uniform_chunks(np.random.default_rng(photons), photons))
+        assert np.array_equal(got, oracles.slot_counts(cdf, np.random.default_rng(photons).random(photons)))
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+    def test_generator_left_as_one_draw_leaves_it(self, reference_slots, bit_generator):
+        config, masses = reference_slots
+        photons = 3 * CHUNK + 7
+        rng, ref = np.random.Generator(bit_generator(9)), np.random.Generator(bit_generator(9))
+        hist = sample_histogram(masses, photons, config.pixel_pitch_um, config.detector_offset_um, rng)
+        assert np.array_equal(hist.counts, oracles.slot_counts(edge_cdf(masses), ref.random(photons))[1:-1])
+        assert np.array_equal(rng.random(4), ref.random(4))
+
+    def test_memory_independent_of_photon_count(self, reference_slots):
+        # the whole 1e6-photon stream would take 8 MB as doubles alone
+        config, masses = reference_slots
+        tracemalloc.start()
+        try:
+            sample_histogram(masses, 1_000_000, config.pixel_pitch_um, config.detector_offset_um, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestPipelineDetection:

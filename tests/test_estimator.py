@@ -27,6 +27,7 @@ from zenosense.estimator import (
 )
 from zenosense.noise_model import Configuration, NoiseAlphabet, enumerate_configurations
 from zenosense.seeds import make_rng
+from zenosense.wavepacket import lattice_masses
 
 import oracles
 
@@ -174,6 +175,18 @@ class TestCandidateTable:
         assert np.array_equal(table.means, means)
         assert np.array_equal(table.variances, variances)
         rows = [pixel_moments(profile, pitch, offset) for profile in table.profiles]
+        assert np.array_equal(np.array(rows), np.column_stack([means, variances]))
+
+    def test_blocked_moments_match_rows_at_n20(self):
+        # 10,626 candidates: the last row block of pixel_moments is partial
+        pitch, offset = GEOMETRY["pitch"], GEOMETRY["offset"]
+        counts = np.array([config.counts for config in enumerate_configurations(5, 20)])
+        assert len(counts) % estimator._MOMENT_BLOCK != 0
+        edges = offset + np.arange(GEOMETRY["n_pixels"] + 1) * pitch
+        profiles = lattice_masses(QUARTER, SIGMA, G, ALPHABET.multipliers, counts, edges)
+        profiles /= profiles.sum(axis=1, keepdims=True)
+        means, variances = pixel_moments(profiles, pitch, offset)
+        rows = [pixel_moments(profile, pitch, offset) for profile in profiles]
         assert np.array_equal(np.array(rows), np.column_stack([means, variances]))
 
 
