@@ -18,6 +18,15 @@ functional that is applied to measured data, so pixelation bias cancels and
 a noiseless histogram is reconstructed exactly. Repeated trials aggregate
 into event probabilities with equal-tailed Beta posterior credible
 intervals.
+
+A reconstruction is ``degenerate`` when its chosen candidate has direct
+partners the method cannot tell apart from it, listed in ascending
+candidate order in ``degenerate_with``. For ``"moments"`` they are the
+other candidates whose mean lies within ``DEGENERATE_MEAN_TOL_FACTOR *
+sigma`` and whose variance lies within ``DEGENERATE_VAR_TOL_FACTOR * sigma *
+sigma`` of the chosen one's; for ``"l2"`` they are the other candidates whose
+profile, rounded to ``PROFILE_TOL``, equals the chosen one's bit for bit.
+Each trial finds the partners of its own chosen candidate only.
 """
 
 from __future__ import annotations
@@ -43,19 +52,18 @@ __all__ = [
     "beta_ci",
     "build_report",
     "candidate_table",
-    "candidate_moment_groups",
     "default_mean_tolerance",
     "pixel_moments",
 ]
 
 # Candidates whose pixel-level means and variances agree within these
 # absolute tolerances (scaled by sigma and sigma^2) are indistinguishable to
-# the moment estimator and are flagged as one degenerate group.
+# the moment estimator.
 DEGENERATE_MEAN_TOL_FACTOR = 1e-6
 DEGENERATE_VAR_TOL_FACTOR = 1e-6
 
-# Profiles equal to this absolute tolerance per pixel are one L2-degenerate
-# group.
+# Profiles equal after rounding to this absolute tolerance per pixel are
+# indistinguishable to the L2 estimator.
 PROFILE_TOL = 1e-12
 
 MAX_TOLERANCE_DOUBLINGS = 10
@@ -63,7 +71,13 @@ MAX_TOLERANCE_DOUBLINGS = 10
 
 @dataclass(frozen=True)
 class TrialEstimate:
-    """Reconstruction of a single trial, with diagnostics."""
+    """Reconstruction of a single trial, with diagnostics.
+
+    ``degenerate`` is true when the chosen candidate has direct partners
+    under the method's tolerances (see the module docstring);
+    ``degenerate_with`` lists their configurations in ascending candidate
+    order.
+    """
 
     method: str
     index: int
@@ -82,8 +96,6 @@ class _CandidateSet:
     means: np.ndarray
     variances: np.ndarray
     sigma: float
-    moment_groups: tuple[tuple[int, ...], ...]
-    profile_groups: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=16)
@@ -97,7 +109,7 @@ def candidate_table(
     n_pixels: int,
     offset: float,
 ) -> _CandidateSet:
-    """Cached pixel profiles, pixel-level moments and degeneracy groups.
+    """Cached pixel profiles and pixel-level moments.
 
     Keyed on what the profiles depend on: the alphabet's integer-valued
     multipliers and unit shift (not its event probabilities), the probe angle, the
@@ -118,47 +130,7 @@ def candidate_table(
     profiles.setflags(write=False)
     means.setflags(write=False)
     variances.setflags(write=False)
-    return _CandidateSet(
-        candidates,
-        profiles,
-        means,
-        variances,
-        sigma,
-        moment_groups=candidate_moment_groups(means, variances, sigma),
-        profile_groups=_profile_groups(profiles),
-    )
-
-
-# Rows per block when profiles are hashed for grouping.
-_HASH_BLOCK = 256
-
-
-def _profile_groups(profiles: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Groups of rows whose values rounded to ``PROFILE_TOL`` are bitwise equal.
-
-    Rows are hashed a block at a time, a linear hash over the bits of the
-    rounded values, so no full-size rounded copy is formed; rows that share
-    a hash are compared exactly. Groups are ordered by their smallest index.
-    """
-    n, n_pixels = profiles.shape
-    # odd multiples of the odd golden-ratio constant, modulo 2**64
-    mix = np.arange(1, 2 * n_pixels, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    hashes = np.empty(n, dtype=np.uint64)
-    for start in range(0, n, _HASH_BLOCK):
-        rounded = np.round(profiles[start : start + _HASH_BLOCK] / PROFILE_TOL)
-        hashes[start : start + _HASH_BLOCK] = (rounded.view(np.uint64) * mix).sum(axis=1)
-    buckets: dict[int, list[int]] = {}
-    for i, key in enumerate(hashes.tolist()):
-        buckets.setdefault(key, []).append(i)
-    groups: list[tuple[int, ...]] = []
-    for ixs in buckets.values():
-        if len(ixs) < 2:
-            continue
-        exact: dict[bytes, list[int]] = {}
-        for i in ixs:
-            exact.setdefault(np.round(profiles[i] / PROFILE_TOL).tobytes(), []).append(i)
-        groups.extend(tuple(g) for g in exact.values() if len(g) > 1)
-    return tuple(sorted(groups))
+    return _CandidateSet(candidates, profiles, means, variances, sigma)
 
 
 # Rows of weights multiplied by the pixel centers at a time in ``pixel_moments``.
@@ -190,52 +162,6 @@ def pixel_moments(weights: np.ndarray, pitch: float, offset: float) -> tuple[np.
     # [()] turns the 0-d results of 1-d weights into scalars
     m1 = m1.reshape(weights.shape[:-1])[()]
     return m1, m2.reshape(weights.shape[:-1])[()] - m1 * m1
-
-
-def candidate_moment_groups(
-    means: np.ndarray, variances: np.ndarray, sigma: float
-) -> tuple[tuple[int, ...], ...]:
-    """Groups of candidate indices with colliding (mean, variance) pairs.
-
-    In ascending-mean order each candidate is compared with the ones after
-    it until a mean gap exceeds the mean tolerance; a pair whose variances
-    agree within the variance tolerance is joined, and groups are the
-    connected components. Groups are ordered by their smallest index.
-    """
-    mean_tol = DEGENERATE_MEAN_TOL_FACTOR * sigma
-    var_tol = DEGENERATE_VAR_TOL_FACTOR * sigma * sigma
-    means = np.asarray(means)
-    variances = np.asarray(variances)
-    n = len(means)
-    order = np.argsort(means, kind="stable")
-    sorted_means = means[order]
-    sorted_vars = variances[order]
-    # labels[p] is the root of sorted position p's component; roots are the
-    # smallest positions, since hooks always point down
-    labels = np.arange(n)
-    # pairs (p, p + k) of sorted positions, one offset k at a time; a head
-    # whose window closed at k stays closed, as the sorted means ascend
-    heads = np.arange(n)
-    for k in range(1, n):
-        heads = heads[heads < n - k]
-        heads = heads[~(sorted_means[heads + k] - sorted_means[heads] > mean_tol)]
-        if heads.size == 0:
-            break
-        p = heads[np.abs(sorted_vars[heads] - sorted_vars[heads + k]) <= var_tol]
-        while True:
-            a, b = labels[p], labels[p + k]
-            split = a != b
-            if not split.any():
-                break
-            np.minimum.at(labels, np.maximum(a, b)[split], np.minimum(a, b)[split])
-            while not np.array_equal(labels[labels], labels):
-                labels = labels[labels]
-    roots = np.empty(n, dtype=np.intp)
-    roots[order] = order[labels]
-    groups: dict[int, list[int]] = {}
-    for i, root in enumerate(roots.tolist()):
-        groups.setdefault(root, []).append(i)
-    return tuple(tuple(g) for g in groups.values() if len(g) > 1)
 
 
 def default_mean_tolerance(means: np.ndarray, sigma: float) -> float:
@@ -276,6 +202,10 @@ def estimate_from_masses(
     masses = np.asarray(masses, dtype=np.float64)
     if masses.shape != (n_pixels,):
         raise ValueError("mass vector does not match the pixel count")
+    if not np.isfinite(masses).all():
+        raise ValueError("mass vector has a non-finite entry")
+    if (masses < 0.0).any():
+        raise ValueError("mass vector has a negative entry")
     total = masses.sum()
     if not (total > 0.0):
         raise ValueError("mass vector has no weight")
@@ -305,27 +235,44 @@ def _top_candidates(
     return tuple((cand.configs[int(i)], float(objective[int(i)])) for i in order)
 
 
-def _degeneracy(
-    cand: _CandidateSet, best: int, groups: tuple[tuple[int, ...], ...]
-) -> tuple[bool, tuple[Configuration, ...]]:
-    for group in groups:
-        if best in group:
-            partners = tuple(cand.configs[i] for i in group if i != best)
-            return True, partners
-    return False, ()
+def _moment_partners(means: np.ndarray, variances: np.ndarray, sigma: float, best: int) -> np.ndarray:
+    """Ascending indices c != best whose mean and variance match best's."""
+    near = (np.abs(means - means[best]) <= DEGENERATE_MEAN_TOL_FACTOR * sigma) & (
+        np.abs(variances - variances[best]) <= DEGENERATE_VAR_TOL_FACTOR * sigma * sigma
+    )
+    near[best] = False
+    return np.flatnonzero(near)
+
+
+def _profile_partners(profiles: np.ndarray, distances: np.ndarray, best: int) -> np.ndarray:
+    """Ascending indices c != best whose rounded profile equals best's bit for bit.
+
+    Rows that round equal differ by at most ``PROFILE_TOL`` per pixel, and
+    d_c - d_best = sum (p_c - p_best)(p_c + p_best - 2 m). With profiles
+    and masses m non-negative and summing to 1 the second factor sums to at
+    most 4 in absolute value, so |d_c - d_best| <= 4 ``PROFILE_TOL``; only
+    the rows within 5 ``PROFILE_TOL`` (room for rounding) are compared.
+    """
+    near = np.flatnonzero(np.abs(distances - distances[best]) <= 5.0 * PROFILE_TOL)
+    near = near[near != best]
+    rows = profiles[near]  # a copy, rounded in place
+    rows /= PROFILE_TOL
+    np.round(rows, out=rows)
+    best_bits = np.round(profiles[best] / PROFILE_TOL).view(np.uint64)
+    return near[(rows.view(np.uint64) == best_bits).all(axis=1)]
 
 
 def _estimate_l2(masses: np.ndarray, cand: _CandidateSet) -> TrialEstimate:
     distances = np.sum((cand.profiles - masses) ** 2, axis=1)
     best = int(np.argmin(distances))  # argmin keeps the smallest index on ties
-    degenerate, partners = _degeneracy(cand, best, cand.profile_groups)
+    partners = tuple(cand.configs[i] for i in _profile_partners(cand.profiles, distances, best))
     return TrialEstimate(
         method="l2",
         index=best,
         config=cand.configs[best],
         objective=float(distances[best]),
         top=_top_candidates(cand, distances),
-        degenerate=degenerate,
+        degenerate=bool(partners),
         degenerate_with=partners,
     )
 
@@ -365,7 +312,9 @@ def _estimate_moments(
     objective = np.full(len(cand.configs), np.inf)
     objective[subset] = (central2 - second_about_m1[subset]) ** 2
     best = int(subset[np.argmin(objective[subset])])
-    degenerate, partners = _degeneracy(cand, best, cand.moment_groups)
+    partners = tuple(
+        cand.configs[i] for i in _moment_partners(cand.means, cand.variances, cand.sigma, best)
+    )
     return TrialEstimate(
         method="moments",
         index=best,
@@ -373,7 +322,7 @@ def _estimate_moments(
         objective=float(objective[best]),
         top=_top_candidates(cand, objective),
         widenings=widenings,
-        degenerate=degenerate,
+        degenerate=bool(partners),
         degenerate_with=partners,
     )
 

@@ -7,8 +7,9 @@ The pair-sum accessors evaluate any ``GaussianSum`` (lattice or not) as a
 sum over all M^2 component pairs: spatial and momentum moments, the CDF,
 pixel masses and the detector's slot masses. The candidate-table oracles at
 the end recompute the table one candidate at a time, by kernel fold and
-pair-sum pixel masses, and its degeneracy groups by plain loops over pairs
-and rows. None of it shares code with the lattice paths it checks.
+pair-sum pixel masses, and its degeneracy groups and one candidate's moment
+neighbours by plain loops over pairs and rows. None of it shares code with
+the lattice and estimator paths it checks.
 """
 
 from __future__ import annotations
@@ -305,6 +306,17 @@ def moment_groups(means, variances, mean_tol, var_tol):
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return tuple(tuple(sorted(g)) for g in groups.values() if len(g) > 1)
+
+
+def moment_neighbours(means, variances, best, mean_tol, var_tol):
+    """Indices c != best whose mean and variance each lie within tolerance of best's."""
+    return tuple(
+        c
+        for c in range(len(means))
+        if c != best
+        and abs(means[c] - means[best]) <= mean_tol
+        and abs(variances[c] - variances[best]) <= var_tol
+    )
 
 
 def profile_groups(profiles, tol):

@@ -24,8 +24,9 @@ from zenosense.channel import (
 from zenosense.config import ExperimentConfig
 from zenosense.detector import sample_histogram, theoretical_state
 from zenosense.estimator import (
+    DEGENERATE_MEAN_TOL_FACTOR,
+    DEGENERATE_VAR_TOL_FACTOR,
     beta_ci,
-    candidate_moment_groups,
     estimate_from_masses,
     estimate_histogram,
 )
@@ -283,7 +284,12 @@ def test_criterion_7_exhaustive_oracle_equivalence():
 
     oracle_means = dens @ xs * dx
     oracle_vars = dens @ xs**2 * dx - oracle_means**2
-    oracle_groups = candidate_moment_groups(oracle_means, oracle_vars, SIGMA)
+    oracle_groups = oracles.moment_groups(
+        oracle_means,
+        oracle_vars,
+        DEGENERATE_MEAN_TOL_FACTOR * SIGMA,
+        DEGENERATE_VAR_TOL_FACTOR * SIGMA * SIGMA,
+    )
     oracle_degenerate = {i for grp in oracle_groups for i in grp}
 
     mismatches = []

@@ -18,7 +18,6 @@ from zenosense.estimator import (
     aggregate_trials,
     beta_ci,
     build_report,
-    candidate_moment_groups,
     candidate_table,
     default_mean_tolerance,
     estimate_from_masses,
@@ -94,6 +93,17 @@ class TestFiniteStatistics:
         with pytest.raises(ValueError, match="empty"):
             estimate_histogram(hist, CANDIDATES, QUARTER, SIGMA, ALPHABET, method="moments")
 
+    @pytest.mark.parametrize("method", ["l2", "moments"])
+    @pytest.mark.parametrize("value,match", [(math.inf, "non-finite"), (-0.5, "negative")])
+    def test_invalid_masses_rejected(self, method, value, match):
+        masses = noiseless_masses(TRUTH)
+        masses[500] = value
+        with pytest.raises(ValueError, match=match):
+            estimate_from_masses(
+                masses, GEOMETRY["pitch"], GEOMETRY["n_pixels"], GEOMETRY["offset"],
+                CANDIDATES, QUARTER, SIGMA, ALPHABET, method=method,
+            )
+
     def test_empty_candidates_rejected(self):
         hist = sampled_histogram(TRUTH, 1000, seed=1)
         with pytest.raises(ValueError):
@@ -140,8 +150,8 @@ class TestDegeneracyFlags:
     def test_moment_group_clustering(self):
         means = np.array([0.0, 5.0, 5.0 + 1e-9, 9.0])
         variances = np.array([1.0, 2.0, 2.0 + 1e-9, 1.0])
-        groups = candidate_moment_groups(means, variances, sigma=1.0)
-        assert groups == ((1, 2),)
+        partners = [tuple(estimator._moment_partners(means, variances, 1.0, best)) for best in range(4)]
+        assert partners == [(), (2,), (1,), ()]
 
     def test_standard_alphabet_has_no_degeneracies(self):
         # every (mean, variance) pair is unique for the 0..4g alphabet
@@ -163,6 +173,19 @@ class TestCandidateTable:
         misses = candidate_table.cache_info().misses
         estimate_from_masses(masses, *geometry, CANDIDATES, QUARTER, SIGMA, skewed)
         assert candidate_table.cache_info().misses == misses
+
+    def test_warm_estimate_builds_no_table(self, monkeypatch):
+        # once the table is cached a trial reads it and calls nothing below
+        # the estimator
+        hist = sampled_histogram(TRUTH, 200_000, seed=8)
+        estimate_histogram(hist, CANDIDATES, QUARTER, SIGMA, ALPHABET)
+
+        def rebuild(*args, **kwargs):
+            raise AssertionError("a warm estimate rebuilt the candidate table")
+
+        monkeypatch.setattr(estimator, "lattice_masses", rebuild)
+        for method in ("l2", "moments"):
+            assert estimate_histogram(hist, CANDIDATES, QUARTER, SIGMA, ALPHABET, method=method).config == TRUTH
 
     def test_moments_are_the_shared_functional_of_profiles(self):
         # candidate moments and a measured trial's go through one functional,
@@ -218,9 +241,14 @@ class TestLatticeTable:
         assert np.max(np.abs(table.profiles - profiles)) <= 1e-14
         assert np.max(np.abs(table.means - means)) <= 1e-11
         assert np.max(np.abs(table.variances - variances) / variances) <= 1e-12
-        mean_tol, var_tol = DEGENERATE_MEAN_TOL_FACTOR * sigma, DEGENERATE_VAR_TOL_FACTOR * sigma**2
-        assert table.moment_groups == oracles.moment_groups(means, variances, mean_tol, var_tol)
-        assert table.profile_groups == oracles.profile_groups(profiles, PROFILE_TOL)
+        # the table's degeneracies are the fold's
+        mean_tol, var_tol = DEGENERATE_MEAN_TOL_FACTOR * sigma, DEGENERATE_VAR_TOL_FACTOR * sigma * sigma
+        assert oracles.moment_groups(table.means, table.variances, mean_tol, var_tol) == oracles.moment_groups(
+            means, variances, mean_tol, var_tol
+        )
+        assert oracles.profile_groups(np.asarray(table.profiles), PROFILE_TOL) == oracles.profile_groups(
+            profiles, PROFILE_TOL
+        )
 
     # candidate (0, 0, 0, 0, 6) spans centers 0 to 24 g = 2737 um; each
     # detector ends 15 sigma short of it, where normal tails are tiny but
@@ -238,51 +266,93 @@ class TestLatticeTable:
             candidate_table((0.0, 1.5), G, QUARTER, SIGMA, (Configuration((1, 1)),), 13.0, 1024, -6656.0)
 
 
+def _partners_in(groups):
+    """best -> the other members of best's group, ascending."""
+    group_of = {i: g for g in groups for i in g}
+    return lambda best: tuple(i for i in group_of.get(best, ()) if i != best)
+
+
 class TestDegeneracyGroups:
-    """Vectorized grouping against the plain pair and row loops."""
+    """Each chosen candidate's partners against the plain pair and row loops."""
 
     @pytest.mark.parametrize("theta", [QUARTER, 0.0, math.pi / 2])
     def test_moment_and_profile_groups_of_a_wide_table(self, theta):
         # at pi/4 a mean depends only on the shift total, so windows hold
-        # dozens of candidates; at 0 and pi/2 whole windows are degenerate
+        # dozens of candidates; at 0 and pi/2 whole windows are degenerate.
+        # Real tables hold no chains, so direct partners are whole groups.
         candidates = tuple(enumerate_configurations(5, 10))
         table = candidate_table(ALPHABET.multipliers, G, theta, SIGMA, candidates, 13.0, 1024, -6656.0)
-        mean_tol, var_tol = DEGENERATE_MEAN_TOL_FACTOR * SIGMA, DEGENERATE_VAR_TOL_FACTOR * SIGMA**2
-        groups = oracles.moment_groups(table.means, table.variances, mean_tol, var_tol)
-        assert candidate_moment_groups(table.means, table.variances, SIGMA) == groups
-        assert table.profile_groups == oracles.profile_groups(np.asarray(table.profiles), PROFILE_TOL)
-        if theta != QUARTER:
-            assert groups and table.profile_groups
+        mean_tol, var_tol = DEGENERATE_MEAN_TOL_FACTOR * SIGMA, DEGENERATE_VAR_TOL_FACTOR * SIGMA * SIGMA
+        means, variances = table.means.tolist(), table.variances.tolist()
+        moment_group = _partners_in(oracles.moment_groups(means, variances, mean_tol, var_tol))
+        profiles = np.asarray(table.profiles)
+        profile_group = _partners_in(oracles.profile_groups(profiles, PROFILE_TOL))
+        # row b holds the squared distances a noiseless trial of candidate b sees
+        sq = np.sum(profiles**2, axis=1)
+        distances = sq[:, None] + sq[None, :] - 2.0 * profiles @ profiles.T
+        flagged = 0
+        for best in range(len(candidates)):
+            moment = tuple(estimator._moment_partners(table.means, table.variances, SIGMA, best))
+            assert moment == oracles.moment_neighbours(means, variances, best, mean_tol, var_tol)
+            assert moment == moment_group(best)
+            assert tuple(estimator._profile_partners(profiles, distances[best], best)) == profile_group(best)
+            flagged += bool(moment)
+        assert bool(flagged) == (theta != QUARTER)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_synthetic_chained_windows(self, seed):
         # means on a coarse grid with sub-tolerance jitter make overlapping
         # (not nested) windows; variance steps just under the tolerance chain
-        # pairs that are not directly joined
+        # pairs that are not directly joined, and a candidate's partners are
+        # its direct ones, not the whole chain
         rng = np.random.default_rng(seed)
         n = 400
         means = rng.integers(0, 12, n) + rng.uniform(0.0, 2.5e-6, n)
         variances = 1.0 + rng.integers(0, 6, n) * 0.9e-6 + rng.choice([0.0, 0.5], n)
-        groups = oracles.moment_groups(means, variances, 1e-6, 1e-6)
-        assert candidate_moment_groups(means, variances, 1.0) == groups
-        assert any(len(g) > 2 for g in groups)
+        group = _partners_in(oracles.moment_groups(means, variances, 1e-6, 1e-6))
+        chained = 0
+        for best in range(n):
+            partners = tuple(estimator._moment_partners(means, variances, 1.0, best))
+            assert partners == oracles.moment_neighbours(means.tolist(), variances.tolist(), best, 1e-6, 1e-6)
+            assert bool(partners) == bool(group(best))
+            chained += partners != group(best)
+        assert chained
 
     def test_gaps_equal_to_the_tolerances_join(self):
         # sigma = 1 makes both tolerances exactly 1e-6, and both gaps below
         # compute to exactly 1e-6
         means = np.array([0.0, 1e-6, 5.0, 5.0])
         variances = np.array([1.0, 1.0, 0.0, 1e-6])
-        groups = oracles.moment_groups(means, variances, 1e-6, 1e-6)
-        assert candidate_moment_groups(means, variances, 1.0) == groups == ((0, 1), (2, 3))
+        partners = [tuple(estimator._moment_partners(means, variances, 1.0, best)) for best in range(4)]
+        oracle = [oracles.moment_neighbours(means, variances, best, 1e-6, 1e-6) for best in range(4)]
+        assert partners == oracle == [(1,), (0,), (3,), (2,)]
 
-    def test_profile_hash_collision_is_split(self, monkeypatch):
-        # with a unit tolerance the rounded rows are the rows; integers in
-        # [2**52, 2**53) have consecutive bit patterns, so row 2 collides
-        # with rows 0 and 1 under the odd-multiplier hash yet differs from them
-        monkeypatch.setattr(estimator, "PROFILE_TOL", 1.0)
-        base = 2.0**52
-        rows = np.array([[base, base + 1.0], [base, base + 1.0], [base + 3.0, base]])
-        assert estimator._profile_groups(rows) == ((0, 1),)
+    def test_profile_partner_near_the_distance_bound_is_found(self):
+        # the rows differ by 0.98 tau in both pixels yet round equal; with all
+        # measured mass on pixel 1 their distances differ by 3.92 tau, close
+        # to the 4 tau bound
+        tau = PROFILE_TOL
+        profiles = np.array([[1.0 - 1.49 * tau, 1.49 * tau], [1.0 - 0.51 * tau, 0.51 * tau]])
+        assert np.array_equal(np.round(profiles[0] / tau), np.round(profiles[1] / tau))
+        distances = np.sum((profiles - np.array([0.0, 1.0])) ** 2, axis=1)
+        assert abs(distances[0] - distances[1]) > 3.9 * tau
+        assert tuple(estimator._profile_partners(profiles, distances, 0)) == (1,)
+        assert tuple(estimator._profile_partners(profiles, distances, 1)) == (0,)
+
+    def test_profile_one_rounding_cell_apart_is_not_a_partner(self):
+        # the rows round one cell apart in pixel 0 and equal elsewhere, and
+        # their distances lie well inside the 5 tau window
+        tau = PROFILE_TOL
+        profiles = np.array(
+            [
+                [0.25 + 0.2 * tau, 0.25 - 0.1 * tau, 0.5 - 0.1 * tau],
+                [0.25 + 0.8 * tau, 0.25 - 0.4 * tau, 0.5 - 0.4 * tau],
+            ]
+        )
+        assert np.array_equal(np.round(profiles[1] / tau) - np.round(profiles[0] / tau), [1.0, 0.0, 0.0])
+        distances = np.sum((profiles - profiles[0]) ** 2, axis=1)
+        assert abs(distances[1] - distances[0]) <= tau
+        assert estimator._profile_partners(profiles, distances, 0).size == 0
 
 
 class TestAggregation:
