@@ -5,11 +5,13 @@ and integrates with adaptive quadrature (piecewise between packet centers,
 tolerance 1e-12 on a support of +/- 10 sigma beyond the outermost centers).
 The pair-sum accessors evaluate any ``GaussianSum`` (lattice or not) as a
 sum over all M^2 component pairs: spatial and momentum moments, the CDF,
-pixel masses and the detector's slot masses. The candidate-table oracles at
-the end recompute the table one candidate at a time, by kernel fold and
-pair-sum pixel masses, and its degeneracy groups and one candidate's moment
-neighbours by plain loops over pairs and rows. None of it shares code with
-the lattice and estimator paths it checks.
+pixel masses and the detector's slot masses. ``clipped_lattice_masses``
+is the lattice formula with ``ndtr`` evaluated at every edge of every
+normal. The candidate-table oracles at the end recompute the table one
+candidate at a time, by kernel fold and pair-sum pixel masses, and its
+degeneracy groups and one candidate's moment neighbours by plain loops
+over pairs and rows. None of it shares code with the lattice and
+estimator paths it checks.
 """
 
 from __future__ import annotations
@@ -167,6 +169,38 @@ def lattice_survival(theta: float, sigma: float, h: float, multipliers) -> float
     k = np.arange(a.size)
     overlap = np.exp(-((k[:, None] - k[None, :]) ** 2) * h * h / (8.0 * sigma * sigma))
     return float(a @ overlap @ a)
+
+
+def clipped_lattice_masses(theta, sigma, unit_shift, multipliers, counts, edges):
+    """``lattice_masses`` with ``ndtr`` over every normal at every edge.
+
+    The same coefficients, weights and matrix product in the same
+    arithmetic, but the cut at 9 sigma is taken by clipping every z to
+    [-9, 9] before one ``ndtr`` pass over the whole (2M - 1) x edges matrix,
+    so the band-limited evaluation must match it bit for bit.
+    """
+    c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
+    mult = [int(m) for m in multipliers]
+    counts = np.asarray(counts, dtype=np.int64)
+    edges = np.asarray(edges, dtype=np.float64)
+    size = int((counts @ np.asarray(mult, dtype=np.int64)).max()) + 1
+    coef = np.zeros((counts.shape[0], size))
+    coef[:, 0] = 1.0
+    for m, n in zip(mult, counts.T):
+        for t in range(int(n.max())):
+            rows = np.flatnonzero(n > t)
+            before = coef[rows]
+            after = s2 * before
+            after[:, m:] += c2 * before[:, : size - m]
+            coef[rows] = after
+    weights = np.zeros((counts.shape[0], 2 * size - 1))
+    for d in range(size):
+        overlap = math.exp(-((d * unit_shift) ** 2) / (8.0 * sigma * sigma))
+        if overlap == 0.0:
+            break
+        weights[:, d : 2 * size - 1 - d : 2] += (2.0 if d else 1.0) * overlap * coef[:, : size - d] * coef[:, d:]
+    z = (edges[None, :] - 0.5 * unit_shift * np.arange(2 * size - 1)[:, None]) / sigma
+    return weights @ np.diff(ndtr(np.clip(z, -9.0, 9.0)), axis=1)
 
 
 def _pair_weights(state):

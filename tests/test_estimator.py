@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,7 +205,7 @@ class TestCandidateTable:
         # 10,626 candidates: the last row block of pixel_moments is partial
         pitch, offset = GEOMETRY["pitch"], GEOMETRY["offset"]
         counts = np.array([config.counts for config in enumerate_configurations(5, 20)])
-        assert len(counts) % estimator._MOMENT_BLOCK != 0
+        assert len(counts) % estimator._ROW_BLOCK != 0
         edges = offset + np.arange(GEOMETRY["n_pixels"] + 1) * pitch
         profiles = lattice_masses(QUARTER, SIGMA, G, ALPHABET.multipliers, counts, edges)
         profiles /= profiles.sum(axis=1, keepdims=True)
@@ -266,6 +267,12 @@ class TestLatticeTable:
             candidate_table((0.0, 1.5), G, QUARTER, SIGMA, (Configuration((1, 1)),), 13.0, 1024, -6656.0)
 
 
+def profile_partners(profiles, distances, best):
+    """``estimator._profile_partners`` with its row buffer sized as ``_estimate_l2`` sizes it."""
+    buf = np.empty((min(estimator._ROW_BLOCK, len(profiles)), profiles.shape[1]))
+    return tuple(estimator._profile_partners(profiles, distances, best, buf))
+
+
 def _partners_in(groups):
     """best -> the other members of best's group, ascending."""
     group_of = {i: g for g in groups for i in g}
@@ -295,7 +302,7 @@ class TestDegeneracyGroups:
             moment = tuple(estimator._moment_partners(table.means, table.variances, SIGMA, best))
             assert moment == oracles.moment_neighbours(means, variances, best, mean_tol, var_tol)
             assert moment == moment_group(best)
-            assert tuple(estimator._profile_partners(profiles, distances[best], best)) == profile_group(best)
+            assert profile_partners(profiles, distances[best], best) == profile_group(best)
             flagged += bool(moment)
         assert bool(flagged) == (theta != QUARTER)
 
@@ -336,8 +343,8 @@ class TestDegeneracyGroups:
         assert np.array_equal(np.round(profiles[0] / tau), np.round(profiles[1] / tau))
         distances = np.sum((profiles - np.array([0.0, 1.0])) ** 2, axis=1)
         assert abs(distances[0] - distances[1]) > 3.9 * tau
-        assert tuple(estimator._profile_partners(profiles, distances, 0)) == (1,)
-        assert tuple(estimator._profile_partners(profiles, distances, 1)) == (0,)
+        assert profile_partners(profiles, distances, 0) == (1,)
+        assert profile_partners(profiles, distances, 1) == (0,)
 
     def test_profile_one_rounding_cell_apart_is_not_a_partner(self):
         # the rows round one cell apart in pixel 0 and equal elsewhere, and
@@ -352,7 +359,46 @@ class TestDegeneracyGroups:
         assert np.array_equal(np.round(profiles[1] / tau) - np.round(profiles[0] / tau), [1.0, 0.0, 0.0])
         distances = np.sum((profiles - profiles[0]) ** 2, axis=1)
         assert abs(distances[1] - distances[0]) <= tau
-        assert estimator._profile_partners(profiles, distances, 0).size == 0
+        assert profile_partners(profiles, distances, 0) == ()
+
+
+class TestL2RowBlocks:
+    """The l2 distances and partner rounding, taken a block of rows at a time."""
+
+    @pytest.mark.parametrize("n_events", [3, 6, 10])
+    def test_distances_match_the_whole_array_expression(self, n_events):
+        # 35 rows: fewer than one block; 210 and 1001 rows: the last block is partial
+        candidates = tuple(enumerate_configurations(5, n_events))
+        table = candidate_table(ALPHABET.multipliers, G, QUARTER, SIGMA, candidates, 13.0, 1024, -6656.0)
+        profiles = table.profiles
+        assert (len(candidates) < estimator._ROW_BLOCK) == (n_events == 3)
+        assert len(candidates) % estimator._ROW_BLOCK != 0
+        buf = np.empty((min(estimator._ROW_BLOCK, len(candidates)), profiles.shape[1]))
+        noisy = profiles[len(candidates) // 3] + np.random.default_rng(n_events).random(profiles.shape[1]) * 1e-4
+        for masses in (profiles[0], noisy / noisy.sum()):
+            expected = np.sum((profiles - masses) ** 2, axis=1)
+            assert np.array_equal(estimator._l2_distances(profiles, masses, buf), expected)
+
+    @pytest.mark.parametrize("theta", [QUARTER, math.pi / 2])
+    def test_warm_n10_estimate_memory_and_partners(self, theta):
+        # the whole-table difference alone took 8 MB at N=10, and at pi/2,
+        # where every profile rounds equal, the partner rounding copied the
+        # whole table again; now it rounds the 1000 other rows in blocks
+        candidates = tuple(enumerate_configurations(5, 10))
+        table = candidate_table(ALPHABET.multipliers, G, theta, SIGMA, candidates, 13.0, 1024, -6656.0)
+        masses = table.profiles[333]
+        args = (13.0, 1024, -6656.0, candidates, theta, SIGMA, ALPHABET)
+        estimate_from_masses(masses, *args, method="l2")
+        tracemalloc.start()
+        try:
+            est = estimate_from_masses(masses, *args, method="l2")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        group = _partners_in(oracles.profile_groups(np.asarray(table.profiles), PROFILE_TOL))
+        assert est.degenerate_with == tuple(candidates[i] for i in group(est.index))
+        assert len(est.degenerate_with) == (1000 if theta != QUARTER else 0)
 
 
 class TestAggregation:

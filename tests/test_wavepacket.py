@@ -1,4 +1,5 @@
-"""Closed-form Gaussian-sum algebra against adaptive-quadrature oracles."""
+"""Closed-form Gaussian-sum algebra against adaptive-quadrature oracles, and the
+band-limited lattice CDF against the clip-everything formula."""
 
 import math
 
@@ -7,7 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zenosense.wavepacket import GaussianSum, apply_noise_kernel, density_at, inner_product, make_gaussian
+from zenosense.config import ExperimentConfig
+from zenosense.noise_model import enumerate_configurations
+from zenosense.pipeline import resolve_unit_shift
+from zenosense.wavepacket import (
+    GaussianSum,
+    apply_noise_kernel,
+    density_at,
+    inner_product,
+    lattice_masses,
+    make_gaussian,
+)
 
 import oracles
 
@@ -251,3 +262,69 @@ class TestCumulativeMass:
         state = make_gaussian(1.0)
         assert cumulative_mass(state, -60.0) == pytest.approx(0.0, abs=1e-12)
         assert cumulative_mass(state, 60.0) == pytest.approx(1.0, abs=1e-12)
+
+
+def lattice_z(sigma, unit_shift, counts, multipliers, edges):
+    """z of every edge against every normal, as ``lattice_masses`` forms it."""
+    size = int(np.max(np.asarray(counts) @ np.asarray(multipliers, dtype=np.int64))) + 1
+    return (edges[None, :] - 0.5 * unit_shift * np.arange(2 * size - 1)[:, None]) / sigma
+
+
+class TestLatticeBand:
+    """``ndtr`` inside each normal's 9 sigma band only, against the clip-everything formula."""
+
+    @pytest.fixture(scope="class")
+    def default(self):
+        config = ExperimentConfig()
+        edges = config.detector_offset_um + np.arange(config.pixel_count + 1) * config.pixel_pitch_um
+        return config, resolve_unit_shift(config), edges
+
+    @pytest.mark.parametrize("n_events", [6, 10])
+    def test_default_table_and_trial_rows(self, default, n_events):
+        config, unit_shift, edges = default
+        multipliers = config.alphabet_multipliers
+        counts = [c.counts for c in enumerate_configurations(len(multipliers), n_events)]
+        head = (config.theta_rad, config.sigma_um, unit_shift, multipliers)
+        assert np.array_equal(
+            lattice_masses(*head, counts, edges), oracles.clipped_lattice_masses(*head, counts, edges)
+        )
+        # a trial's row over the pixel edges with -inf and +inf added
+        trial_edges = np.concatenate(([-np.inf], edges, [np.inf]))
+        for row in counts[:: len(counts) // 7]:
+            one = (*head, [row], trial_edges)
+            assert np.array_equal(lattice_masses(*one), oracles.clipped_lattice_masses(*one))
+
+    @pytest.mark.parametrize(
+        "sigma,unit_shift",
+        [
+            (2.0, 2.3),  # packet narrower than the 13 um pitch: a band spans 3 pixels
+            (2.0, 114.05),  # narrow packets far apart: no normal overlaps another
+            (1500.0, 114.05),  # every band covers the whole detector
+        ],
+    )
+    def test_band_width_extremes(self, default, sigma, unit_shift):
+        config, _, edges = default
+        multipliers = config.alphabet_multipliers
+        counts = [c.counts for c in enumerate_configurations(len(multipliers), 6)]
+        inside = np.abs(lattice_z(sigma, unit_shift, counts, multipliers, edges)) < 9.0
+        if sigma > 1000.0:
+            assert inside.all()
+        else:
+            assert inside.mean() < 0.01
+        trial_edges = np.concatenate(([-np.inf], edges, [np.inf]))
+        for e in (edges, trial_edges):
+            head = (math.pi / 4, sigma, unit_shift, multipliers, counts, e)
+            assert np.array_equal(lattice_masses(*head), oracles.clipped_lattice_masses(*head))
+
+    def test_edges_exactly_nine_sigma_from_a_center(self):
+        # unit width and a shift of 2 put the normals on the integers, so
+        # integer edges give z exactly +-9 for many of them
+        multipliers = (0, 1, 2)
+        counts = [c.counts for c in enumerate_configurations(3, 4)]
+        edges = np.arange(-12.0, 22.0)
+        z = lattice_z(1.0, 2.0, counts, multipliers, edges)
+        assert np.any(z == 9.0) and np.any(z == -9.0)
+        for e in (edges, np.concatenate(([-np.inf], edges, [np.inf]))):
+            for theta in (math.pi / 4, 0.3):
+                head = (theta, 1.0, 2.0, multipliers, counts, e)
+                assert np.array_equal(lattice_masses(*head), oracles.clipped_lattice_masses(*head))
