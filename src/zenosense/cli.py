@@ -226,7 +226,7 @@ def _reproduce_fig2(out: Path, seed: int, photons: int) -> None:
         alphabet.unit_shift,
         config.theta_rad,
         config.sigma_um,
-        candidates,
+        tuple(c.counts for c in candidates),
         config.pixel_pitch_um,
         config.pixel_count,
         config.detector_offset_um,

@@ -108,15 +108,15 @@ def sample_histogram(
 
     The slots are the mass left of ``offset``, one mass per pixel and the
     mass right of the pixel span, so there are ``len(slot_masses) - 2``
-    pixels. The masses need not be normalized: the pipeline passes a row of
-    ``wavepacket.lattice_masses`` over the pixel edges with -inf and +inf
-    added, which sums to the state's squared norm. Each photon's uniform
-    draw is mapped through the CDF at the pixel edges (cumulative slot
-    masses over their total), which is inverse-CDF sampling followed by
-    binning into half-open pixels without ever forming a position. Counts
-    are conserved: photons outside the span are tallied in ``overflow``, and
-    more than ``MAX_OVERFLOW_FRACTION`` of them is an error (the geometry
-    does not cover the beam). Deterministic under a fixed seed.
+    pixels. The masses need not be normalized: the pipeline passes the
+    product of the ``wavepacket.lattice_masses`` factors over the pixel
+    edges with -inf and +inf added, which sums to the state's squared norm.
+    Each photon's uniform draw is mapped through the CDF at the pixel edges
+    (cumulative slot masses over their total), which is inverse-CDF
+    sampling followed by binning into half-open pixels without ever forming
+    a position. Counts are conserved: photons outside the span are tallied
+    in ``overflow``, and more than ``MAX_OVERFLOW_FRACTION`` of them is an
+    error (the geometry does not cover the beam). Deterministic under a fixed seed.
 
     The per-photon work is a bucket lookup. Uniforms and CDF are scaled by
     the power of two 2**14, which is exact, so every comparison of a uniform

@@ -6,7 +6,9 @@ histogram:
 
 * ``"l2"`` minimizes the pixel-wise squared distance between the measured
   distribution and each candidate's pixel-averaged theoretical profile over
-  the full profile.
+  the full profile. Every candidate is screened through the table's Gram
+  form; only the short list the screen cannot rule out gets its profile
+  row formed and its exact distance taken.
 * ``"moments"`` is the two-stage search: keep the candidates whose
   mean arrival position matches the measured one within a tolerance, then
   minimize the squared mismatch of the second moment taken about the
@@ -25,7 +27,8 @@ candidate order in ``degenerate_with``. For ``"moments"`` they are the
 other candidates whose mean lies within ``DEGENERATE_MEAN_TOL_FACTOR *
 sigma`` and whose variance lies within ``DEGENERATE_VAR_TOL_FACTOR * sigma *
 sigma`` of the chosen one's; for ``"l2"`` they are the other candidates whose
-profile, rounded to ``PROFILE_TOL``, equals the chosen one's bit for bit.
+profile row, formed in one product together with a row of the chosen
+candidate and rounded to ``PROFILE_TOL``, equals that row bit for bit.
 Each trial finds the partners of its own chosen candidate only.
 """
 
@@ -91,8 +94,20 @@ class TrialEstimate:
 
 @dataclass(frozen=True)
 class _CandidateSet:
-    configs: tuple[Configuration, ...]
-    profiles: np.ndarray  # (n_candidates, n_pixels) pixel masses
+    """Candidate profiles kept as lattice factors, with their pixel moments.
+
+    Profile c, the candidate's pixel masses normalized to its mass on the
+    detector, is ``weights[c] @ diffs``: ``weights`` holds the candidates'
+    lattice weights divided by those masses, ``diffs`` the masses of the
+    shared normals in each pixel (see ``wavepacket.lattice_masses``).
+    ``sq_norms[c]`` is the squared norm of profile c through the Gram form,
+    weights[c] (diffs diffs^T) weights[c]^T. No (candidates x pixels) array
+    is kept; ``_profile_rows`` forms rows on demand.
+    """
+
+    weights: np.ndarray  # (n_candidates, 2M - 1)
+    diffs: np.ndarray  # (2M - 1, n_pixels)
+    sq_norms: np.ndarray  # (n_candidates,)
     means: np.ndarray
     variances: np.ndarray
     sigma: float
@@ -104,42 +119,62 @@ def candidate_table(
     unit_shift: float,
     theta: float,
     sigma: float,
-    candidates: tuple[Configuration, ...],
+    counts: tuple[tuple[int, ...], ...],
     pitch: float,
     n_pixels: int,
     offset: float,
 ) -> _CandidateSet:
-    """Cached pixel profiles and pixel-level moments.
+    """Cached lattice factors and pixel-level moments of the candidate profiles.
 
     Keyed on what the profiles depend on: the alphabet's integer-valued
-    multipliers and unit shift (not its event probabilities), the probe angle, the
-    packet width, the candidate tuple and the detector geometry. The
-    profiles of all candidates come from one lattice evaluation
-    (``wavepacket.lattice_masses``), each normalized to its mass on the
-    detector.
+    multipliers and unit shift (not its event probabilities), the probe
+    angle, the packet width, the candidates' count tuples (in order,
+    duplicates allowed) and the detector geometry. Plain count tuples hash
+    and compare several times faster than ``Configuration`` objects, which
+    matters when each batch enumerates its candidates afresh. The factors
+    of all candidates come from one lattice evaluation
+    (``wavepacket.lattice_masses``); the moments are those of the profile
+    rows, formed ``_ROW_BLOCK`` at a time by ``_profile_rows``.
     """
     edges = offset + np.arange(n_pixels + 1) * pitch
-    counts = np.array([config.counts for config in candidates])
-    profiles = lattice_masses(theta, sigma, unit_shift, multipliers, counts, edges)
-    totals = profiles.sum(axis=1)
+    weights, diffs = lattice_masses(theta, sigma, unit_shift, multipliers, counts, edges)
+    totals = weights @ diffs.sum(axis=1)
     missed = np.flatnonzero(~(totals > 0.0))
     if missed.size:
-        raise ValueError(f"candidate {candidates[missed[0]].counts} carries no mass on the detector")
-    profiles /= totals[:, None]
-    means, variances = pixel_moments(profiles, pitch, offset)
-    profiles.setflags(write=False)
-    means.setflags(write=False)
-    variances.setflags(write=False)
-    return _CandidateSet(candidates, profiles, means, variances, sigma)
+        raise ValueError(f"candidate {counts[missed[0]]} carries no mass on the detector")
+    weights /= totals[:, None]
+    # row-wise quadratic form in the Gram matrix; an einsum of it doubled an
+    # N=20 build's time
+    sq_norms = np.sum((weights @ (diffs @ diffs.T)) * weights, axis=1)
+    means = np.empty(len(counts))
+    variances = np.empty(len(counts))
+    buf = np.empty((min(_ROW_BLOCK, len(counts)), n_pixels))
+    for start in range(0, len(counts), _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        means[block], variances[block] = pixel_moments(_profile_rows(weights, diffs, block, buf), pitch, offset)
+    for array in (weights, diffs, sq_norms, means, variances):
+        array.setflags(write=False)
+    return _CandidateSet(weights, diffs, sq_norms, means, variances, sigma)
 
 
-# Rows of a table taken at a time by ``pixel_moments``, the l2 distances and
-# the l2 partner rounding, so their temporaries stay small at any table size;
-# each row's sums are those of the whole-array expression. 64 rows of 1024
-# pixels (512 kB) and the profile rows they come from stay in a 2 MB L2
-# cache, where 256 rows did not: on a 2-vCPU Xeon VM an N=10 l2 trial's
-# distances take 1.6 ms instead of 2.1 ms.
+# Rows of a table formed at a time by ``_profile_rows`` and weighted at a
+# time by ``pixel_moments``, so their temporaries stay small at any table
+# size; each row's sums are those of the whole-array expression. 64 rows of
+# 1024 pixels (512 kB) stay in a 2 MB L2 cache, where 256 rows did not (on a
+# 2-vCPU Xeon VM, distances over a whole N=10 table took 1.6 ms instead of
+# 2.1 ms).
 _ROW_BLOCK = 64
+
+
+def _profile_rows(weights: np.ndarray, diffs: np.ndarray, rows, buf: np.ndarray) -> np.ndarray:
+    """Profile rows ``rows`` (a slice or index array, at most ``_ROW_BLOCK``).
+
+    One matrix product of their normalized lattice weights with the normal
+    masses, written into the head of ``buf``; the same rows formed by the
+    same call are the same bits.
+    """
+    block = weights[rows]
+    return np.matmul(block, diffs, out=buf[: block.shape[0]])
 
 
 def pixel_moments(weights: np.ndarray, pitch: float, offset: float) -> tuple[np.ndarray, np.ndarray]:
@@ -219,24 +254,24 @@ def estimate_from_masses(
         alphabet.unit_shift,
         float(theta),
         float(sigma),
-        tuple(candidates),
+        tuple(config.counts for config in candidates),
         float(pitch),
         int(n_pixels),
         float(offset),
     )
     if method == "l2":
-        return _estimate_l2(masses, cand)
+        return _estimate_l2(masses, cand, candidates)
     if method == "moments":
         m1, central2 = pixel_moments(masses, pitch, offset)
-        return _estimate_moments(float(m1), float(central2), cand, mean_tolerance)
+        return _estimate_moments(float(m1), float(central2), cand, candidates, mean_tolerance)
     raise ValueError(f"unknown estimator {method!r}; expected 'l2' or 'moments'")
 
 
 def _top_candidates(
-    cand: _CandidateSet, objective: np.ndarray, k: int = 5
+    configs: Sequence[Configuration], objective: np.ndarray, k: int = 5
 ) -> tuple[tuple[Configuration, float], ...]:
     order = np.argsort(objective, kind="stable")[:k]
-    return tuple((cand.configs[int(i)], float(objective[int(i)])) for i in order)
+    return tuple((configs[int(i)], float(objective[int(i)])) for i in order)
 
 
 def _moment_partners(means: np.ndarray, variances: np.ndarray, sigma: float, best: int) -> np.ndarray:
@@ -248,67 +283,110 @@ def _moment_partners(means: np.ndarray, variances: np.ndarray, sigma: float, bes
     return np.flatnonzero(near)
 
 
-def _profile_partners(profiles: np.ndarray, distances: np.ndarray, best: int, buf: np.ndarray) -> np.ndarray:
-    """Ascending indices c != best whose rounded profile equals best's bit for bit.
+def _screen_l2(masses: np.ndarray, cand: _CandidateSet) -> tuple[np.ndarray, float]:
+    """Screened l2 distances of every candidate, and a bound on their error.
 
-    Rows that round equal differ by at most ``PROFILE_TOL`` per pixel, and
-    d_c - d_best = sum (p_c - p_best)(p_c + p_best - 2 m). With profiles
-    and masses m non-negative and summing to 1 the second factor sums to at
-    most 4 in absolute value, so |d_c - d_best| <= 4 ``PROFILE_TOL``; only
-    the rows within 5 ``PROFILE_TOL`` (room for rounding) are compared,
-    ``_ROW_BLOCK`` at a time in ``buf``, which holds min(``_ROW_BLOCK``,
-    table rows) profiles.
+    With w_c the normalized weights, D the normal masses and q_c the squared
+    norms of the table, d_c = q_c - 2 w_c (D m) + m m is the squared
+    distance sum (p_c - m)^2 of profile c to ``masses`` without forming
+    p_c. Every factor is non-negative, so each term here, and the exact sum
+    over a formed row ``_exact_distances`` takes, is off by at most n eps/2
+    times its size for n products summed in any order. Both sides together
+    sum fewer than n = 2 pixels + 4 (2M - 1) + 4 products per term, so the
+    bound n eps (max q + 2 max w (D m) + m m) holds for |screened - exact|
+    of every candidate.
     """
-    near = np.flatnonzero(np.abs(distances - distances[best]) <= 5.0 * PROFILE_TOL)
-    near = near[near != best]
-    best_bits = np.round(profiles[best] / PROFILE_TOL).view(np.uint64)
-    same = np.empty(near.size, dtype=bool)
-    for start in range(0, near.size, _ROW_BLOCK):
-        ixs = near[start : start + _ROW_BLOCK]
-        # the indices are in range; unlike mode="raise", "clip" writes into out unbuffered
-        rows = np.take(profiles, ixs, axis=0, out=buf[: ixs.size], mode="clip")
-        rows /= PROFILE_TOL
-        np.round(rows, out=rows)
-        np.all(rows.view(np.uint64) == best_bits, axis=1, out=same[start : start + ixs.size])
-    return near[same]
+    cross = cand.weights @ (cand.diffs @ masses)
+    mm = float(masses @ masses)
+    screened = cand.sq_norms - 2.0 * cross + mm
+    n_terms = 2 * cand.diffs.shape[1] + 4 * cand.diffs.shape[0] + 4
+    bound = n_terms * np.finfo(np.float64).eps * (float(cand.sq_norms.max()) + 2.0 * float(cross.max()) + mm)
+    return screened, bound
 
 
-def _l2_distances(profiles: np.ndarray, masses: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Squared distance sum (p_c - m)^2 of every profile row to ``masses``.
+def _exact_distances(cand: _CandidateSet, ixs: np.ndarray, masses: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Squared distance sum (p_c - m)^2 of the profile rows ``ixs`` to ``masses``.
 
-    Rows are taken ``_ROW_BLOCK`` at a time in ``buf``, so each row's sum is
-    that of ``np.sum((profiles - masses) ** 2, axis=1)`` without its
-    table-sized temporary.
+    The rows are formed and reduced ``_ROW_BLOCK`` at a time in ``buf``, so
+    each sum is that of ``np.sum((rows - masses) ** 2, axis=1)`` over the
+    formed rows without a temporary of all of them.
     """
-    distances = np.empty(profiles.shape[0])
-    for start in range(0, profiles.shape[0], _ROW_BLOCK):
-        block = profiles[start : start + _ROW_BLOCK]
-        rows = np.subtract(block, masses, out=buf[: block.shape[0]])
+    distances = np.empty(ixs.size)
+    for start in range(0, ixs.size, _ROW_BLOCK):
+        rows = _profile_rows(cand.weights, cand.diffs, ixs[start : start + _ROW_BLOCK], buf)
+        rows -= masses
         np.square(rows, out=rows)
-        np.sum(rows, axis=1, out=distances[start : start + block.shape[0]])
+        np.sum(rows, axis=1, out=distances[start : start + rows.shape[0]])
     return distances
 
 
-def _estimate_l2(masses: np.ndarray, cand: _CandidateSet) -> TrialEstimate:
-    profiles = cand.profiles
-    # one buffer of rows for the distances and then the partner rounding
-    buf = np.empty((min(_ROW_BLOCK, profiles.shape[0]), profiles.shape[1]))
-    distances = _l2_distances(profiles, masses, buf)
-    best = int(np.argmin(distances))  # argmin keeps the smallest index on ties
-    partners = tuple(cand.configs[i] for i in _profile_partners(profiles, distances, best, buf))
+def _profile_partners(cand: _CandidateSet, best: int, near: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Indices in ``near`` whose profile row rounds to best's bit for bit.
+
+    ``near`` are ascending indices other than best. They are taken
+    ``_ROW_BLOCK - 1`` at a time, and each block is formed together with a
+    row of best in one ``_profile_rows`` call; a row of the block is a
+    partner when, rounded to ``PROFILE_TOL``, it equals that row of best.
+    """
+    same = np.empty(near.size, dtype=bool)
+    step = _ROW_BLOCK - 1
+    for start in range(0, near.size, step):
+        ixs = near[start : start + step]
+        rows = _profile_rows(cand.weights, cand.diffs, np.concatenate(([best], ixs)), buf)
+        rows /= PROFILE_TOL
+        np.round(rows, out=rows)
+        bits = rows.view(np.uint64)
+        np.all(bits[1:] == bits[0], axis=1, out=same[start : start + ixs.size])
+    return near[same]
+
+
+def _estimate_l2(masses: np.ndarray, cand: _CandidateSet, configs: Sequence[Configuration]) -> TrialEstimate:
+    """Exact l2 argmin over the candidates the screen cannot rule out.
+
+    With E the screen's error bound, the exact argmin and every candidate
+    within 5 ``PROFILE_TOL`` of the exact minimum screen within 5
+    ``PROFILE_TOL`` + 4 E of the screened minimum, and the five smallest
+    exact distances screen within 2 E of the fifth smallest screened one.
+    The short list holds every candidate within 4 E of either limit; its
+    rows are formed ``_ROW_BLOCK`` at a time, and the best row and ``top``
+    are taken on their exact distances sum (p_c - m)^2 (ties keep the
+    smallest index). Rows that round equal differ by at most
+    ``PROFILE_TOL`` per pixel, and d_c - d_best = sum (p_c - p_best)(p_c +
+    p_best - 2 m), whose second factor sums to at most 4 in absolute value;
+    so only the short-listed rows whose exact distance lies within 5
+    ``PROFILE_TOL`` of the best (room for rounding) are checked as partners
+    (see ``_profile_partners``).
+    """
+    screened, bound = _screen_l2(masses, cand)
+    k = min(5, screened.size)
+    low = np.partition(screened, (0, k - 1))
+    cut = max(low[0] + 5.0 * PROFILE_TOL, low[k - 1]) + 4.0 * bound
+    short = np.flatnonzero(screened <= cut)
+    buf = np.empty((min(_ROW_BLOCK, short.size), masses.size))
+    exact = _exact_distances(cand, short, masses, buf)
+    order = np.argsort(exact, kind="stable")
+    best = int(short[order[0]])
+    objective = float(exact[order[0]])
+    near = short[np.abs(exact - objective) <= 5.0 * PROFILE_TOL]
+    near = near[near != best]
+    partners = tuple(configs[i] for i in _profile_partners(cand, best, near, buf))
     return TrialEstimate(
         method="l2",
         index=best,
-        config=cand.configs[best],
-        objective=float(distances[best]),
-        top=_top_candidates(cand, distances),
+        config=configs[best],
+        objective=objective,
+        top=tuple((configs[int(short[i])], float(exact[i])) for i in order[:5]),
         degenerate=bool(partners),
         degenerate_with=partners,
     )
 
 
 def _estimate_moments(
-    m1: float, central2: float, cand: _CandidateSet, mean_tolerance: float | None
+    m1: float,
+    central2: float,
+    cand: _CandidateSet,
+    configs: Sequence[Configuration],
+    mean_tolerance: float | None,
 ) -> TrialEstimate:
     tol = (
         default_mean_tolerance(cand.means, cand.sigma)
@@ -339,18 +417,16 @@ def _estimate_moments(
         widenings += 1
     # second moment about the measured mean: var_c + (mean_c - m1)^2
     second_about_m1 = cand.variances + (cand.means - m1) ** 2
-    objective = np.full(len(cand.configs), np.inf)
+    objective = np.full(len(configs), np.inf)
     objective[subset] = (central2 - second_about_m1[subset]) ** 2
     best = int(subset[np.argmin(objective[subset])])
-    partners = tuple(
-        cand.configs[i] for i in _moment_partners(cand.means, cand.variances, cand.sigma, best)
-    )
+    partners = tuple(configs[i] for i in _moment_partners(cand.means, cand.variances, cand.sigma, best))
     return TrialEstimate(
         method="moments",
         index=best,
-        config=cand.configs[best],
+        config=configs[best],
         objective=float(objective[best]),
-        top=_top_candidates(cand, objective),
+        top=_top_candidates(configs, objective),
         widenings=widenings,
         degenerate=bool(partners),
         degenerate_with=partners,

@@ -91,8 +91,8 @@ def simulate_trials(
     """Simulate L trials: sample noise, run the protected channel, detect.
 
     A trial's truth is a lattice state, so its slot masses (left overflow,
-    pixels, right overflow) come from one ``lattice_masses`` row over the
-    pixel edges with -inf and +inf added.
+    pixels, right overflow) are the one row of the ``lattice_masses``
+    factors' product over the pixel edges with -inf and +inf added.
     """
     alphabet = config.alphabet(unit_shift)
     pixel_edges = config.detector_offset_um + np.arange(config.pixel_count + 1) * config.pixel_pitch_um
@@ -112,9 +112,10 @@ def simulate_trials(
             realization = sample_realization(alphabet, config.n_events, make_rng(seed, i, 0))
             truth = configuration_of(realization, alphabet)
         run = run_protected(config.theta_rad, config.sigma_um, realization)
-        masses = lattice_masses(
+        weights, diffs = lattice_masses(
             config.theta_rad, config.sigma_um, unit_shift, alphabet.multipliers, [truth.counts], edges
         )
+        masses = weights @ diffs
         histogram = sample_histogram(
             masses[0], photons, config.pixel_pitch_um, config.detector_offset_um, make_rng(seed, i, 1)
         )

@@ -15,9 +15,10 @@ and every quantity of interest has an exact pairwise closed form:
 (N(x; m, s^2) is the unit-mass normal density.) All public operations below
 are evaluated through these identities; the library never integrates
 numerically. ``lattice_masses`` is the one path to the mass of a state
-between given points: the candidate table and every simulated trial take
-their pixel masses from it, as weights of shared normals cut at 9 sigma,
-whose CDFs are evaluated only inside that band. States are kept
+between given points: it gives the weights of shared normals cut at 9
+sigma, and the masses of those normals between the points, whose CDFs are
+evaluated only inside that band. Every simulated trial takes the product
+of the two; the candidate table keeps them as factors. States are kept
 non-normalized on purpose: the running squared norm of the bath state is
 exactly the survival probability of the polarization qubit, and
 normalization happens only inside the density accessor.
@@ -219,8 +220,8 @@ def lattice_masses(
     multipliers: Sequence[int],
     counts: np.ndarray,
     edges: np.ndarray,
-) -> np.ndarray:
-    """Masses between consecutive ``edges`` of many lattice states at once.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice factors of the masses between consecutive ``edges`` of many states.
 
     Row r of ``counts`` (shape ``(rows, len(multipliers))``) is the state
     after ``counts[r, k]`` kernels of shift ``multipliers[k] * unit_shift``
@@ -233,18 +234,24 @@ def lattice_masses(
 
         W_s = sum_{a+b=s} c_a c_b exp(-(a - b)^2 h^2 / (8 sigma^2)),
 
-    accumulated one diagonal a - b at a time. The masses are W times the
-    normal-CDF differences at the edges: one matrix product for the whole
-    table. Each normal is cut at 9 sigma from its center (each tail beyond
-    carries < 1.2e-19 of its mass and is returned as zero), so an interval
-    more than 9 sigma from every weighted center gets exactly zero; ``ndtr``
-    is evaluated only at the edges inside a normal's band (about a fifth of
+    accumulated one diagonal a - b at a time until the overlap falls below
+    1e-40. The coefficients are non-negative and sum to 1, so the diagonals
+    left out carry less than 2e-40 of a row's mass, far below the cut of
+    the normals below.
+
+    Returns ``(weights, diffs)``: W, shape ``(rows, 2M - 1)``, and D, shape
+    ``(2M - 1, len(edges) - 1)``, the mass of each normal between
+    consecutive edges. The masses are the product ``weights @ diffs``.
+    Each normal is cut at 9 sigma from its center (each tail beyond carries
+    < 1.2e-19 of its mass and is returned as zero), so an interval more
+    than 9 sigma from every weighted center gets exactly zero; ``ndtr`` is
+    evaluated only at the edges inside a normal's band (about a fifth of
     them at the default geometry), and the CDF outside it is the constant
-    ndtr(+-9) of the cut. Not normalized: a row summed over the whole line is
-    the squared norm of its state, the protected survival probability.
-    Multipliers must be non-negative integers and ``edges`` strictly
-    increasing; the first edge may be -inf and the last +inf (the cut
-    keeps every value finite), which gives the masses beyond the finite
+    ndtr(+-9) of the cut. Not normalized: a row of masses summed over the
+    whole line is the squared norm of its state, the protected survival
+    probability. Multipliers must be non-negative integers and ``edges``
+    strictly increasing; the first edge may be -inf and the last +inf (the
+    cut keeps every value finite), which gives the masses beyond the finite
     edges.
     """
     if not all(float(m).is_integer() and m >= 0 for m in multipliers):
@@ -276,7 +283,7 @@ def lattice_masses(
     weights = np.zeros((counts.shape[0], 2 * size - 1))
     for d in range(size):
         overlap = math.exp(-((d * h) ** 2) / (8.0 * sigma * sigma))
-        if overlap == 0.0:
+        if overlap < 1e-40:
             break
         # pairs (a, a + d) and (a + d, a) sit at s = 2a + d
         weights[:, d : 2 * size - 1 - d : 2] += (2.0 if d else 1.0) * overlap * coef[:, : size - d] * coef[:, d:]
@@ -286,4 +293,4 @@ def lattice_masses(
     cdf = np.where(z > 0.0, ndtr(9.0), ndtr(-9.0))
     band = np.abs(z) < 9.0
     cdf[band] = ndtr(z[band])
-    return weights @ np.diff(cdf, axis=1)
+    return weights, np.diff(cdf, axis=1)

@@ -7,11 +7,14 @@ The pair-sum accessors evaluate any ``GaussianSum`` (lattice or not) as a
 sum over all M^2 component pairs: spatial and momentum moments, the CDF,
 pixel masses and the detector's slot masses. ``clipped_lattice_masses``
 is the lattice formula with ``ndtr`` evaluated at every edge of every
-normal. The candidate-table oracles at the end recompute the table one
+normal, and ``lattice_weights`` its weights with the diagonal loop run to
+any cutoff. The candidate-table oracles at the end recompute the table one
 candidate at a time, by kernel fold and pair-sum pixel masses, and its
 degeneracy groups and one candidate's moment neighbours by plain loops
-over pairs and rows. None of it shares code with the lattice and
-estimator paths it checks.
+over pairs and rows. The l2 oracles keep the whole profile matrix, as the
+table once did, and take every candidate's distance and the rounded-row
+partners from it. None of it shares code with the lattice and estimator
+paths it checks.
 """
 
 from __future__ import annotations
@@ -171,18 +174,15 @@ def lattice_survival(theta: float, sigma: float, h: float, multipliers) -> float
     return float(a @ overlap @ a)
 
 
-def clipped_lattice_masses(theta, sigma, unit_shift, multipliers, counts, edges):
-    """``lattice_masses`` with ``ndtr`` over every normal at every edge.
+def lattice_weights(theta, sigma, unit_shift, multipliers, counts, cutoff=1e-40):
+    """Normal weights of ``lattice_masses`` in the same arithmetic.
 
-    The same coefficients, weights and matrix product in the same
-    arithmetic, but the cut at 9 sigma is taken by clipping every z to
-    [-9, 9] before one ``ndtr`` pass over the whole (2M - 1) x edges matrix,
-    so the band-limited evaluation must match it bit for bit.
+    The diagonal loop stops at the first overlap below ``cutoff``; a cutoff
+    of 0 runs it until the overlap underflows to zero.
     """
     c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
     mult = [int(m) for m in multipliers]
     counts = np.asarray(counts, dtype=np.int64)
-    edges = np.asarray(edges, dtype=np.float64)
     size = int((counts @ np.asarray(mult, dtype=np.int64)).max()) + 1
     coef = np.zeros((counts.shape[0], size))
     coef[:, 0] = 1.0
@@ -196,11 +196,23 @@ def clipped_lattice_masses(theta, sigma, unit_shift, multipliers, counts, edges)
     weights = np.zeros((counts.shape[0], 2 * size - 1))
     for d in range(size):
         overlap = math.exp(-((d * unit_shift) ** 2) / (8.0 * sigma * sigma))
-        if overlap == 0.0:
+        if overlap == 0.0 or overlap < cutoff:
             break
         weights[:, d : 2 * size - 1 - d : 2] += (2.0 if d else 1.0) * overlap * coef[:, : size - d] * coef[:, d:]
-    z = (edges[None, :] - 0.5 * unit_shift * np.arange(2 * size - 1)[:, None]) / sigma
-    return weights @ np.diff(ndtr(np.clip(z, -9.0, 9.0)), axis=1)
+    return weights
+
+
+def clipped_lattice_masses(theta, sigma, unit_shift, multipliers, counts, edges):
+    """``lattice_masses`` factors with ``ndtr`` over every normal at every edge.
+
+    The same weights, but the cut at 9 sigma is taken by clipping every z
+    to [-9, 9] before one ``ndtr`` pass over the whole (2M - 1) x edges
+    matrix, so the band-limited evaluation must match it bit for bit.
+    """
+    weights = lattice_weights(theta, sigma, unit_shift, multipliers, counts)
+    edges = np.asarray(edges, dtype=np.float64)
+    z = (edges[None, :] - 0.5 * unit_shift * np.arange(weights.shape[1])[:, None]) / sigma
+    return weights, np.diff(ndtr(np.clip(z, -9.0, 9.0)), axis=1)
 
 
 def _pair_weights(state):
@@ -359,3 +371,30 @@ def profile_groups(profiles, tol):
     for i, row in enumerate(np.round(profiles / tol)):
         buckets.setdefault(row.tobytes(), []).append(i)
     return tuple(tuple(ixs) for ixs in buckets.values() if len(ixs) > 1)
+
+
+def lattice_profiles(theta, sigma, unit_shift, multipliers, counts, pitch, n_pixels, offset):
+    """The dense profile matrix: every candidate's pixel masses from one
+    product, each row divided by its sum."""
+    edges = offset + np.arange(n_pixels + 1) * pitch
+    weights, diffs = clipped_lattice_masses(theta, sigma, unit_shift, multipliers, counts, edges)
+    profiles = weights @ diffs
+    return profiles / profiles.sum(axis=1, keepdims=True)
+
+
+def l2_estimate(profiles, masses, tol):
+    """Whole-table l2 reconstruction: (index, objective, partners, top five).
+
+    Every row's squared distance to ``masses``; the argmin (smallest index
+    on ties); the rows within 5 ``tol`` of its distance whose values,
+    rounded to ``tol``, equal its row bit for bit; and the five smallest
+    distances in stable order.
+    """
+    distances = np.sum((profiles - masses) ** 2, axis=1)
+    best = int(np.argmin(distances))
+    near = np.flatnonzero(np.abs(distances - distances[best]) <= 5.0 * tol)
+    near = near[near != best]
+    rounded = np.round(profiles[near] / tol).view(np.uint64)
+    same = np.all(rounded == np.round(profiles[best] / tol).view(np.uint64), axis=1)
+    top = np.argsort(distances, kind="stable")[:5]
+    return best, float(distances[best]), tuple(int(i) for i in near[same]), tuple(int(i) for i in top)

@@ -39,7 +39,7 @@ def slot_edges(pitch, n_pixels, offset):
 def lattice_slots(counts, pitch, n_pixels, offset):
     """Slot masses of a lattice state of ``ALPHABET`` at unit width, as the pipeline takes them."""
     edges = slot_edges(pitch, n_pixels, offset)
-    return lattice_masses(QUARTER, 1.0, ALPHABET.unit_shift, ALPHABET.multipliers, [counts], edges)[0]
+    return np.matmul(*lattice_masses(QUARTER, 1.0, ALPHABET.unit_shift, ALPHABET.multipliers, [counts], edges))[0]
 
 
 def detect(state, photons, pitch, n_pixels, offset, seed):
@@ -196,10 +196,13 @@ def edge_cdf(masses):
 
 
 def lattice_cdfs(theta, unit_shift, multipliers, n_events, config):
-    """Edge CDF of every candidate, one ``lattice_masses`` row each as in the pipeline."""
+    """Edge CDF of every candidate, one ``lattice_masses`` product row each as in the pipeline."""
     edges = slot_edges(config.pixel_pitch_um, config.pixel_count, config.detector_offset_um)
     candidates = enumerate_configurations(len(multipliers), n_events)
-    rows = [lattice_masses(theta, config.sigma_um, unit_shift, multipliers, [c.counts], edges)[0] for c in candidates]
+    rows = [
+        np.matmul(*lattice_masses(theta, config.sigma_um, unit_shift, multipliers, [c.counts], edges))[0]
+        for c in candidates
+    ]
     return candidates, [edge_cdf(row) for row in rows]
 
 
@@ -310,8 +313,10 @@ def reference_slots():
     config = ExperimentConfig()
     edges = slot_edges(config.pixel_pitch_um, config.pixel_count, config.detector_offset_um)
     unit_shift = resolve_unit_shift(config)
-    masses = lattice_masses(
-        config.theta_rad, config.sigma_um, unit_shift, config.alphabet_multipliers, [(2, 0, 2, 2, 0)], edges
+    masses = np.matmul(
+        *lattice_masses(
+            config.theta_rad, config.sigma_um, unit_shift, config.alphabet_multipliers, [(2, 0, 2, 2, 0)], edges
+        )
     )[0]
     return config, masses
 

@@ -40,6 +40,23 @@ GEOMETRY = dict(pitch=13.0, n_pixels=1024, offset=-6656.0)
 TRUTH = Configuration((2, 0, 2, 2, 0))
 
 
+def counts_of(candidates):
+    """The candidate table's key: the candidates' count tuples."""
+    return tuple(config.counts for config in candidates)
+
+
+def table_profiles(table):
+    """Every profile row of a table, formed ``_ROW_BLOCK`` rows at a time as the table build forms them."""
+    n_rows, n_pixels = table.weights.shape[0], table.diffs.shape[1]
+    buf = np.empty((min(estimator._ROW_BLOCK, n_rows), n_pixels))
+    return np.concatenate(
+        [
+            estimator._profile_rows(table.weights, table.diffs, slice(start, start + estimator._ROW_BLOCK), buf).copy()
+            for start in range(0, n_rows, estimator._ROW_BLOCK)
+        ]
+    )
+
+
 def noiseless_masses(config):
     state = theoretical_state(config, QUARTER, SIGMA, ALPHABET.values)
     return oracles.pixel_masses(state, **GEOMETRY)
@@ -175,6 +192,21 @@ class TestCandidateTable:
         estimate_from_masses(masses, *geometry, CANDIDATES, QUARTER, SIGMA, skewed)
         assert candidate_table.cache_info().misses == misses
 
+    def test_freshly_enumerated_candidates_hit_the_cache(self):
+        # the table is keyed on the count tuples, so an equal candidate tuple
+        # of new Configuration objects finds it
+        geometry = (GEOMETRY["pitch"], GEOMETRY["n_pixels"], GEOMETRY["offset"])
+        masses = noiseless_masses(TRUTH)
+        estimate_from_masses(masses, *geometry, CANDIDATES, QUARTER, SIGMA, ALPHABET)
+        before = candidate_table.cache_info()
+        fresh = tuple(enumerate_configurations(5, 6))
+        assert fresh == CANDIDATES and fresh[0] is not CANDIDATES[0]
+        for method in ("l2", "moments"):
+            assert estimate_from_masses(masses, *geometry, fresh, QUARTER, SIGMA, ALPHABET, method=method).config == TRUTH
+        after = candidate_table.cache_info()
+        assert after.hits == before.hits + 2
+        assert after.misses == before.misses
+
     def test_warm_estimate_builds_no_table(self, monkeypatch):
         # once the table is cached a trial reads it and calls nothing below
         # the estimator
@@ -193,12 +225,13 @@ class TestCandidateTable:
         # so a noiseless trial reproduces its candidate's moments exactly
         pitch, offset = GEOMETRY["pitch"], GEOMETRY["offset"]
         table = candidate_table(
-            ALPHABET.multipliers, G, QUARTER, SIGMA, CANDIDATES, pitch, GEOMETRY["n_pixels"], offset
+            ALPHABET.multipliers, G, QUARTER, SIGMA, counts_of(CANDIDATES), pitch, GEOMETRY["n_pixels"], offset
         )
-        means, variances = pixel_moments(table.profiles, pitch, offset)
+        profiles = table_profiles(table)
+        means, variances = pixel_moments(profiles, pitch, offset)
         assert np.array_equal(table.means, means)
         assert np.array_equal(table.variances, variances)
-        rows = [pixel_moments(profile, pitch, offset) for profile in table.profiles]
+        rows = [pixel_moments(profile, pitch, offset) for profile in profiles]
         assert np.array_equal(np.array(rows), np.column_stack([means, variances]))
 
     def test_blocked_moments_match_rows_at_n20(self):
@@ -207,7 +240,7 @@ class TestCandidateTable:
         counts = np.array([config.counts for config in enumerate_configurations(5, 20)])
         assert len(counts) % estimator._ROW_BLOCK != 0
         edges = offset + np.arange(GEOMETRY["n_pixels"] + 1) * pitch
-        profiles = lattice_masses(QUARTER, SIGMA, G, ALPHABET.multipliers, counts, edges)
+        profiles = np.matmul(*lattice_masses(QUARTER, SIGMA, G, ALPHABET.multipliers, counts, edges))
         profiles /= profiles.sum(axis=1, keepdims=True)
         means, variances = pixel_moments(profiles, pitch, offset)
         rows = [pixel_moments(profile, pitch, offset) for profile in profiles]
@@ -235,11 +268,11 @@ class TestLatticeTable:
         candidates = tuple(enumerate_configurations(len(multipliers), n_events))
         values = tuple(m * unit_shift for m in multipliers)
         table = candidate_table(
-            tuple(float(m) for m in multipliers), unit_shift, theta, sigma, candidates, pitch, n_pixels, offset
+            tuple(float(m) for m in multipliers), unit_shift, theta, sigma, counts_of(candidates), pitch, n_pixels, offset
         )
         profiles = oracles.candidate_profiles(candidates, theta, sigma, values, pitch, n_pixels, offset)
         means, variances = pixel_moments(profiles, pitch, offset)
-        assert np.max(np.abs(table.profiles - profiles)) <= 1e-14
+        assert np.max(np.abs(table_profiles(table) - profiles)) <= 1e-14
         assert np.max(np.abs(table.means - means)) <= 1e-11
         assert np.max(np.abs(table.variances - variances) / variances) <= 1e-12
         # the table's degeneracies are the fold's
@@ -247,7 +280,7 @@ class TestLatticeTable:
         assert oracles.moment_groups(table.means, table.variances, mean_tol, var_tol) == oracles.moment_groups(
             means, variances, mean_tol, var_tol
         )
-        assert oracles.profile_groups(np.asarray(table.profiles), PROFILE_TOL) == oracles.profile_groups(
+        assert oracles.profile_groups(table_profiles(table), PROFILE_TOL) == oracles.profile_groups(
             profiles, PROFILE_TOL
         )
 
@@ -260,17 +293,20 @@ class TestLatticeTable:
         with pytest.raises(ValueError, match="carries no mass on the detector"):
             oracles.candidate_profiles(CANDIDATES[:1], QUARTER, SIGMA, ALPHABET.values, *geometry)
         with pytest.raises(ValueError, match=r"candidate \(0, 0, 0, 0, 6\) carries no mass on the detector"):
-            candidate_table(ALPHABET.multipliers, G, QUARTER, SIGMA, CANDIDATES[:1], *geometry)
+            candidate_table(ALPHABET.multipliers, G, QUARTER, SIGMA, counts_of(CANDIDATES[:1]), *geometry)
 
     def test_non_integer_multipliers_rejected(self):
         with pytest.raises(ValueError, match="integers"):
-            candidate_table((0.0, 1.5), G, QUARTER, SIGMA, (Configuration((1, 1)),), 13.0, 1024, -6656.0)
+            candidate_table((0.0, 1.5), G, QUARTER, SIGMA, ((1, 1),), 13.0, 1024, -6656.0)
 
 
-def profile_partners(profiles, distances, best):
-    """``estimator._profile_partners`` with its row buffer sized as ``_estimate_l2`` sizes it."""
-    buf = np.empty((min(estimator._ROW_BLOCK, len(profiles)), profiles.shape[1]))
-    return tuple(estimator._profile_partners(profiles, distances, best, buf))
+def factor_table(profiles):
+    """A table whose factors form ``profiles`` exactly: identity weights, the profiles as normal masses."""
+    diffs = np.asarray(profiles, dtype=np.float64)
+    weights = np.eye(len(diffs))
+    sq_norms = np.sum((weights @ (diffs @ diffs.T)) * weights, axis=1)
+    zeros = np.zeros(len(diffs))
+    return estimator._CandidateSet(weights, diffs, sq_norms, zeros, zeros, 1.0)
 
 
 def _partners_in(groups):
@@ -288,21 +324,28 @@ class TestDegeneracyGroups:
         # dozens of candidates; at 0 and pi/2 whole windows are degenerate.
         # Real tables hold no chains, so direct partners are whole groups.
         candidates = tuple(enumerate_configurations(5, 10))
-        table = candidate_table(ALPHABET.multipliers, G, theta, SIGMA, candidates, 13.0, 1024, -6656.0)
+        table = candidate_table(ALPHABET.multipliers, G, theta, SIGMA, counts_of(candidates), 13.0, 1024, -6656.0)
         mean_tol, var_tol = DEGENERATE_MEAN_TOL_FACTOR * SIGMA, DEGENERATE_VAR_TOL_FACTOR * SIGMA * SIGMA
         means, variances = table.means.tolist(), table.variances.tolist()
         moment_group = _partners_in(oracles.moment_groups(means, variances, mean_tol, var_tol))
-        profiles = np.asarray(table.profiles)
+        profiles = table_profiles(table)
         profile_group = _partners_in(oracles.profile_groups(profiles, PROFILE_TOL))
         # row b holds the squared distances a noiseless trial of candidate b sees
         sq = np.sum(profiles**2, axis=1)
         distances = sq[:, None] + sq[None, :] - 2.0 * profiles @ profiles.T
+        buf = np.empty((estimator._ROW_BLOCK, profiles.shape[1]))
+        # at pi/2 every row is the same and each best forms all 1001 rows, so
+        # every 25th best stands for the rest
+        profile_stride = 25 if theta == math.pi / 2 else 1
         flagged = 0
         for best in range(len(candidates)):
             moment = tuple(estimator._moment_partners(table.means, table.variances, SIGMA, best))
             assert moment == oracles.moment_neighbours(means, variances, best, mean_tol, var_tol)
             assert moment == moment_group(best)
-            assert profile_partners(profiles, distances[best], best) == profile_group(best)
+            if best % profile_stride == 0:
+                near = np.flatnonzero(np.abs(distances[best] - distances[best, best]) <= 5.0 * PROFILE_TOL)
+                near = near[near != best]
+                assert tuple(estimator._profile_partners(table, best, near, buf)) == profile_group(best)
             flagged += bool(moment)
         assert bool(flagged) == (theta != QUARTER)
 
@@ -343,8 +386,13 @@ class TestDegeneracyGroups:
         assert np.array_equal(np.round(profiles[0] / tau), np.round(profiles[1] / tau))
         distances = np.sum((profiles - np.array([0.0, 1.0])) ** 2, axis=1)
         assert abs(distances[0] - distances[1]) > 3.9 * tau
-        assert profile_partners(profiles, distances, 0) == (1,)
-        assert profile_partners(profiles, distances, 1) == (0,)
+        configs = (Configuration((0, 1)), Configuration((1, 0)))
+        table = factor_table(profiles)
+        # all mass on pixel 1 chooses row 0, all on pixel 0 row 1
+        for masses, best in ((np.array([0.0, 1.0]), 0), (np.array([1.0, 0.0]), 1)):
+            est = estimator._estimate_l2(masses, table, configs)
+            assert est.index == best
+            assert est.degenerate_with == (configs[1 - best],)
 
     def test_profile_one_rounding_cell_apart_is_not_a_partner(self):
         # the rows round one cell apart in pixel 0 and equal elsewhere, and
@@ -359,34 +407,89 @@ class TestDegeneracyGroups:
         assert np.array_equal(np.round(profiles[1] / tau) - np.round(profiles[0] / tau), [1.0, 0.0, 0.0])
         distances = np.sum((profiles - profiles[0]) ** 2, axis=1)
         assert abs(distances[1] - distances[0]) <= tau
-        assert profile_partners(profiles, distances, 0) == ()
+        est = estimator._estimate_l2(profiles[0], factor_table(profiles), (Configuration((0, 1)), Configuration((1, 0))))
+        assert est.index == 0
+        assert not est.degenerate and est.degenerate_with == ()
+
+
+def l2_cases():
+    """(n_events, theta, sigma, unit_shift) of the tables the l2 path is checked on."""
+    wide = [(n_events, theta, SIGMA, G) for n_events in (3, 6, 10) for theta in (QUARTER, 0.3, 0.0, math.pi / 2)]
+    # packet narrow against the 13 um pitch
+    return wide + [(6, QUARTER, 3.0, 2.3)]
+
+
+def l2_trials(profiles, seed):
+    """Noiseless masses of a few candidates, and each with 1e-4-scale noise added."""
+    rng = np.random.default_rng(seed)
+    for row in profiles[:: max(1, len(profiles) // 3)]:
+        noisy = row + rng.random(row.size) * 1e-4
+        yield row
+        yield noisy / noisy.sum()
 
 
 class TestL2RowBlocks:
-    """The l2 distances and partner rounding, taken a block of rows at a time."""
+    """The l2 screen, exact distances and partner rounding, a block of rows at a time."""
 
     @pytest.mark.parametrize("n_events", [3, 6, 10])
     def test_distances_match_the_whole_array_expression(self, n_events):
         # 35 rows: fewer than one block; 210 and 1001 rows: the last block is partial
         candidates = tuple(enumerate_configurations(5, n_events))
-        table = candidate_table(ALPHABET.multipliers, G, QUARTER, SIGMA, candidates, 13.0, 1024, -6656.0)
-        profiles = table.profiles
+        table = candidate_table(ALPHABET.multipliers, G, QUARTER, SIGMA, counts_of(candidates), 13.0, 1024, -6656.0)
+        profiles = table_profiles(table)
         assert (len(candidates) < estimator._ROW_BLOCK) == (n_events == 3)
         assert len(candidates) % estimator._ROW_BLOCK != 0
         buf = np.empty((min(estimator._ROW_BLOCK, len(candidates)), profiles.shape[1]))
         noisy = profiles[len(candidates) // 3] + np.random.default_rng(n_events).random(profiles.shape[1]) * 1e-4
+        everyone = np.arange(len(candidates))
         for masses in (profiles[0], noisy / noisy.sum()):
             expected = np.sum((profiles - masses) ** 2, axis=1)
-            assert np.array_equal(estimator._l2_distances(profiles, masses, buf), expected)
+            assert np.array_equal(estimator._exact_distances(table, everyone, masses, buf), expected)
+
+    @pytest.mark.parametrize("n_events,theta,sigma,unit_shift", l2_cases())
+    def test_screen_error_within_its_bound(self, n_events, theta, sigma, unit_shift):
+        # the short list keeps 4 bounds of room, and the observed error stays
+        # far inside one
+        counts = counts_of(enumerate_configurations(5, n_events))
+        table = candidate_table(ALPHABET.multipliers, unit_shift, theta, sigma, counts, 13.0, 1024, -6656.0)
+        profiles = table_profiles(table)
+        dense = oracles.lattice_profiles(theta, sigma, unit_shift, ALPHABET.multipliers, counts, 13.0, 1024, -6656.0)
+        for masses in l2_trials(profiles, n_events):
+            screened, bound = estimator._screen_l2(masses, table)
+            for rows in (profiles, dense):
+                observed = np.max(np.abs(screened - np.sum((rows - masses) ** 2, axis=1)))
+                assert observed <= 0.01 * bound
+
+    @pytest.mark.parametrize("n_events,theta,sigma,unit_shift", l2_cases())
+    def test_matches_the_whole_table_path(self, n_events, theta, sigma, unit_shift):
+        # the whole-table path this replaced: every distance over the dense
+        # profile matrix, and partners by rounding its rows; the objectives
+        # differ only by the rounding of rows formed in other products
+        candidates = tuple(enumerate_configurations(5, n_events))
+        counts = counts_of(candidates)
+        dense = oracles.lattice_profiles(theta, sigma, unit_shift, ALPHABET.multipliers, counts, 13.0, 1024, -6656.0)
+        alphabet = NoiseAlphabet(unit_shift, ALPHABET.multipliers, ALPHABET.probabilities)
+        flagged = 0
+        for masses in l2_trials(dense, n_events):
+            est = estimate_from_masses(masses, 13.0, 1024, -6656.0, candidates, theta, sigma, alphabet, method="l2")
+            index, objective, partners, top = oracles.l2_estimate(dense, masses / masses.sum(), PROFILE_TOL)
+            assert est.index == index
+            assert est.degenerate_with == tuple(candidates[i] for i in partners)
+            assert tuple(c for c, _ in est.top) == tuple(candidates[i] for i in top)
+            assert abs(est.objective - objective) <= 1e-16
+            flagged += est.degenerate
+        assert bool(flagged) == (theta in (0.0, math.pi / 2))
 
     @pytest.mark.parametrize("theta", [QUARTER, math.pi / 2])
     def test_warm_n10_estimate_memory_and_partners(self, theta):
         # the whole-table difference alone took 8 MB at N=10, and at pi/2,
         # where every profile rounds equal, the partner rounding copied the
-        # whole table again; now it rounds the 1000 other rows in blocks
+        # whole table again; now the screen rules out rows without forming
+        # them, and the partners are rounded in blocks
         candidates = tuple(enumerate_configurations(5, 10))
-        table = candidate_table(ALPHABET.multipliers, G, theta, SIGMA, candidates, 13.0, 1024, -6656.0)
-        masses = table.profiles[333]
+        table = candidate_table(ALPHABET.multipliers, G, theta, SIGMA, counts_of(candidates), 13.0, 1024, -6656.0)
+        profiles = table_profiles(table)
+        masses = profiles[333]
         args = (13.0, 1024, -6656.0, candidates, theta, SIGMA, ALPHABET)
         estimate_from_masses(masses, *args, method="l2")
         tracemalloc.start()
@@ -396,9 +499,21 @@ class TestL2RowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
-        group = _partners_in(oracles.profile_groups(np.asarray(table.profiles), PROFILE_TOL))
+        group = _partners_in(oracles.profile_groups(profiles, PROFILE_TOL))
         assert est.degenerate_with == tuple(candidates[i] for i in group(est.index))
         assert len(est.degenerate_with) == (1000 if theta != QUARTER else 0)
+
+    def test_cold_n10_table_memory(self):
+        # the dense profile matrix alone took 8 MB, 11.3 MB at the build's peak
+        counts = counts_of(enumerate_configurations(5, 10))
+        args = (ALPHABET.multipliers, G, QUARTER, SIGMA, counts, 13.0, 1024, -6656.0)
+        tracemalloc.start()
+        try:
+            candidate_table.__wrapped__(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestAggregation:

@@ -264,6 +264,11 @@ class TestCumulativeMass:
         assert cumulative_mass(state, 60.0) == pytest.approx(1.0, abs=1e-12)
 
 
+def same_factors(*args):
+    """``lattice_masses`` and the clip-everything oracle agree bit for bit in both factors."""
+    return all(np.array_equal(a, b) for a, b in zip(lattice_masses(*args), oracles.clipped_lattice_masses(*args)))
+
+
 def lattice_z(sigma, unit_shift, counts, multipliers, edges):
     """z of every edge against every normal, as ``lattice_masses`` forms it."""
     size = int(np.max(np.asarray(counts) @ np.asarray(multipliers, dtype=np.int64))) + 1
@@ -285,14 +290,12 @@ class TestLatticeBand:
         multipliers = config.alphabet_multipliers
         counts = [c.counts for c in enumerate_configurations(len(multipliers), n_events)]
         head = (config.theta_rad, config.sigma_um, unit_shift, multipliers)
-        assert np.array_equal(
-            lattice_masses(*head, counts, edges), oracles.clipped_lattice_masses(*head, counts, edges)
-        )
+        assert same_factors(*head, counts, edges)
         # a trial's row over the pixel edges with -inf and +inf added
         trial_edges = np.concatenate(([-np.inf], edges, [np.inf]))
         for row in counts[:: len(counts) // 7]:
             one = (*head, [row], trial_edges)
-            assert np.array_equal(lattice_masses(*one), oracles.clipped_lattice_masses(*one))
+            assert same_factors(*one)
 
     @pytest.mark.parametrize(
         "sigma,unit_shift",
@@ -314,7 +317,7 @@ class TestLatticeBand:
         trial_edges = np.concatenate(([-np.inf], edges, [np.inf]))
         for e in (edges, trial_edges):
             head = (math.pi / 4, sigma, unit_shift, multipliers, counts, e)
-            assert np.array_equal(lattice_masses(*head), oracles.clipped_lattice_masses(*head))
+            assert same_factors(*head)
 
     def test_edges_exactly_nine_sigma_from_a_center(self):
         # unit width and a shift of 2 put the normals on the integers, so
@@ -327,4 +330,34 @@ class TestLatticeBand:
         for e in (edges, np.concatenate(([-np.inf], edges, [np.inf]))):
             for theta in (math.pi / 4, 0.3):
                 head = (theta, 1.0, 2.0, multipliers, counts, e)
-                assert np.array_equal(lattice_masses(*head), oracles.clipped_lattice_masses(*head))
+                assert same_factors(*head)
+
+
+class TestLatticeWeightCut:
+    """The diagonal weight loop stops once the overlap falls below 1e-40."""
+
+    def test_dropped_mass_is_below_twice_the_cutoff(self):
+        # a multiplier of 40 puts the copies 40 h apart, where the overlap at
+        # the default width is 7.5e-51: nonzero, but below the cutoff, and
+        # the only term of the weight halfway between them
+        head = (math.pi / 4, 150.0, 114.05, (0, 40))
+        counts = [c.counts for c in enumerate_configurations(2, 3)]
+        edges = np.concatenate(([-np.inf], -6656.0 + np.arange(1025) * 13.0, [np.inf]))
+        weights, diffs = lattice_masses(*head, counts, edges)
+        dropped = oracles.lattice_weights(*head, counts, cutoff=0.0) - weights
+        assert dropped.min() >= 0.0 and dropped.max() > 0.0
+        mass = (dropped @ diffs).sum(axis=1)
+        assert mass.max() > 0.0
+        assert mass.max() <= dropped.sum(axis=1).max() <= 2e-40
+
+    @pytest.mark.parametrize("theta", [math.pi / 4, 0.3, 0.0, math.pi / 2])
+    def test_default_weights_unchanged(self, theta):
+        # at the default width and shift the cut fires from the 36th diagonal
+        # on, where every weight already holds a larger term of a nearer one;
+        # every N=10 state and every fifth N=20 state
+        config = ExperimentConfig()
+        head = (theta, config.sigma_um, resolve_unit_shift(config), config.alphabet_multipliers)
+        for n_events, stride in ((10, 1), (20, 5)):
+            counts = [c.counts for c in enumerate_configurations(5, n_events)][::stride]
+            weights, _ = lattice_masses(*head, counts, [-np.inf, np.inf])
+            assert np.array_equal(weights, oracles.lattice_weights(*head, counts, cutoff=0.0))
