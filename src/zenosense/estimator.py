@@ -96,15 +96,17 @@ class TrialEstimate:
 class _CandidateSet:
     """Candidate profiles kept as lattice factors, with their pixel moments.
 
-    Profile c, the candidate's pixel masses normalized to its mass on the
-    detector, is ``weights[c] @ diffs``: ``weights`` holds the candidates'
-    lattice weights divided by those masses, ``diffs`` the masses of the
-    shared normals in each pixel (see ``wavepacket.lattice_masses``).
+    ``configs[c]`` is the configuration of candidate c. Profile c, its
+    pixel masses normalized to its mass on the detector, is
+    ``weights[c] @ diffs``: ``weights`` holds the candidates' lattice
+    weights divided by those masses, ``diffs`` the masses of the shared
+    normals in each pixel (see ``wavepacket.lattice_masses``).
     ``sq_norms[c]`` is the squared norm of profile c through the Gram form,
     weights[c] (diffs diffs^T) weights[c]^T. No (candidates x pixels) array
     is kept; ``_profile_rows`` forms rows on demand.
     """
 
+    configs: tuple[Configuration, ...]
     weights: np.ndarray  # (n_candidates, 2M - 1)
     diffs: np.ndarray  # (2M - 1, n_pixels)
     sq_norms: np.ndarray  # (n_candidates,)
@@ -131,7 +133,8 @@ def candidate_table(
     angle, the packet width, the candidates' count tuples (in order,
     duplicates allowed) and the detector geometry. Plain count tuples hash
     and compare several times faster than ``Configuration`` objects, which
-    matters when each batch enumerates its candidates afresh. The factors
+    matters when each batch enumerates its candidates afresh; the table
+    builds its own ``Configuration`` of each once. The factors
     of all candidates come from one lattice evaluation
     (``wavepacket.lattice_masses``); the moments are those of the profile
     rows, formed ``_ROW_BLOCK`` at a time by ``_profile_rows``.
@@ -154,7 +157,8 @@ def candidate_table(
         means[block], variances[block] = pixel_moments(_profile_rows(weights, diffs, block, buf), pitch, offset)
     for array in (weights, diffs, sq_norms, means, variances):
         array.setflags(write=False)
-    return _CandidateSet(weights, diffs, sq_norms, means, variances, sigma)
+    configs = tuple(Configuration(c) for c in counts)
+    return _CandidateSet(configs, weights, diffs, sq_norms, means, variances, sigma)
 
 
 # Rows of a table formed at a time by ``_profile_rows`` and weighted at a
@@ -260,10 +264,10 @@ def estimate_from_masses(
         float(offset),
     )
     if method == "l2":
-        return _estimate_l2(masses, cand, candidates)
+        return _estimate_l2(masses, cand)
     if method == "moments":
         m1, central2 = pixel_moments(masses, pitch, offset)
-        return _estimate_moments(float(m1), float(central2), cand, candidates, mean_tolerance)
+        return _estimate_moments(float(m1), float(central2), cand, mean_tolerance)
     raise ValueError(f"unknown estimator {method!r}; expected 'l2' or 'moments'")
 
 
@@ -340,7 +344,7 @@ def _profile_partners(cand: _CandidateSet, best: int, near: np.ndarray, buf: np.
     return near[same]
 
 
-def _estimate_l2(masses: np.ndarray, cand: _CandidateSet, configs: Sequence[Configuration]) -> TrialEstimate:
+def _estimate_l2(masses: np.ndarray, cand: _CandidateSet) -> TrialEstimate:
     """Exact l2 argmin over the candidates the screen cannot rule out.
 
     With E the screen's error bound, the exact argmin and every candidate
@@ -364,18 +368,17 @@ def _estimate_l2(masses: np.ndarray, cand: _CandidateSet, configs: Sequence[Conf
     short = np.flatnonzero(screened <= cut)
     buf = np.empty((min(_ROW_BLOCK, short.size), masses.size))
     exact = _exact_distances(cand, short, masses, buf)
-    order = np.argsort(exact, kind="stable")
-    best = int(short[order[0]])
-    objective = float(exact[order[0]])
+    best = int(short[np.argmin(exact)])
+    objective = float(exact.min())
     near = short[np.abs(exact - objective) <= 5.0 * PROFILE_TOL]
     near = near[near != best]
-    partners = tuple(configs[i] for i in _profile_partners(cand, best, near, buf))
+    partners = tuple(cand.configs[i] for i in _profile_partners(cand, best, near, buf))
     return TrialEstimate(
         method="l2",
         index=best,
-        config=configs[best],
+        config=cand.configs[best],
         objective=objective,
-        top=tuple((configs[int(short[i])], float(exact[i])) for i in order[:5]),
+        top=_top_candidates([cand.configs[i] for i in short], exact),
         degenerate=bool(partners),
         degenerate_with=partners,
     )
@@ -385,7 +388,6 @@ def _estimate_moments(
     m1: float,
     central2: float,
     cand: _CandidateSet,
-    configs: Sequence[Configuration],
     mean_tolerance: float | None,
 ) -> TrialEstimate:
     tol = (
@@ -417,16 +419,16 @@ def _estimate_moments(
         widenings += 1
     # second moment about the measured mean: var_c + (mean_c - m1)^2
     second_about_m1 = cand.variances + (cand.means - m1) ** 2
-    objective = np.full(len(configs), np.inf)
+    objective = np.full(len(cand.configs), np.inf)
     objective[subset] = (central2 - second_about_m1[subset]) ** 2
     best = int(subset[np.argmin(objective[subset])])
-    partners = tuple(configs[i] for i in _moment_partners(cand.means, cand.variances, cand.sigma, best))
+    partners = tuple(cand.configs[i] for i in _moment_partners(cand.means, cand.variances, cand.sigma, best))
     return TrialEstimate(
         method="moments",
         index=best,
-        config=configs[best],
+        config=cand.configs[best],
         objective=float(objective[best]),
-        top=_top_candidates(configs, objective),
+        top=_top_candidates(cand.configs, objective),
         widenings=widenings,
         degenerate=bool(partners),
         degenerate_with=partners,

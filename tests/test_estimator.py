@@ -300,13 +300,13 @@ class TestLatticeTable:
             candidate_table((0.0, 1.5), G, QUARTER, SIGMA, ((1, 1),), 13.0, 1024, -6656.0)
 
 
-def factor_table(profiles):
-    """A table whose factors form ``profiles`` exactly: identity weights, the profiles as normal masses."""
+def factor_table(profiles, configs):
+    """A table of ``configs`` whose factors form ``profiles`` exactly: identity weights, the profiles as normal masses."""
     diffs = np.asarray(profiles, dtype=np.float64)
     weights = np.eye(len(diffs))
     sq_norms = np.sum((weights @ (diffs @ diffs.T)) * weights, axis=1)
     zeros = np.zeros(len(diffs))
-    return estimator._CandidateSet(weights, diffs, sq_norms, zeros, zeros, 1.0)
+    return estimator._CandidateSet(tuple(configs), weights, diffs, sq_norms, zeros, zeros, 1.0)
 
 
 def _partners_in(groups):
@@ -334,18 +334,17 @@ class TestDegeneracyGroups:
         sq = np.sum(profiles**2, axis=1)
         distances = sq[:, None] + sq[None, :] - 2.0 * profiles @ profiles.T
         buf = np.empty((estimator._ROW_BLOCK, profiles.shape[1]))
-        # at pi/2 every row is the same and each best forms all 1001 rows, so
-        # every 25th best stands for the rest
-        profile_stride = 25 if theta == math.pi / 2 else 1
+        # at pi/2 every row is a partner of every other: each best forms all
+        # 1001 rows, and the bests between them split the others into every
+        # run of blocks, the partial last block included
         flagged = 0
         for best in range(len(candidates)):
             moment = tuple(estimator._moment_partners(table.means, table.variances, SIGMA, best))
             assert moment == oracles.moment_neighbours(means, variances, best, mean_tol, var_tol)
             assert moment == moment_group(best)
-            if best % profile_stride == 0:
-                near = np.flatnonzero(np.abs(distances[best] - distances[best, best]) <= 5.0 * PROFILE_TOL)
-                near = near[near != best]
-                assert tuple(estimator._profile_partners(table, best, near, buf)) == profile_group(best)
+            near = np.flatnonzero(np.abs(distances[best] - distances[best, best]) <= 5.0 * PROFILE_TOL)
+            near = near[near != best]
+            assert tuple(estimator._profile_partners(table, best, near, buf)) == profile_group(best)
             flagged += bool(moment)
         assert bool(flagged) == (theta != QUARTER)
 
@@ -387,10 +386,10 @@ class TestDegeneracyGroups:
         distances = np.sum((profiles - np.array([0.0, 1.0])) ** 2, axis=1)
         assert abs(distances[0] - distances[1]) > 3.9 * tau
         configs = (Configuration((0, 1)), Configuration((1, 0)))
-        table = factor_table(profiles)
+        table = factor_table(profiles, configs)
         # all mass on pixel 1 chooses row 0, all on pixel 0 row 1
         for masses, best in ((np.array([0.0, 1.0]), 0), (np.array([1.0, 0.0]), 1)):
-            est = estimator._estimate_l2(masses, table, configs)
+            est = estimator._estimate_l2(masses, table)
             assert est.index == best
             assert est.degenerate_with == (configs[1 - best],)
 
@@ -407,7 +406,7 @@ class TestDegeneracyGroups:
         assert np.array_equal(np.round(profiles[1] / tau) - np.round(profiles[0] / tau), [1.0, 0.0, 0.0])
         distances = np.sum((profiles - profiles[0]) ** 2, axis=1)
         assert abs(distances[1] - distances[0]) <= tau
-        est = estimator._estimate_l2(profiles[0], factor_table(profiles), (Configuration((0, 1)), Configuration((1, 0))))
+        est = estimator._estimate_l2(profiles[0], factor_table(profiles, (Configuration((0, 1)), Configuration((1, 0)))))
         assert est.index == 0
         assert not est.degenerate and est.degenerate_with == ()
 
