@@ -19,7 +19,6 @@ from zenosense.detector import (
     SpatialHistogram,
     read_histogram_csv,
     sample_histogram,
-    theoretical_state,
     write_histogram_csv,
 )
 from zenosense.estimator import (
@@ -38,7 +37,6 @@ from zenosense.noise_model import (
     config_realization,
     configuration_of,
     enumerate_configurations,
-    multinomial_pmf,
     sample_realization,
 )
 from zenosense.seeds import derive_seed, make_rng

@@ -75,10 +75,6 @@ class ChannelRealization:
         object.__setattr__(self, "couplings", cs)
 
     @property
-    def n_events(self) -> int:
-        return len(self.couplings)
-
-    @property
     def total(self) -> float:
         return float(sum(self.couplings))
 
@@ -341,15 +337,14 @@ def qze_scaling_report(
 
 # --- coupling-scale calibration ---------------------------------------------
 
+# The paper calibrates g on the reference set probed at theta = pi/4, and
+# ends the bisection once the survival is within this of the target.
+CALIBRATION_THETA = math.pi / 4.0
+CALIBRATION_TOLERANCE = 1e-4
 
-def calibrate_unit_shift(
-    sigma: float,
-    target_survival: float,
-    shift_multiples: Sequence[float],
-    theta: float = math.pi / 4.0,
-    tolerance: float = 1e-4,
-) -> float:
-    """Unit shift g whose protected survival matches ``target_survival``.
+
+def calibrate_unit_shift(sigma: float, target_survival: float, shift_multiples: Sequence[float]) -> float:
+    """Unit shift g whose protected survival at ``CALIBRATION_THETA`` matches ``target_survival``.
 
     ``shift_multiples`` lists the per-event shifts in units of g (for the
     reference noise set (2,0,2,2,0) on the 0..4g alphabet this is
@@ -369,7 +364,7 @@ def calibrate_unit_shift(
 
     def survival_at(u: float) -> float:
         g_over_sigma = math.sqrt(8.0 * u)
-        return _clip01(fold_kernels(theta, 1.0, [m * g_over_sigma for m in multiples]).norm_sq)
+        return _clip01(fold_kernels(CALIBRATION_THETA, 1.0, [m * g_over_sigma for m in multiples]).norm_sq)
 
     floor = survival_at(1e9)
     if not (floor + 1e-9 < target_survival < 1.0):
@@ -388,7 +383,7 @@ def calibrate_unit_shift(
     for _ in range(200):
         u = 0.5 * (lo + hi)
         s = survival_at(u)
-        if abs(s - target_survival) <= tolerance:
+        if abs(s - target_survival) <= CALIBRATION_TOLERANCE:
             break
         if s > target_survival:
             lo = u

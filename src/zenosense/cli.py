@@ -24,7 +24,7 @@ from zenosense.channel import (
     uniform_coupling,
 )
 from zenosense.config import ConfigError, ExperimentConfig, load_config, serialize_config
-from zenosense.detector import read_histogram_csv, theoretical_state, write_histogram_csv
+from zenosense.detector import read_histogram_csv, write_histogram_csv
 from zenosense.estimator import (
     EstimateReport,
     beta_ci,
@@ -42,7 +42,7 @@ from zenosense.pipeline import (
     simulate_trials,
 )
 from zenosense.svgplot import Figure
-from zenosense.wavepacket import density_at
+from zenosense.wavepacket import density_at, fold_kernels
 
 __all__ = ["main"]
 
@@ -179,9 +179,7 @@ def cmd_calibrate(args) -> int:
     config = _load_or_default_config(args)
     out = _ensure_dir(Path(config.output_dir))
     target = args.target if args.target is not None else config.calibration_target
-    g = calibrate_unit_shift(
-        config.sigma_um, target, reference_shift_multiples(config), theta=math.pi / 4.0
-    )
+    g = calibrate_unit_shift(config.sigma_um, target, reference_shift_multiples(config))
     sigma = config.sigma_um
     reference = Configuration(REFERENCE_CONFIG)
     alphabet = config.alphabet(g)
@@ -233,6 +231,10 @@ def _reproduce_fig2(out: Path, seed: int, photons: int) -> None:
     )
     sigma = config.sigma_um
     grid = np.linspace(-3.0 * sigma, 10.0 * unit_shift + 3.0 * sigma, 600)
+
+    def density(c: Configuration) -> np.ndarray:
+        return density_at(fold_kernels(config.theta_rad, sigma, config_realization(c, alphabet).couplings), grid)
+
     hist = rec.histogram
     centers = hist.centers()
     window = (centers >= grid[0]) & (centers <= grid[-1])
@@ -252,13 +254,10 @@ def _reproduce_fig2(out: Path, seed: int, photons: int) -> None:
     for i, cand in enumerate(candidates):
         if i in (true_idx, recon_idx):
             continue
-        dens = density_at(theoretical_state(cand, config.theta_rad, sigma, alphabet.values), grid)
         color = "#d62728" if i in subset else "#c8c8c8"
-        fig.add_line(grid, dens, color=color, width=0.6)
-    recon_density = density_at(
-        theoretical_state(report_m.modal_config, config.theta_rad, sigma, alphabet.values), grid
-    )
-    true_density = density_at(theoretical_state(rec.truth, config.theta_rad, sigma, alphabet.values), grid)
+        fig.add_line(grid, density(cand), color=color, width=0.6)
+    recon_density = density(report_m.modal_config)
+    true_density = density(rec.truth)
     if recon_idx != true_idx:
         fig.add_line(grid, true_density, color="#1f77b4", width=2.0, dash="6,4", label="true set")
     fig.add_line(grid, recon_density, color="#2ca02c", width=2.5, label="reconstructed set")

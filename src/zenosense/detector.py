@@ -1,4 +1,4 @@
-"""Output states, photon detection and histogram files.
+"""Photon detection and histogram files.
 
 Models the 1-D marginal of the camera: the arrival density of surviving
 photons is the squared modulus of the channel's output wavepacket, and a
@@ -16,18 +16,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from zenosense.noise_model import Configuration
 from zenosense.seeds import as_rng
-from zenosense.wavepacket import GaussianSum, fold_kernels
 
 __all__ = [
     "SpatialHistogram",
     "HistogramFormatError",
-    "theoretical_state",
     "sample_histogram",
     "write_histogram_csv",
     "read_histogram_csv",
@@ -76,25 +72,6 @@ class SpatialHistogram:
 
     def centers(self) -> np.ndarray:
         return self.offset + (np.arange(self.n_pixels) + 0.5) * self.pitch
-
-    def edges(self) -> np.ndarray:
-        return self.offset + np.arange(self.n_pixels + 1) * self.pitch
-
-
-def theoretical_state(
-    config: Configuration, theta: float, sigma: float, values: Sequence[float]
-) -> GaussianSum:
-    """Non-normalized output wavepacket for a noise configuration.
-
-    ``values`` are the alphabet's coupling shifts, one per count. Applies one
-    kernel per event; the kernels commute, so the result depends only on the
-    multiset of couplings, and its squared norm is the protected survival
-    probability of that configuration.
-    """
-    if len(config.counts) != len(values):
-        raise ValueError("configuration and alphabet sizes differ")
-    couplings = [value for nk, value in zip(config.counts, values) for _ in range(nk)]
-    return fold_kernels(theta, sigma, couplings)
 
 
 def sample_histogram(

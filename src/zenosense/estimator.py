@@ -237,7 +237,6 @@ def estimate_from_masses(
     sigma: float,
     alphabet: NoiseAlphabet,
     method: str = "moments",
-    mean_tolerance: float | None = None,
 ) -> TrialEstimate:
     """Core reconstruction from a (possibly noiseless) pixel-mass vector."""
     if len(candidates) == 0:
@@ -267,14 +266,15 @@ def estimate_from_masses(
         return _estimate_l2(masses, cand)
     if method == "moments":
         m1, central2 = pixel_moments(masses, pitch, offset)
-        return _estimate_moments(float(m1), float(central2), cand, mean_tolerance)
+        return _estimate_moments(float(m1), float(central2), cand)
     raise ValueError(f"unknown estimator {method!r}; expected 'l2' or 'moments'")
 
 
 def _top_candidates(
-    configs: Sequence[Configuration], objective: np.ndarray, k: int = 5
+    configs: Sequence[Configuration], objective: np.ndarray
 ) -> tuple[tuple[Configuration, float], ...]:
-    order = np.argsort(objective, kind="stable")[:k]
+    """The five smallest objectives with their configurations, ties in candidate order."""
+    order = np.argsort(objective, kind="stable")[:5]
     return tuple((configs[int(i)], float(objective[int(i)])) for i in order)
 
 
@@ -384,19 +384,8 @@ def _estimate_l2(masses: np.ndarray, cand: _CandidateSet) -> TrialEstimate:
     )
 
 
-def _estimate_moments(
-    m1: float,
-    central2: float,
-    cand: _CandidateSet,
-    mean_tolerance: float | None,
-) -> TrialEstimate:
-    tol = (
-        default_mean_tolerance(cand.means, cand.sigma)
-        if mean_tolerance is None
-        else float(mean_tolerance)
-    )
-    if tol < 0.0:
-        raise ValueError(f"mean tolerance must be non-negative, got {tol!r}")
+def _estimate_moments(m1: float, central2: float, cand: _CandidateSet) -> TrialEstimate:
+    tol = default_mean_tolerance(cand.means, cand.sigma)
     mean_dist = np.abs(cand.means - m1)
     widenings = 0
     while True:
@@ -408,14 +397,7 @@ def _estimate_moments(
                 "no candidate mean within the maximally widened tolerance "
                 f"({tol!r} after {widenings} doublings)"
             )
-        if tol > 0.0:
-            tol = tol * 2.0
-        else:
-            # restart a zero tolerance on the candidate-mean scale so the
-            # doubling budget tops out at twice the default tolerance
-            tol = default_mean_tolerance(cand.means, cand.sigma) / 2.0 ** (
-                MAX_TOLERANCE_DOUBLINGS - 1
-            )
+        tol = tol * 2.0
         widenings += 1
     # second moment about the measured mean: var_c + (mean_c - m1)^2
     second_about_m1 = cand.variances + (cand.means - m1) ** 2
@@ -442,7 +424,6 @@ def estimate_histogram(
     sigma: float,
     alphabet: NoiseAlphabet,
     method: str = "moments",
-    mean_tolerance: float | None = None,
 ) -> TrialEstimate:
     """Reconstruct one trial from a measured histogram."""
     return estimate_from_masses(
@@ -455,7 +436,6 @@ def estimate_histogram(
         sigma,
         alphabet,
         method=method,
-        mean_tolerance=mean_tolerance,
     )
 
 
@@ -562,7 +542,7 @@ def build_report(
     ci68 = tuple(beta_ci(s, total, 0.68) for s in counts)
     ci95 = tuple(beta_ci(s, total, 0.95) for s in counts)
     diagnostics = {
-        "method": trials[0].method if trials else None,
+        "method": trials[0].method,
         "per_trial": [list(c.counts) for c in configs],
         "event_counts": list(counts),
         "n_total": total,

@@ -15,7 +15,6 @@ __all__ = [
     "Configuration",
     "sample_realization",
     "enumerate_configurations",
-    "multinomial_pmf",
     "config_realization",
     "configuration_of",
 ]
@@ -126,22 +125,6 @@ def enumerate_configurations(n_values: int, n_events: int) -> list[Configuration
 
     fill(0, n_events)
     return out
-
-
-def multinomial_pmf(config: Configuration, alphabet: NoiseAlphabet) -> float:
-    """Probability N!/(prod n_k!) * prod p_k^n_k of the count vector."""
-    if len(config.counts) != alphabet.size:
-        raise ValueError(
-            f"configuration has {len(config.counts)} entries, alphabet has {alphabet.size}"
-        )
-    n = config.total
-    coef = math.factorial(n)
-    for nk in config.counts:
-        coef //= math.factorial(nk)
-    prob = float(coef)
-    for nk, pk in zip(config.counts, alphabet.probabilities):
-        prob *= pk**nk
-    return prob
 
 
 def config_realization(config: Configuration, alphabet: NoiseAlphabet) -> ChannelRealization:

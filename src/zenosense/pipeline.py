@@ -11,7 +11,6 @@ dependency-free output.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,29 +62,20 @@ def reference_shift_multiples(config: ExperimentConfig) -> tuple[float, ...]:
             "automatic calibration requires a 5-value alphabet matching the "
             f"reference set {REFERENCE_CONFIG}; set unit_shift_um explicitly"
         )
-    shifts: list[float] = []
-    for count, mult in zip(REFERENCE_CONFIG, config.alphabet_multipliers):
-        shifts.extend([mult] * count)
-    return tuple(shifts)
+    return config_realization(Configuration(REFERENCE_CONFIG), config.alphabet(1.0)).couplings
 
 
 def resolve_unit_shift(config: ExperimentConfig) -> float:
     """Explicit unit shift, or the one calibrated to the survival target."""
     if config.unit_shift_um is not None:
         return config.unit_shift_um
-    return calibrate_unit_shift(
-        config.sigma_um,
-        config.calibration_target,
-        reference_shift_multiples(config),
-        theta=math.pi / 4.0,
-    )
+    return calibrate_unit_shift(config.sigma_um, config.calibration_target, reference_shift_multiples(config))
 
 
 def simulate_trials(
     config: ExperimentConfig,
     unit_shift: float,
     n_trials: int | None = None,
-    photons: int | None = None,
     master_seed: int | None = None,
 ) -> list[TrialRecord]:
     """Simulate L trials: sample noise, run the protected channel, detect.
@@ -98,7 +88,6 @@ def simulate_trials(
     pixel_edges = config.detector_offset_um + np.arange(config.pixel_count + 1) * config.pixel_pitch_um
     edges = np.concatenate(([-np.inf], pixel_edges, [np.inf]))
     n_trials = config.n_trials if n_trials is None else n_trials
-    photons = config.photons_per_trial if photons is None else photons
     seed = config.master_seed if master_seed is None else master_seed
     forced = (
         Configuration(config.forced_config) if config.forced_config is not None else None
@@ -117,7 +106,11 @@ def simulate_trials(
         )
         masses = weights @ diffs
         histogram = sample_histogram(
-            masses[0], photons, config.pixel_pitch_um, config.detector_offset_um, make_rng(seed, i, 1)
+            masses[0],
+            config.photons_per_trial,
+            config.pixel_pitch_um,
+            config.detector_offset_um,
+            make_rng(seed, i, 1),
         )
         records.append(
             TrialRecord(

@@ -8,7 +8,9 @@ sum over all M^2 component pairs: spatial and momentum moments, the CDF,
 pixel masses and the detector's slot masses. ``clipped_lattice_masses``
 is the lattice formula with ``ndtr`` evaluated at every edge of every
 normal, and ``lattice_weights`` its weights with the diagonal loop run to
-any cutoff. The candidate-table oracles at the end recompute the table one
+any cutoff. ``theoretical_state`` folds one kernel per event of a
+configuration and ``multinomial_pmf`` is the closed-form probability of a
+count vector. The candidate-table oracles at the end recompute the table one
 candidate at a time, by kernel fold and pair-sum pixel masses, and its
 degeneracy groups and one candidate's moment neighbours by plain loops
 over pairs and rows. The l2 oracles keep the whole profile matrix, as the
@@ -315,10 +317,40 @@ def slot_counts(cdf, u):
     return np.bincount(np.searchsorted(cdf, u, side="right"), minlength=len(cdf) + 1)
 
 
+def theoretical_state(config, theta, sigma, values):
+    """Non-normalized output wavepacket for a noise configuration.
+
+    ``values`` are the alphabet's coupling shifts, one per count. Applies one
+    kernel per event; the kernels commute, so the result depends only on the
+    multiset of couplings, and its squared norm is the protected survival
+    probability of that configuration.
+    """
+    from zenosense.wavepacket import fold_kernels
+
+    if len(config.counts) != len(values):
+        raise ValueError("configuration and alphabet sizes differ")
+    couplings = [value for nk, value in zip(config.counts, values) for _ in range(nk)]
+    return fold_kernels(theta, sigma, couplings)
+
+
+def multinomial_pmf(config, alphabet) -> float:
+    """Probability N!/(prod n_k!) * prod p_k^n_k of the count vector."""
+    if len(config.counts) != alphabet.size:
+        raise ValueError(
+            f"configuration has {len(config.counts)} entries, alphabet has {alphabet.size}"
+        )
+    n = config.total
+    coef = math.factorial(n)
+    for nk in config.counts:
+        coef //= math.factorial(nk)
+    prob = float(coef)
+    for nk, pk in zip(config.counts, alphabet.probabilities):
+        prob *= pk**nk
+    return prob
+
+
 def candidate_profiles(candidates, theta, sigma, values, pitch, n_pixels, offset):
     """Normalized pixel profiles, one kernel fold and pixel-mass pass per candidate."""
-    from zenosense.detector import theoretical_state
-
     profiles = np.empty((len(candidates), n_pixels))
     for i, config in enumerate(candidates):
         masses = pixel_masses(theoretical_state(config, theta, sigma, values), pitch, n_pixels, offset)

@@ -22,7 +22,7 @@ from zenosense.channel import (
     run_unprotected,
 )
 from zenosense.config import ExperimentConfig
-from zenosense.detector import sample_histogram, theoretical_state
+from zenosense.detector import sample_histogram
 from zenosense.estimator import (
     DEGENERATE_MEAN_TOL_FACTOR,
     DEGENERATE_VAR_TOL_FACTOR,
@@ -35,6 +35,7 @@ from zenosense.pipeline import estimate_trials, simulate_trials
 from zenosense.seeds import derive_seed, make_rng
 
 import oracles
+from oracles import theoretical_state
 
 QUARTER = math.pi / 4.0
 SIGMA = 150.0
@@ -48,7 +49,7 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 
 def _calibrated_unit_shift() -> float:
-    return calibrate_unit_shift(SIGMA, 0.58, REFERENCE_MULTIPLES, theta=QUARTER)
+    return calibrate_unit_shift(SIGMA, 0.58, REFERENCE_MULTIPLES)
 
 
 def test_criterion_1_survival_reproduction():

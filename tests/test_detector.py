@@ -16,7 +16,6 @@ from zenosense.detector import (
     _uniform_chunks,
     read_histogram_csv,
     sample_histogram,
-    theoretical_state,
     write_histogram_csv,
 )
 from zenosense.estimator import pixel_moments
@@ -26,6 +25,7 @@ from zenosense.seeds import make_rng
 from zenosense.wavepacket import GaussianSum, apply_noise_kernel, density_at, lattice_masses, make_gaussian
 
 import oracles
+from oracles import theoretical_state
 
 QUARTER = math.pi / 4.0
 ALPHABET = NoiseAlphabet(0.76, (0.0, 1.0, 2.0, 3.0, 4.0), (0.2,) * 5)

@@ -11,7 +11,7 @@ import pytest
 
 import zenosense
 from zenosense import estimator
-from zenosense.detector import sample_histogram, theoretical_state
+from zenosense.detector import SpatialHistogram, sample_histogram
 from zenosense.estimator import (
     DEGENERATE_MEAN_TOL_FACTOR,
     DEGENERATE_VAR_TOL_FACTOR,
@@ -30,6 +30,7 @@ from zenosense.seeds import make_rng
 from zenosense.wavepacket import lattice_masses
 
 import oracles
+from oracles import theoretical_state
 
 QUARTER = math.pi / 4.0
 SIGMA = 150.0
@@ -105,8 +106,6 @@ class TestFiniteStatistics:
             assert hi >= lo - 0.02
 
     def test_empty_histogram_rejected(self):
-        from zenosense.detector import SpatialHistogram
-
         hist = SpatialHistogram(13.0, -6656.0, np.zeros(1024, dtype=int))
         with pytest.raises(ValueError, match="empty"):
             estimate_histogram(hist, CANDIDATES, QUARTER, SIGMA, ALPHABET, method="moments")
@@ -128,22 +127,32 @@ class TestFiniteStatistics:
             estimate_histogram(hist, (), QUARTER, SIGMA, ALPHABET, method="moments")
 
 
+def last_pixel_spike():
+    """One photon in the last pixel, far right of every candidate mean."""
+    counts = np.zeros(GEOMETRY["n_pixels"], dtype=int)
+    counts[-1] = 1
+    return SpatialHistogram(GEOMETRY["pitch"], GEOMETRY["offset"], counts)
+
+
 class TestMomentEstimatorStages:
-    def test_zero_tolerance_widens_on_noisy_data(self):
-        hist = sampled_histogram(TRUTH, 50_000, seed=3)
-        est = estimate_histogram(
-            hist, CANDIDATES, QUARTER, SIGMA, ALPHABET, method="moments", mean_tolerance=0.0
-        )
-        assert est.widenings >= 1
-        assert est.config.total == 6
+    def test_default_tolerance_widens_to_nearest_mean(self):
+        hist = last_pixel_spike()
+        est = estimate_histogram(hist, CANDIDATES, QUARTER, SIGMA, ALPHABET, method="moments")
+        table = candidate_table(ALPHABET.multipliers, G, QUARTER, SIGMA, counts_of(CANDIDATES), 13.0, 1024, -6656.0)
+        tol = default_mean_tolerance(table.means, SIGMA)
+        m1 = pixel_moments(hist.counts / hist.total, hist.pitch, hist.offset)[0]
+        nearest = np.abs(table.means - m1).min()
+        widenings = 0
+        while nearest > tol * 2.0**widenings:
+            widenings += 1
+        assert est.widenings == widenings == 8
 
     def test_widening_exhaustion_raises(self):
-        hist = sampled_histogram(TRUTH, 10_000, seed=4)
-        with pytest.raises(ValueError, match="widened"):
-            estimate_histogram(
-                hist, CANDIDATES, QUARTER, SIGMA, ALPHABET,
-                method="moments", mean_tolerance=1e-14,
-            )
+        candidates = tuple(enumerate_configurations(5, 10))
+        with pytest.raises(
+            ValueError, match=r"no candidate mean within the maximally widened tolerance \(0\.2501\d* after 10 doublings\)"
+        ):
+            estimate_histogram(last_pixel_spike(), candidates, 0.3, SIGMA, ALPHABET, method="moments")
 
     def test_default_tolerance_is_half_min_gap(self):
         means = np.array([0.0, 10.0, 10.0 + 1e-9, 25.0])

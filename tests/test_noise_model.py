@@ -14,9 +14,10 @@ from zenosense.noise_model import (
     config_realization,
     configuration_of,
     enumerate_configurations,
-    multinomial_pmf,
     sample_realization,
 )
+
+from oracles import multinomial_pmf
 
 UNIFORM5 = NoiseAlphabet(1.0, (0.0, 1.0, 2.0, 3.0, 4.0), (0.2,) * 5)
 
