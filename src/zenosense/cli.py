@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from zenosense.channel import (
+    CALIBRATION_THETA,
     calibrate_unit_shift,
     constant_coupling,
     qze_scaling_report,
@@ -25,13 +26,7 @@ from zenosense.channel import (
 )
 from zenosense.config import ConfigError, ExperimentConfig, load_config, serialize_config
 from zenosense.detector import read_histogram_csv, write_histogram_csv
-from zenosense.estimator import (
-    EstimateReport,
-    beta_ci,
-    candidate_table,
-    default_mean_tolerance,
-    pixel_moments,
-)
+from zenosense.estimator import EstimateReport, beta_ci
 from zenosense.noise_model import Configuration, config_realization, enumerate_configurations
 from zenosense.pipeline import (
     REFERENCE_CONFIG,
@@ -183,9 +178,7 @@ def cmd_calibrate(args) -> int:
     sigma = config.sigma_um
     reference = Configuration(REFERENCE_CONFIG)
     alphabet = config.alphabet(g)
-    unprotected = run_unprotected(
-        math.pi / 4.0, sigma, config_realization(reference, alphabet)
-    )
+    unprotected = run_unprotected(CALIBRATION_THETA, sigma, config_realization(reference, alphabet))
     payload = {
         "target_survival": target,
         "unit_shift_um": g,
@@ -214,21 +207,11 @@ def _reproduce_fig2(out: Path, seed: int, photons: int) -> None:
     records = simulate_trials(config, unit_shift)
     rec = records[0]
     write_histogram_csv(rec.histogram, out / "fig2_histogram.csv")
-    report_m, _ = estimate_trials([rec.histogram], config, unit_shift, method="moments")
+    report_m, (est_m,) = estimate_trials([rec.histogram], config, unit_shift, method="moments")
     report_l, _ = estimate_trials([rec.histogram], config, unit_shift, method="l2")
 
     alphabet = config.alphabet(unit_shift)
     candidates = tuple(enumerate_configurations(alphabet.size, config.n_events))
-    table = candidate_table(
-        alphabet.multipliers,
-        alphabet.unit_shift,
-        config.theta_rad,
-        config.sigma_um,
-        tuple(c.counts for c in candidates),
-        config.pixel_pitch_um,
-        config.pixel_count,
-        config.detector_offset_um,
-    )
     sigma = config.sigma_um
     grid = np.linspace(-3.0 * sigma, 10.0 * unit_shift + 3.0 * sigma, 600)
 
@@ -239,12 +222,8 @@ def _reproduce_fig2(out: Path, seed: int, photons: int) -> None:
     centers = hist.centers()
     window = (centers >= grid[0]) & (centers <= grid[-1])
     measured_density = hist.counts[window] / (hist.total * hist.pitch)
-
-    m1 = float(pixel_moments(hist.counts / hist.total, hist.pitch, hist.offset)[0])
-    tol = default_mean_tolerance(table.means, sigma)
-    subset = np.flatnonzero(np.abs(table.means - m1) <= tol)
     true_idx = candidates.index(rec.truth)
-    recon_idx = candidates.index(report_m.modal_config)
+    recon_idx = est_m.index
 
     fig = Figure(
         title="Output spatial distribution and candidate densities",
@@ -254,9 +233,9 @@ def _reproduce_fig2(out: Path, seed: int, photons: int) -> None:
     for i, cand in enumerate(candidates):
         if i in (true_idx, recon_idx):
             continue
-        color = "#d62728" if i in subset else "#c8c8c8"
+        color = "#d62728" if i in est_m.mean_window else "#c8c8c8"
         fig.add_line(grid, density(cand), color=color, width=0.6)
-    recon_density = density(report_m.modal_config)
+    recon_density = density(est_m.config)
     true_density = density(rec.truth)
     if recon_idx != true_idx:
         fig.add_line(grid, true_density, color="#1f77b4", width=2.0, dash="6,4", label="true set")
@@ -277,7 +256,7 @@ def _reproduce_fig2(out: Path, seed: int, photons: int) -> None:
                 config.theta_rad, sigma, rec.realization
             ),
             "unit_shift_um": unit_shift,
-            "mean_matched_subset": [list(candidates[int(i)].counts) for i in subset],
+            "mean_matched_subset": [list(candidates[i].counts) for i in est_m.mean_window],
         },
     )
 

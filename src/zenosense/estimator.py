@@ -12,8 +12,8 @@ histogram:
 * ``"moments"`` is the two-stage search: keep the candidates whose
   mean arrival position matches the measured one within a tolerance, then
   minimize the squared mismatch of the second moment taken about the
-  measured mean. The tolerance doubles (up to 10 times) if the mean filter
-  leaves no candidates.
+  measured mean. The tolerance doubles until the mean filter keeps a
+  candidate.
 
 Candidate moments and profiles are evaluated with the same pixel-center
 functional that is applied to measured data, so pixelation bias cancels and
@@ -69,8 +69,6 @@ DEGENERATE_VAR_TOL_FACTOR = 1e-6
 # indistinguishable to the L2 estimator.
 PROFILE_TOL = 1e-12
 
-MAX_TOLERANCE_DOUBLINGS = 10
-
 
 @dataclass(frozen=True)
 class TrialEstimate:
@@ -79,7 +77,10 @@ class TrialEstimate:
     ``degenerate`` is true when the chosen candidate has direct partners
     under the method's tolerances (see the module docstring);
     ``degenerate_with`` lists their configurations in ascending candidate
-    order.
+    order. For ``"moments"``, ``mean_window`` holds the ascending indices of
+    the candidates whose mean lies within the tolerance after its
+    ``widenings`` doublings, the ones the second stage chose among; it is
+    ``()`` for ``"l2"``.
     """
 
     method: str
@@ -90,6 +91,7 @@ class TrialEstimate:
     widenings: int = 0
     degenerate: bool = False
     degenerate_with: tuple[Configuration, ...] = ()
+    mean_window: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -220,13 +222,6 @@ def default_mean_tolerance(means: np.ndarray, sigma: float) -> float:
     return float(gaps.min() / 2.0)
 
 
-def _normalized_masses(histogram: SpatialHistogram) -> np.ndarray:
-    total = histogram.total
-    if total <= 0:
-        raise ValueError("cannot estimate from an empty histogram")
-    return histogram.counts / total
-
-
 def estimate_from_masses(
     masses: np.ndarray,
     pitch: float,
@@ -238,7 +233,7 @@ def estimate_from_masses(
     alphabet: NoiseAlphabet,
     method: str = "moments",
 ) -> TrialEstimate:
-    """Core reconstruction from a (possibly noiseless) pixel-mass vector."""
+    """Core reconstruction from pixel masses or raw counts, divided here by their sum."""
     if len(candidates) == 0:
         raise ValueError("candidate list is empty")
     masses = np.asarray(masses, dtype=np.float64)
@@ -250,7 +245,7 @@ def estimate_from_masses(
         raise ValueError("mass vector has a negative entry")
     total = masses.sum()
     if not (total > 0.0):
-        raise ValueError("mass vector has no weight")
+        raise ValueError("mass vector is empty: every entry is zero")
     masses = masses / total
     cand = candidate_table(
         alphabet.multipliers,
@@ -388,17 +383,11 @@ def _estimate_moments(m1: float, central2: float, cand: _CandidateSet) -> TrialE
     tol = default_mean_tolerance(cand.means, cand.sigma)
     mean_dist = np.abs(cand.means - m1)
     widenings = 0
-    while True:
-        subset = np.flatnonzero(mean_dist <= tol)
-        if subset.size > 0:
-            break
-        if widenings >= MAX_TOLERANCE_DOUBLINGS:
-            raise ValueError(
-                "no candidate mean within the maximally widened tolerance "
-                f"({tol!r} after {widenings} doublings)"
-            )
-        tol = tol * 2.0
+    # ends: tol is positive or inf and m1 is finite
+    while not (mean_dist <= tol).any():
+        tol *= 2.0
         widenings += 1
+    subset = np.flatnonzero(mean_dist <= tol)
     # second moment about the measured mean: var_c + (mean_c - m1)^2
     second_about_m1 = cand.variances + (cand.means - m1) ** 2
     objective = np.full(len(cand.configs), np.inf)
@@ -414,6 +403,7 @@ def _estimate_moments(m1: float, central2: float, cand: _CandidateSet) -> TrialE
         widenings=widenings,
         degenerate=bool(partners),
         degenerate_with=partners,
+        mean_window=tuple(subset.tolist()),
     )
 
 
@@ -427,7 +417,7 @@ def estimate_histogram(
 ) -> TrialEstimate:
     """Reconstruct one trial from a measured histogram."""
     return estimate_from_masses(
-        _normalized_masses(histogram),
+        histogram.counts,
         histogram.pitch,
         histogram.n_pixels,
         histogram.offset,
@@ -493,12 +483,8 @@ def beta_ci(successes: int, total: int, level: float) -> tuple[float, float]:
 class EstimateReport:
     """Aggregated reconstruction of L trials with per-category intervals."""
 
-    n_events: int
-    n_trials: int
     modal_config: Configuration
-    per_trial: tuple[Configuration, ...]
     probabilities: tuple[float, ...]
-    posterior_mean: tuple[float, ...]
     event_counts: tuple[int, ...]
     ci68: tuple[tuple[float, float], ...]
     ci95: tuple[tuple[float, float], ...]
@@ -555,12 +541,8 @@ def build_report(
         "degenerate": [t.degenerate for t in trials],
     }
     return EstimateReport(
-        n_events=n_events,
-        n_trials=n_trials,
         modal_config=modal,
-        per_trial=tuple(configs),
         probabilities=probs,
-        posterior_mean=posterior,
         event_counts=counts,
         ci68=ci68,
         ci95=ci95,

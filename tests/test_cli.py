@@ -130,6 +130,17 @@ class TestEstimate:
         ) == 2
         assert "geometry" in capsys.readouterr().err
 
+    def test_crowded_candidate_means_estimate(self, tmp_path):
+        # at N=10, theta=0.3 the candidate means crowd, and trial 3 of the
+        # default seed needs more than 10 doublings of the mean tolerance
+        cfg = write_config(tmp_path / "cfg.txt", theta_rad=0.3, n_events=10, n_trials=4, photons_per_trial=100_000)
+        out = tmp_path / "out"
+        assert run("simulate", "--config", cfg, "--out", out) == 0
+        trials = sorted(out.glob("trial_*.csv"))
+        assert run("estimate", *trials, "--config", cfg, "--out", tmp_path / "est") == 0
+        report = json.loads((tmp_path / "est" / "report.json").read_text())
+        assert max(report["diagnostics"]["widenings"]) > 10
+
 
 class TestCalibrate:
     def test_writes_calibration(self, tmp_path):
@@ -151,6 +162,7 @@ class TestReproduce:
         report = json.loads((out / "fig2_report.json").read_text())
         assert report["reconstructed_moments"]["n_R"] == report["true_configuration"]
         assert report["reconstructed_l2"]["n_R"] == report["true_configuration"]
+        assert report["reconstructed_moments"]["n_R"] in report["mean_matched_subset"]
         assert report["protected_survival"] == pytest.approx(0.58, abs=1e-3)
         assert report["unprotected_survival"] == pytest.approx(0.50, abs=0.01)
         svg = (out / "fig2.svg").read_text()

@@ -105,6 +105,22 @@ class TestFiniteStatistics:
         for lo, hi in zip(rates, rates[1:]):
             assert hi >= lo - 0.02
 
+    def test_histogram_normalized_once(self):
+        # at this seed dividing the normalized counts by their sum again
+        # moves bits of the masses and of both methods' objectives
+        hist = sampled_histogram(TRUTH, 100_000, seed=14)
+        once = hist.counts / hist.total
+        assert not np.array_equal(once / once.sum(), once)
+        for method in ("l2", "moments"):
+            est = estimate_histogram(hist, CANDIDATES, QUARTER, SIGMA, ALPHABET, method=method)
+            ref = estimate_from_masses(
+                hist.counts, GEOMETRY["pitch"], GEOMETRY["n_pixels"], GEOMETRY["offset"],
+                CANDIDATES, QUARTER, SIGMA, ALPHABET, method=method,
+            )
+            assert est.objective == ref.objective
+            assert est.top == ref.top
+            assert (est.mean_window == ()) == (method == "l2")
+
     def test_empty_histogram_rejected(self):
         hist = SpatialHistogram(13.0, -6656.0, np.zeros(1024, dtype=int))
         with pytest.raises(ValueError, match="empty"):
@@ -137,22 +153,21 @@ def last_pixel_spike():
 class TestMomentEstimatorStages:
     def test_default_tolerance_widens_to_nearest_mean(self):
         hist = last_pixel_spike()
-        est = estimate_histogram(hist, CANDIDATES, QUARTER, SIGMA, ALPHABET, method="moments")
-        table = candidate_table(ALPHABET.multipliers, G, QUARTER, SIGMA, counts_of(CANDIDATES), 13.0, 1024, -6656.0)
-        tol = default_mean_tolerance(table.means, SIGMA)
         m1 = pixel_moments(hist.counts / hist.total, hist.pitch, hist.offset)[0]
-        nearest = np.abs(table.means - m1).min()
-        widenings = 0
-        while nearest > tol * 2.0**widenings:
-            widenings += 1
-        assert est.widenings == widenings == 8
-
-    def test_widening_exhaustion_raises(self):
-        candidates = tuple(enumerate_configurations(5, 10))
-        with pytest.raises(
-            ValueError, match=r"no candidate mean within the maximally widened tolerance \(0\.2501\d* after 10 doublings\)"
-        ):
-            estimate_histogram(last_pixel_spike(), candidates, 0.3, SIGMA, ALPHABET, method="moments")
+        # at N=10, theta=0.3 the candidate means crowd: 24 doublings
+        for n_events, theta, expected in [(6, QUARTER, 8), (10, 0.3, 24)]:
+            candidates = tuple(enumerate_configurations(5, n_events))
+            est = estimate_histogram(hist, candidates, theta, SIGMA, ALPHABET, method="moments")
+            table = candidate_table(ALPHABET.multipliers, G, theta, SIGMA, counts_of(candidates), 13.0, 1024, -6656.0)
+            tol = default_mean_tolerance(table.means, SIGMA)
+            mean_dist = np.abs(table.means - m1)
+            widenings = 0
+            while mean_dist.min() > tol * 2.0**widenings:
+                widenings += 1
+            assert est.widenings == widenings == expected
+            window = np.flatnonzero(mean_dist <= tol * 2.0**widenings)
+            assert est.mean_window == tuple(window.tolist())
+            assert est.index in est.mean_window
 
     def test_default_tolerance_is_half_min_gap(self):
         means = np.array([0.0, 10.0, 10.0 + 1e-9, 25.0])
