@@ -24,7 +24,6 @@ from zenosense.detector import (
 from zenosense.estimator import (
     EstimateReport,
     TrialEstimate,
-    aggregate_trials,
     beta_ci,
     build_report,
     estimate_from_masses,
@@ -35,7 +34,6 @@ from zenosense.noise_model import (
     Configuration,
     NoiseAlphabet,
     config_realization,
-    configuration_of,
     enumerate_configurations,
     sample_realization,
 )

@@ -12,12 +12,14 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from zenosense.channel import (
     CALIBRATION_THETA,
+    ScalingRow,
     calibrate_unit_shift,
     constant_coupling,
     qze_scaling_report,
@@ -67,18 +69,9 @@ def _ensure_dir(path: Path) -> Path:
 
 def _load_or_default_config(args) -> ExperimentConfig:
     config = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["master_seed"] = args.seed
-    if getattr(args, "photons", None) is not None:
-        overrides["photons_per_trial"] = args.photons
-    if getattr(args, "trials", None) is not None:
-        overrides["n_trials"] = args.trials
-    if getattr(args, "estimator", None) is not None:
-        overrides["estimator"] = args.estimator
-    if getattr(args, "out", None) is not None:
-        overrides["output_dir"] = args.out
-    return config.with_values(**overrides) if overrides else config
+    # the flags that set a config key store it under the key's name
+    given = {f.name: v for f in fields(ExperimentConfig) if (v := getattr(args, f.name, None)) is not None}
+    return replace(config, **given)
 
 
 def cmd_simulate(args) -> int:
@@ -86,7 +79,7 @@ def cmd_simulate(args) -> int:
     out = _ensure_dir(Path(config.output_dir))
     unit_shift = resolve_unit_shift(config)
     records = simulate_trials(config, unit_shift)
-    resolved = config.with_values(unit_shift_um=unit_shift)
+    resolved = replace(config, unit_shift_um=unit_shift)
     (out / "config.txt").write_text(serialize_config(resolved))
     trials_manifest = []
     for rec in records:
@@ -201,7 +194,6 @@ def _reproduce_fig2(out: Path, seed: int, photons: int) -> None:
         n_trials=1,
         photons_per_trial=photons,
         master_seed=seed,
-        output_dir=str(out),
     )
     unit_shift = resolve_unit_shift(config)
     records = simulate_trials(config, unit_shift)
@@ -268,7 +260,6 @@ def _reproduce_fig3(name: str, out: Path, seed: int, photons: int) -> None:
         n_trials=10,
         photons_per_trial=photons,
         master_seed=seed,
-        output_dir=str(out),
     )
     unit_shift = resolve_unit_shift(config)
     records = simulate_trials(config, unit_shift)
@@ -311,30 +302,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _scaling_rows_csv(path: Path, rows) -> None:
-    _write_csv(
-        path,
-        [
-            "n_events",
-            "j_ratio_mean",
-            "j_ratio_std",
-            "survival_ratio_mean",
-            "survival_ratio_std",
-            "protected_mean",
-            "unprotected_mean",
-        ],
-        [
-            [
-                r.n_events,
-                r.j_ratio_mean,
-                r.j_ratio_std,
-                r.survival_ratio_mean,
-                r.survival_ratio_std,
-                r.protected_mean,
-                r.unprotected_mean,
-            ]
-            for r in rows
-        ],
-    )
+    _write_csv(path, [f.name for f in fields(ScalingRow)], [astuple(r) for r in rows])
 
 
 def _reproduce_scaling(out: Path, seed: int) -> None:
@@ -433,23 +401,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="simulate trials and write histograms")
     p_sim.add_argument("--config", help="experiment config file")
-    p_sim.add_argument("--seed", type=int, help="override the master seed")
-    p_sim.add_argument("--out", help="output directory")
-    p_sim.add_argument("--photons", type=int, help="photons per trial")
-    p_sim.add_argument("--trials", type=int, help="number of trials")
+    p_sim.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, help="override the master seed")
+    p_sim.add_argument("--out", dest="output_dir", metavar="OUT", help="output directory")
+    p_sim.add_argument("--photons", dest="photons_per_trial", metavar="PHOTONS", type=int, help="photons per trial")
+    p_sim.add_argument("--trials", dest="n_trials", metavar="TRIALS", type=int, help="number of trials")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_est = sub.add_parser("estimate", help="reconstruct noise statistics from histograms")
     p_est.add_argument("histograms", nargs="+", help="trial histogram CSV files")
     p_est.add_argument("--config", help="experiment config file")
     p_est.add_argument("--estimator", choices=["l2", "moments"])
-    p_est.add_argument("--out", help="output directory")
+    p_est.add_argument("--out", dest="output_dir", metavar="OUT", help="output directory")
     p_est.set_defaults(func=cmd_estimate)
 
     p_cal = sub.add_parser("calibrate", help="solve for the unit shift g")
     p_cal.add_argument("--config", help="experiment config file")
     p_cal.add_argument("--target", type=float, help="protected survival target")
-    p_cal.add_argument("--out", help="output directory")
+    p_cal.add_argument("--out", dest="output_dir", metavar="OUT", help="output directory")
     p_cal.set_defaults(func=cmd_calibrate)
 
     p_rep = sub.add_parser("reproduce", help="run a canned figure recipe")
@@ -470,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scal.add_argument("--survival-samples", type=int, default=None)
     p_scal.add_argument("--sampler", choices=["constant", "uniform"], default="uniform")
     p_scal.add_argument("--coupling", type=float, default=75.0, help="coupling scale in um")
-    p_scal.add_argument("--out", help="output directory")
+    p_scal.add_argument("--out", dest="output_dir", metavar="OUT", help="output directory")
     p_scal.set_defaults(func=cmd_scaling_report)
     return parser
 

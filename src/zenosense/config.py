@@ -1,16 +1,17 @@
 """Flat text experiment configuration: one `key = value` per line.
 
 Grammar: blank lines and `#` comments are ignored; values are scalars or
-comma-separated lists; `none` clears an optional key. Unknown keys,
-duplicate keys and malformed values raise ``ConfigError`` naming the source
-and line. Serialization is canonical, so parse -> serialize -> parse is the
-identity.
+comma-separated lists; `none` clears an optional key. Each key's parser
+follows from its field's annotation. Unknown keys, duplicate keys and
+malformed values raise ``ConfigError`` naming the source and line.
+Serialization is canonical, so parse -> serialize -> parse is the identity;
+string values therefore hold no `#`, no line break and no outer whitespace.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from zenosense.noise_model import Configuration, NoiseAlphabet
 
@@ -43,6 +44,16 @@ class ExperimentConfig:
     forced_config: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        # a string value parses back as the rest of its line, cut at '#' and stripped
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, str) and (
+                "#" in value or len(value.splitlines()) > 1 or value != value.strip()
+            ):
+                raise ConfigError(
+                    f"{f.name} must not contain '#' or a line break, nor start or end "
+                    f"with whitespace, got {value!r}"
+                )
         if not (0.0 <= self.theta_rad <= math.pi / 2.0):
             raise ConfigError(f"theta_rad must lie in [0, pi/2], got {self.theta_rad!r}")
         if not (0.0 < self.sigma_um < math.inf):
@@ -76,7 +87,10 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"alphabet_multipliers, event_probabilities: {exc}") from exc
         if self.forced_config is not None:
-            cfg = Configuration(self.forced_config)
+            try:
+                cfg = Configuration(self.forced_config)
+            except ValueError as exc:
+                raise ConfigError(f"forced_config: {exc}") from exc
             if len(cfg.counts) != len(self.alphabet_multipliers):
                 raise ConfigError("forced_config length must match the alphabet size")
             if cfg.total != self.n_events:
@@ -93,46 +107,25 @@ class ExperimentConfig:
             )
         return NoiseAlphabet(g, self.alphabet_multipliers, self.event_probabilities)
 
-    def with_values(self, **kwargs) -> "ExperimentConfig":
-        return replace(self, **kwargs)
+
+def _tuple_of(parse):
+    return lambda raw: tuple(parse(tok) for tok in raw.split(","))
 
 
-_FLOAT_KEYS = {
-    "theta_rad",
-    "sigma_um",
-    "calibration_target",
-    "pixel_pitch_um",
-    "detector_offset_um",
+def _optional(parse):
+    return lambda raw: None if raw.lower() == "none" else parse(raw)
+
+
+# one parser per annotation; a field annotated otherwise fails here at import
+_PARSERS_BY_TYPE = {
+    "float": float,
+    "int": int,
+    "str": str,
+    "tuple[float, ...]": _tuple_of(float),
+    "float | None": _optional(float),
+    "tuple[int, ...] | None": _optional(_tuple_of(int)),
 }
-_INT_KEYS = {"n_events", "n_trials", "photons_per_trial", "pixel_count", "master_seed"}
-_STR_KEYS = {"estimator", "output_dir"}
-_FLOAT_LIST_KEYS = {"alphabet_multipliers", "event_probabilities"}
-_OPTIONAL_FLOAT_KEYS = {"unit_shift_um"}
-_OPTIONAL_INT_LIST_KEYS = {"forced_config"}
-
-_ALL_KEYS = [f.name for f in fields(ExperimentConfig)]
-
-
-def _parse_value(key: str, raw: str, where: str):
-    raw = raw.strip()
-    try:
-        if key in _OPTIONAL_FLOAT_KEYS:
-            return None if raw.lower() == "none" else float(raw)
-        if key in _OPTIONAL_INT_LIST_KEYS:
-            if raw.lower() == "none":
-                return None
-            return tuple(int(tok.strip()) for tok in raw.split(","))
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _STR_KEYS:
-            return raw
-        if key in _FLOAT_LIST_KEYS:
-            return tuple(float(tok.strip()) for tok in raw.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
-    raise ConfigError(f"{where}: unknown key {key!r}")
+_PARSERS = {f.name: _PARSERS_BY_TYPE[f.type] for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
@@ -145,11 +138,14 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         if "=" not in stripped:
             raise ConfigError(f"{where}: expected 'key = value', got {line.rstrip()!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _PARSERS:
             raise ConfigError(f"{where}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{where}: duplicate key {key!r}")
-        values[key] = _parse_value(key, raw, where)
+        try:
+            values[key] = _PARSERS[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
     try:
         return ExperimentConfig(**values)
     except ConfigError as exc:

@@ -51,7 +51,6 @@ __all__ = [
     "EstimateReport",
     "estimate_histogram",
     "estimate_from_masses",
-    "aggregate_trials",
     "beta_ci",
     "build_report",
     "candidate_table",
@@ -163,12 +162,12 @@ def candidate_table(
     return _CandidateSet(configs, weights, diffs, sq_norms, means, variances, sigma)
 
 
-# Rows of a table formed at a time by ``_profile_rows`` and weighted at a
-# time by ``pixel_moments``, so their temporaries stay small at any table
-# size; each row's sums are those of the whole-array expression. 64 rows of
-# 1024 pixels (512 kB) stay in a 2 MB L2 cache, where 256 rows did not (on a
-# 2-vCPU Xeon VM, distances over a whole N=10 table took 1.6 ms instead of
-# 2.1 ms).
+# Rows of a table formed at a time by ``_profile_rows``, and passed at a
+# time to ``pixel_moments`` by ``candidate_table``, so their temporaries
+# stay small at any table size; each row's sums are those of the
+# whole-array expression. 64 rows of 1024 pixels (512 kB) stay in a 2 MB L2
+# cache, where 256 rows did not (on a 2-vCPU Xeon VM, distances over a
+# whole N=10 table took 1.6 ms instead of 2.1 ms).
 _ROW_BLOCK = 64
 
 
@@ -191,22 +190,14 @@ def pixel_moments(weights: np.ndarray, pitch: float, offset: float) -> tuple[np.
     same on both sides and cancels in comparisons. ``weights`` has shape
     ``(n_pixels,)`` or ``(rows, n_pixels)`` and must already sum to 1 along
     its last axis; pixel i sits at ``offset + (i + 0.5) * pitch``. Both
-    results have the shape of ``weights`` without its last axis. Rows are
-    weighted ``_ROW_BLOCK`` at a time.
+    results have the shape of ``weights`` without its last axis, and each
+    row's equal those of the row passed alone. The temporaries are the size
+    of ``weights``, so callers with many rows pass them a block at a time.
     """
     weights = np.asarray(weights, dtype=np.float64)
     centers = offset + (np.arange(weights.shape[-1]) + 0.5) * pitch
-    centers_sq = centers**2
-    rows = weights.reshape(-1, weights.shape[-1])
-    m1 = np.empty(rows.shape[0])
-    m2 = np.empty(rows.shape[0])
-    for start in range(0, rows.shape[0], _ROW_BLOCK):
-        block = slice(start, start + _ROW_BLOCK)
-        np.sum(rows[block] * centers, axis=-1, out=m1[block])
-        np.sum(rows[block] * centers_sq, axis=-1, out=m2[block])
-    # [()] turns the 0-d results of 1-d weights into scalars
-    m1 = m1.reshape(weights.shape[:-1])[()]
-    return m1, m2.reshape(weights.shape[:-1])[()] - m1 * m1
+    m1 = np.sum(weights * centers, axis=-1)
+    return m1, np.sum(weights * centers**2, axis=-1) - m1 * m1
 
 
 def default_mean_tolerance(means: np.ndarray, sigma: float) -> float:
@@ -225,7 +216,6 @@ def default_mean_tolerance(means: np.ndarray, sigma: float) -> float:
 def estimate_from_masses(
     masses: np.ndarray,
     pitch: float,
-    n_pixels: int,
     offset: float,
     candidates: Sequence[Configuration],
     theta: float,
@@ -237,8 +227,8 @@ def estimate_from_masses(
     if len(candidates) == 0:
         raise ValueError("candidate list is empty")
     masses = np.asarray(masses, dtype=np.float64)
-    if masses.shape != (n_pixels,):
-        raise ValueError("mass vector does not match the pixel count")
+    if masses.ndim != 1 or masses.size < 2:
+        raise ValueError("mass vector must be 1-d with at least 2 pixels")
     if not np.isfinite(masses).all():
         raise ValueError("mass vector has a non-finite entry")
     if (masses < 0.0).any():
@@ -254,7 +244,7 @@ def estimate_from_masses(
         float(sigma),
         tuple(config.counts for config in candidates),
         float(pitch),
-        int(n_pixels),
+        masses.size,
         float(offset),
     )
     if method == "l2":
@@ -419,7 +409,6 @@ def estimate_histogram(
     return estimate_from_masses(
         histogram.counts,
         histogram.pitch,
-        histogram.n_pixels,
         histogram.offset,
         candidates,
         theta,
@@ -430,33 +419,6 @@ def estimate_histogram(
 
 
 # --- trial aggregation and confidence intervals ------------------------------
-
-
-def aggregate_trials(
-    trial_configs: Sequence[Configuration], n_events: int, n_trials: int
-) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    """Pool L per-trial configurations into event probabilities.
-
-    Returns (p_k, s_k) with s_k the pooled event counts out of N*L and
-    p_k = s_k / (N*L), identical to averaging the per-trial n_k / N.
-    """
-    if n_trials < 1:
-        raise ValueError(f"need at least one trial, got {n_trials}")
-    if len(trial_configs) != n_trials:
-        raise ValueError(f"expected {n_trials} trial configurations, got {len(trial_configs)}")
-    size = len(trial_configs[0].counts)
-    sums = [0] * size
-    for config in trial_configs:
-        if config.total != n_events:
-            raise ValueError(
-                f"trial configuration {config.counts} sums to {config.total}, expected {n_events}"
-            )
-        if len(config.counts) != size:
-            raise ValueError("trial configurations have inconsistent lengths")
-        for k, nk in enumerate(config.counts):
-            sums[k] += nk
-    denom = n_events * n_trials
-    return tuple(s / denom for s in sums), tuple(sums)
 
 
 def beta_ci(successes: int, total: int, level: float) -> tuple[float, float]:
@@ -509,17 +471,25 @@ def build_report(
     """Assemble per-trial estimates into the aggregated report.
 
     The headline configuration is the most frequent per-trial reconstruction
-    (ties break to the lexicographically smallest counts); per-category
-    probabilities pool all N*L events.
+    (ties break to the lexicographically smallest counts). Per-category
+    probabilities pool all N*L events: p_k = s_k / (N*L) with s_k the
+    pooled event counts, identical to averaging the per-trial n_k / N.
     """
+    if n_trials < 1:
+        raise ValueError(f"need at least one trial, got {n_trials}")
     if len(trials) != n_trials:
         raise ValueError(f"expected {n_trials} trials, got {len(trials)}")
     configs = [t.config for t in trials]
     for config in configs:
         if len(config.counts) != alphabet.size:
             raise ValueError("trial configuration does not match the alphabet size")
-    probs, counts = aggregate_trials(configs, n_events, n_trials)
+        if config.total != n_events:
+            raise ValueError(
+                f"trial configuration {config.counts} sums to {config.total}, expected {n_events}"
+            )
     total = n_events * n_trials
+    counts = tuple(sum(column) for column in zip(*(config.counts for config in configs)))
+    probs = tuple(s / total for s in counts)
     tally: dict[tuple[int, ...], int] = {}
     for config in configs:
         tally[config.counts] = tally.get(config.counts, 0) + 1

@@ -16,7 +16,6 @@ __all__ = [
     "sample_realization",
     "enumerate_configurations",
     "config_realization",
-    "configuration_of",
 ]
 
 
@@ -91,14 +90,18 @@ class Configuration:
 
 def sample_realization(
     alphabet: NoiseAlphabet, n_events: int, seed: int | np.random.Generator
-) -> ChannelRealization:
-    """Draw N i.i.d. couplings from the alphabet; counts are multinomial."""
+) -> tuple[Configuration, ChannelRealization]:
+    """Draw N i.i.d. couplings from the alphabet; counts are multinomial.
+
+    Returns the drawn configuration and the couplings in draw order.
+    """
     if n_events < 1:
         raise ValueError(f"n_events must be >= 1, got {n_events}")
     rng = as_rng(seed)
     values = np.asarray(alphabet.values)
     idx = rng.choice(alphabet.size, size=int(n_events), p=alphabet.probabilities)
-    return ChannelRealization(tuple(values[idx]))
+    config = Configuration(tuple(np.bincount(idx, minlength=alphabet.size)))
+    return config, ChannelRealization(tuple(values[idx]))
 
 
 def enumerate_configurations(n_values: int, n_events: int) -> list[Configuration]:
@@ -138,16 +141,3 @@ def config_realization(config: Configuration, alphabet: NoiseAlphabet) -> Channe
         couplings.extend([value] * nk)
     return ChannelRealization(tuple(couplings))
 
-
-def configuration_of(realization: ChannelRealization, alphabet: NoiseAlphabet) -> Configuration:
-    """Count which alphabet value each coupling equals."""
-    values = alphabet.values
-    counts = [0] * alphabet.size
-    for g in realization.couplings:
-        for k, v in enumerate(values):
-            if g == v or abs(g - v) <= 1e-12 * max(abs(v), 1.0):
-                counts[k] += 1
-                break
-        else:
-            raise ValueError(f"coupling {g!r} is not an alphabet value")
-    return Configuration(tuple(counts))

@@ -22,7 +22,6 @@ from zenosense.estimator import EstimateReport, TrialEstimate, build_report, est
 from zenosense.noise_model import (
     Configuration,
     config_realization,
-    configuration_of,
     enumerate_configurations,
     sample_realization,
 )
@@ -95,11 +94,9 @@ def simulate_trials(
     records: list[TrialRecord] = []
     for i in range(n_trials):
         if forced is not None:
-            realization = config_realization(forced, alphabet)
-            truth = forced
+            truth, realization = forced, config_realization(forced, alphabet)
         else:
-            realization = sample_realization(alphabet, config.n_events, make_rng(seed, i, 0))
-            truth = configuration_of(realization, alphabet)
+            truth, realization = sample_realization(alphabet, config.n_events, make_rng(seed, i, 0))
         run = run_protected(config.theta_rad, config.sigma_um, realization)
         weights, diffs = lattice_masses(
             config.theta_rad, config.sigma_um, unit_shift, alphabet.multipliers, [truth.counts], edges

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["derive_seed", "make_rng", "as_rng"]
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 

@@ -299,7 +299,7 @@ def test_criterion_7_exhaustive_oracle_equivalence():
         l2_oracle_pick = int(np.argmin(d2[t]))
         masses = oracles.pixel_masses(states[t], **GEOMETRY)
         est = estimate_from_masses(
-            masses, GEOMETRY["pitch"], GEOMETRY["n_pixels"], GEOMETRY["offset"],
+            masses, GEOMETRY["pitch"], GEOMETRY["offset"],
             candidates, QUARTER, SIGMA, alphabet, method="moments",
         )
         if est.degenerate:

@@ -80,6 +80,24 @@ class TestSimulate:
             occupied = centers[np.asarray(hist.counts) > 0]
             assert np.all(np.abs(occupied) < 5 * 150.0)
 
+    def test_override_flags_set_config_keys(self, tmp_path):
+        out = tmp_path / "x"
+        assert run("simulate", "--seed", 5, "--photons", 1000, "--trials", 2, "--out", out) == 0
+        assert sorted(p.name for p in out.glob("trial_*.csv")) == ["trial_000.csv", "trial_001.csv"]
+        lines = (out / "config.txt").read_text().splitlines()
+        for line in ("master_seed = 5", "photons_per_trial = 1000", "n_trials = 2", f"output_dir = {out}"):
+            assert line in lines
+        est = tmp_path / "est"
+        trials = sorted(out.glob("trial_*.csv"))
+        assert run("estimate", *trials, "--config", out / "config.txt", "--estimator", "l2", "--out", est) == 0
+        assert json.loads((est / "report.json").read_text())["diagnostics"]["method"] == "l2"
+
+    def test_out_that_would_not_round_trip_rejected(self, tmp_path, capsys):
+        out = tmp_path / "run#1"
+        assert run("simulate", "--trials", 1, "--photons", 1000, "--out", out) == 2
+        assert "output_dir" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_forced_configuration_recorded(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.txt", forced_config=(2, 0, 2, 2, 0), **SMALL)
         out = tmp_path / "out"

@@ -1,6 +1,7 @@
 """Config grammar: parsing, validation diagnostics, canonical round-trip."""
 
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -44,9 +45,22 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"<config>:2: unknown key 'banana'"):
             parse_config("n_events = 3\nbanana = 1\n")
 
-    def test_bad_value_names_line(self):
-        with pytest.raises(ConfigError, match=r"cfg\.txt:1"):
-            parse_config("sigma_um = soft\n", source="cfg.txt")
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "sigma_um = soft",  # float
+            "n_events = 2.5",  # int
+            "alphabet_multipliers = 0, one, 2",  # tuple[float, ...]
+            "unit_shift_um = nil",  # float | None
+            "forced_config = 2, 0, x",  # tuple[int, ...] | None
+            "master_seed = none",  # none clears only optional keys
+        ],
+        ids=["float", "int", "float-tuple", "optional-float", "optional-int-tuple", "none-for-int"],
+    )
+    def test_bad_value_names_line(self, line):
+        key = line.split(" =")[0]
+        with pytest.raises(ConfigError, match=rf"cfg\.txt:2: bad value for '{key}'"):
+            parse_config(f"# header\n{line}\n", source="cfg.txt")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -91,6 +105,10 @@ class TestValidation:
         # the float form written by serialize_config still parses
         assert parse_config("alphabet_multipliers = 0.0, 1.0, 2.0, 3.0, 4.0\n") == ExperimentConfig()
 
+    def test_negative_forced_config_names_key(self):
+        with pytest.raises(ConfigError, match=r"cfg\.txt: forced_config: .*non-negative"):
+            parse_config("forced_config = -1, 7, 0, 0, 0\n", source="cfg.txt")
+
     def test_forced_config_accepted(self):
         config = ExperimentConfig(forced_config=(2, 0, 2, 2, 0))
         assert config.forced_config == (2, 0, 2, 2, 0)
@@ -98,14 +116,35 @@ class TestValidation:
 
 class TestRoundTrip:
     def test_parse_serialize_parse_identity(self):
+        # every field away from its default
         config = ExperimentConfig(
+            theta_rad=0.3,
+            sigma_um=120.5,
             unit_shift_um=114.051797,
-            event_probabilities=(0.1, 0.3, 0.3, 0.2, 0.1),
+            calibration_target=0.6,
+            alphabet_multipliers=(0.0, 1.0, 3.0),
+            event_probabilities=(0.5, 0.25, 0.25),
+            n_events=4,
             n_trials=3,
-            forced_config=(2, 0, 2, 2, 0),
+            photons_per_trial=5000,
+            pixel_pitch_um=6.5,
+            pixel_count=2048,
+            detector_offset_um=-1000.25,
             master_seed=99,
+            estimator="l2",
+            output_dir="runs/a b",
+            forced_config=(2, 0, 2),
         )
+        defaults = ExperimentConfig()
+        assert all(getattr(config, f.name) != getattr(defaults, f.name) for f in fields(ExperimentConfig))
         text = serialize_config(config)
         again = parse_config(text)
         assert again == config
         assert serialize_config(again) == text
+
+    @pytest.mark.parametrize("value", ["run#1", "a\nb", "a\x85b", " a", "a "])
+    def test_string_that_would_not_round_trip_rejected(self, value):
+        # '#' starts a comment, a line boundary splits the line, and the
+        # parser strips the value
+        with pytest.raises(ConfigError, match="output_dir"):
+            ExperimentConfig(output_dir=value)

@@ -16,7 +16,7 @@ from zenosense.estimator import (
     DEGENERATE_MEAN_TOL_FACTOR,
     DEGENERATE_VAR_TOL_FACTOR,
     PROFILE_TOL,
-    aggregate_trials,
+    TrialEstimate,
     beta_ci,
     build_report,
     candidate_table,
@@ -76,7 +76,7 @@ class TestNoiselessRecovery:
         masses = noiseless_masses(truth)
         for method in ("l2", "moments"):
             est = estimate_from_masses(
-                masses, GEOMETRY["pitch"], GEOMETRY["n_pixels"], GEOMETRY["offset"],
+                masses, GEOMETRY["pitch"], GEOMETRY["offset"],
                 CANDIDATES, QUARTER, SIGMA, ALPHABET, method=method,
             )
             assert est.config == truth
@@ -114,7 +114,7 @@ class TestFiniteStatistics:
         for method in ("l2", "moments"):
             est = estimate_histogram(hist, CANDIDATES, QUARTER, SIGMA, ALPHABET, method=method)
             ref = estimate_from_masses(
-                hist.counts, GEOMETRY["pitch"], GEOMETRY["n_pixels"], GEOMETRY["offset"],
+                hist.counts, GEOMETRY["pitch"], GEOMETRY["offset"],
                 CANDIDATES, QUARTER, SIGMA, ALPHABET, method=method,
             )
             assert est.objective == ref.objective
@@ -133,9 +133,14 @@ class TestFiniteStatistics:
         masses[500] = value
         with pytest.raises(ValueError, match=match):
             estimate_from_masses(
-                masses, GEOMETRY["pitch"], GEOMETRY["n_pixels"], GEOMETRY["offset"],
+                masses, GEOMETRY["pitch"], GEOMETRY["offset"],
                 CANDIDATES, QUARTER, SIGMA, ALPHABET, method=method,
             )
+
+    @pytest.mark.parametrize("masses", [np.ones((2, 512)), np.ones(1)], ids=["2-d", "1-pixel"])
+    def test_mass_vector_shape_rejected(self, masses):
+        with pytest.raises(ValueError, match="1-d with at least 2 pixels"):
+            estimate_from_masses(masses, GEOMETRY["pitch"], GEOMETRY["offset"], CANDIDATES, QUARTER, SIGMA, ALPHABET)
 
     def test_empty_candidates_rejected(self):
         hist = sampled_histogram(TRUTH, 1000, seed=1)
@@ -182,7 +187,7 @@ class TestDegeneracyFlags:
         masses = noiseless_masses(TRUTH)
         for method in ("l2", "moments"):
             est = estimate_from_masses(
-                masses, GEOMETRY["pitch"], GEOMETRY["n_pixels"], GEOMETRY["offset"],
+                masses, GEOMETRY["pitch"], GEOMETRY["offset"],
                 candidates, QUARTER, SIGMA, ALPHABET, method=method,
             )
             assert est.index == 0  # smallest index wins the tie
@@ -199,7 +204,7 @@ class TestDegeneracyFlags:
         # every (mean, variance) pair is unique for the 0..4g alphabet
         masses = noiseless_masses(TRUTH)
         est = estimate_from_masses(
-            masses, GEOMETRY["pitch"], GEOMETRY["n_pixels"], GEOMETRY["offset"],
+            masses, GEOMETRY["pitch"], GEOMETRY["offset"],
             CANDIDATES, QUARTER, SIGMA, ALPHABET, method="moments",
         )
         assert not est.degenerate
@@ -209,7 +214,7 @@ class TestCandidateTable:
     def test_shared_across_event_probabilities(self):
         # profiles depend on the coupling values, not on how often each occurs
         skewed = NoiseAlphabet(G, ALPHABET.multipliers, (0.1, 0.3, 0.3, 0.2, 0.1))
-        geometry = (GEOMETRY["pitch"], GEOMETRY["n_pixels"], GEOMETRY["offset"])
+        geometry = (GEOMETRY["pitch"], GEOMETRY["offset"])
         masses = noiseless_masses(TRUTH)
         estimate_from_masses(masses, *geometry, CANDIDATES, QUARTER, SIGMA, ALPHABET)
         misses = candidate_table.cache_info().misses
@@ -219,7 +224,7 @@ class TestCandidateTable:
     def test_freshly_enumerated_candidates_hit_the_cache(self):
         # the table is keyed on the count tuples, so an equal candidate tuple
         # of new Configuration objects finds it
-        geometry = (GEOMETRY["pitch"], GEOMETRY["n_pixels"], GEOMETRY["offset"])
+        geometry = (GEOMETRY["pitch"], GEOMETRY["offset"])
         masses = noiseless_masses(TRUTH)
         estimate_from_masses(masses, *geometry, CANDIDATES, QUARTER, SIGMA, ALPHABET)
         before = candidate_table.cache_info()
@@ -259,16 +264,15 @@ class TestCandidateTable:
         assert np.array_equal(np.array(rows), np.column_stack([means, variances]))
 
     def test_blocked_moments_match_rows_at_n20(self):
-        # 10,626 candidates: the last row block of pixel_moments is partial
+        # 10,626 candidates: the table's last block of moment rows is partial
         pitch, offset = GEOMETRY["pitch"], GEOMETRY["offset"]
-        counts = np.array([config.counts for config in enumerate_configurations(5, 20)])
+        counts = counts_of(enumerate_configurations(5, 20))
         assert len(counts) % estimator._ROW_BLOCK != 0
-        edges = offset + np.arange(GEOMETRY["n_pixels"] + 1) * pitch
-        profiles = np.matmul(*lattice_masses(QUARTER, SIGMA, G, ALPHABET.multipliers, counts, edges))
-        profiles /= profiles.sum(axis=1, keepdims=True)
-        means, variances = pixel_moments(profiles, pitch, offset)
-        rows = [pixel_moments(profile, pitch, offset) for profile in profiles]
-        assert np.array_equal(np.array(rows), np.column_stack([means, variances]))
+        table = candidate_table.__wrapped__(
+            ALPHABET.multipliers, G, QUARTER, SIGMA, counts, pitch, GEOMETRY["n_pixels"], offset
+        )
+        rows = [pixel_moments(profile, pitch, offset) for profile in table_profiles(table)]
+        assert np.array_equal(np.array(rows), np.column_stack([table.means, table.variances]))
 
 
 class TestLatticeTable:
@@ -494,7 +498,7 @@ class TestL2RowBlocks:
         alphabet = NoiseAlphabet(unit_shift, ALPHABET.multipliers, ALPHABET.probabilities)
         flagged = 0
         for masses in l2_trials(dense, n_events):
-            est = estimate_from_masses(masses, 13.0, 1024, -6656.0, candidates, theta, sigma, alphabet, method="l2")
+            est = estimate_from_masses(masses, 13.0, -6656.0, candidates, theta, sigma, alphabet, method="l2")
             index, objective, partners, top = oracles.l2_estimate(dense, masses / masses.sum(), PROFILE_TOL)
             assert est.index == index
             assert est.degenerate_with == tuple(candidates[i] for i in partners)
@@ -513,7 +517,7 @@ class TestL2RowBlocks:
         table = candidate_table(ALPHABET.multipliers, G, theta, SIGMA, counts_of(candidates), 13.0, 1024, -6656.0)
         profiles = table_profiles(table)
         masses = profiles[333]
-        args = (13.0, 1024, -6656.0, candidates, theta, SIGMA, ALPHABET)
+        args = (13.0, -6656.0, candidates, theta, SIGMA, ALPHABET)
         estimate_from_masses(masses, *args, method="l2")
         tracemalloc.start()
         try:
@@ -539,19 +543,24 @@ class TestL2RowBlocks:
         assert peak < 4_000_000
 
 
+def pooled_report(configs, n_events=6, n_trials=None):
+    """``build_report`` over trials that reconstructed ``configs``."""
+    trials = [TrialEstimate("moments", 0, config, 0.0, ()) for config in configs]
+    return build_report(trials, ALPHABET, n_events, len(configs) if n_trials is None else n_trials)
+
+
 class TestAggregation:
     def test_single_trial_identity(self):
-        probs, counts = aggregate_trials([TRUTH], 6, 1)
-        assert probs == pytest.approx((1 / 3, 0.0, 1 / 3, 1 / 3, 0.0))
-        assert counts == (2, 0, 2, 2, 0)
+        report = pooled_report([TRUTH])
+        assert report.probabilities == pytest.approx((1 / 3, 0.0, 1 / 3, 1 / 3, 0.0))
+        assert report.event_counts == (2, 0, 2, 2, 0)
 
     def test_pooled_fractions_at_reference_precision(self):
         # pooled 7/60 rounds to the three-decimal point estimate 0.117
         assert 7 / 60 == pytest.approx(0.117, abs=5e-4)
-        configs = [Configuration((1, 1, 1, 1, 2))] * 10
-        probs, counts = aggregate_trials(configs, 6, 10)
-        assert sum(counts) == 60
-        assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+        report = pooled_report([Configuration((1, 1, 1, 1, 2))] * 10)
+        assert sum(report.event_counts) == 60
+        assert sum(report.probabilities) == pytest.approx(1.0, abs=1e-12)
 
     def test_pooled_equals_mean_of_per_trial(self):
         rng = np.random.default_rng(2)
@@ -559,13 +568,19 @@ class TestAggregation:
         for _ in range(8):
             counts = rng.multinomial(6, (0.3, 0.4, 0.2, 0.1, 0.0))
             configs.append(Configuration(tuple(int(c) for c in counts)))
-        probs, _ = aggregate_trials(configs, 6, 8)
+        report = pooled_report(configs)
         manual = np.mean([np.asarray(c.counts) / 6 for c in configs], axis=0)
-        assert probs == pytest.approx(tuple(manual), abs=1e-15)
+        assert report.probabilities == pytest.approx(tuple(manual), abs=1e-15)
 
     def test_inconsistent_total_rejected(self):
         with pytest.raises(ValueError, match="sums to"):
-            aggregate_trials([Configuration((1, 0, 0, 0, 0))], 6, 1)
+            pooled_report([Configuration((1, 0, 0, 0, 0))])
+        with pytest.raises(ValueError, match="does not match the alphabet size"):
+            pooled_report([Configuration((3, 3))])
+        with pytest.raises(ValueError, match="expected 2 trials"):
+            pooled_report([TRUTH], n_trials=2)
+        with pytest.raises(ValueError, match="need at least one trial"):
+            pooled_report([], n_trials=0)
 
 
 class TestBetaCi:

@@ -12,7 +12,6 @@ from zenosense.noise_model import (
     Configuration,
     NoiseAlphabet,
     config_realization,
-    configuration_of,
     enumerate_configurations,
     sample_realization,
 )
@@ -61,16 +60,22 @@ class TestConfiguration:
 class TestSampleRealization:
     def test_degenerate_distribution(self):
         alph = NoiseAlphabet(1.0, (0.0, 1.0, 2.0, 3.0, 4.0), (1.0, 0.0, 0.0, 0.0, 0.0))
-        real = sample_realization(alph, 6, seed=0)
+        config, real = sample_realization(alph, 6, seed=0)
+        assert config == Configuration((6, 0, 0, 0, 0))
         assert real.couplings == (0.0,) * 6
 
     def test_deterministic_under_seed(self):
         assert sample_realization(UNIFORM5, 6, 123) == sample_realization(UNIFORM5, 6, 123)
 
+    def test_configuration_counts_the_couplings(self):
+        config, real = sample_realization(UNIFORM5, 40, seed=5)
+        assert config == Configuration(tuple(real.couplings.count(v) for v in UNIFORM5.values))
+        # draw order, not the ascending order of config_realization
+        assert real.couplings != config_realization(config, UNIFORM5).couplings
+
     def test_law_of_large_numbers(self):
         n = 600_000
-        real = sample_realization(UNIFORM5, n, seed=99)
-        counts = configuration_of(real, UNIFORM5).counts
+        counts = sample_realization(UNIFORM5, n, seed=99)[0].counts
         bound = 3.0 * math.sqrt(0.2 * 0.8 / n)
         for c in counts:
             assert abs(c / n - 0.2) < bound
@@ -155,7 +160,7 @@ class TestMultinomialPmf:
             key = tuple(np.bincount(row, minlength=5))
             observed[key] = observed.get(key, 0) + 1
         # the batched draws above must match the per-call sampler's model
-        single = configuration_of(sample_realization(UNIFORM5, n_events, 1), UNIFORM5)
+        single, _ = sample_realization(UNIFORM5, n_events, 1)
         assert sum(single.counts) == n_events
         stat = 0.0
         for config in enumerate_configurations(5, n_events):
@@ -170,10 +175,3 @@ class TestRealizationHelpers:
         config = Configuration((2, 0, 2, 2, 0))
         real = config_realization(config, UNIFORM5)
         assert real.couplings == (0.0, 0.0, 2.0, 2.0, 3.0, 3.0)
-        assert configuration_of(real, UNIFORM5) == config
-
-    def test_unknown_coupling_rejected(self):
-        from zenosense.channel import ChannelRealization
-
-        with pytest.raises(ValueError, match="alphabet"):
-            configuration_of(ChannelRealization((0.5,)), UNIFORM5)
