@@ -295,6 +295,8 @@ def qze_scaling_report(
         raise ValueError("n_values must be non-empty")
     if ensemble_size < 1:
         raise ValueError("ensemble_size must be at least 1")
+    if survival_samples is not None and survival_samples < 0:
+        raise ValueError(f"survival_samples must be non-negative, got {survival_samples}")
     k_surv = survival_samples if survival_samples is not None else min(ensemble_size, 128)
     k_surv = min(k_surv, ensemble_size)
     rows: list[ScalingRow] = []

@@ -114,23 +114,40 @@ class GaussianSum:
 def _merge_components(
     amps: np.ndarray, cents: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical form: sorted centers, tolerance groups summed, zeros dropped.
+
+    A stable argsort orders the components by center. A group starts
+    wherever the gap to the previous center is at least ``tol`` and keeps
+    its first member's center. Its amplitude is one segmented sum over the
+    group starts (``np.add.reduceat``), which adds a pair as a + b but a
+    group of three or more as a + (b + c); such a group is summed again
+    left to right, ((a + b) + c) + ... It needs two input centers within
+    2 ``tol`` of each other, which states on a lattice of shifts wider than
+    that never have. Exactly-zero amplitudes are then dropped, unless every
+    one is zero. Every group thus sums as adding its members into zeros in
+    input order would, except that a part summing to negative zero stays
+    negative zero.
+    """
     order = np.argsort(cents, kind="stable")
     cents = cents[order]
     amps = amps[order]
-    if cents.size > 1:
-        starts = np.empty(cents.size, dtype=bool)
-        starts[0] = True
-        starts[1:] = np.diff(cents) >= tol
-        group = np.cumsum(starts) - 1
-        merged_c = cents[starts]
-        merged_a = np.zeros(merged_c.size, dtype=np.complex128)
-        np.add.at(merged_a, group, amps)
-        cents, amps = merged_c, merged_a
-    keep = amps != 0.0
-    if np.any(keep) and not np.all(keep):
-        amps = amps[keep]
+    new = np.empty(cents.size, dtype=bool)
+    new[0] = True
+    np.greater_equal(cents[1:] - cents[:-1], tol, out=new[1:])
+    starts = new.nonzero()[0]
+    merged = np.add.reduceat(amps, starts)
+    # two members in a row that start no group belong to a group of three or more
+    if not (new[1:] | new[:-1]).all():
+        ends = np.append(starts[1:], amps.size)
+        for i in np.flatnonzero(ends - starts > 2):
+            merged[i] = np.add.accumulate(amps[starts[i] : ends[i]])[-1]
+    cents = cents[starts]
+    nonzero = np.count_nonzero(merged)
+    if 0 < nonzero < merged.size:
+        keep = merged != 0.0
+        merged = merged[keep]
         cents = cents[keep]
-    return np.ascontiguousarray(amps), np.ascontiguousarray(cents)
+    return merged, cents
 
 
 def make_gaussian(sigma: float) -> GaussianSum:
@@ -153,12 +170,35 @@ def inner_product(a: GaussianSum, b: GaussianSum) -> complex:
     """Exact overlap <a|b> of two states with equal packet width.
 
     Pairwise form: sum_{m,m'} conj(a_m) b_{m'} exp(-(s_m - s_{m'})^2 / (8 sigma^2)).
+    The overlap matrix O is real. It is built once, in place in one
+    buffer, and taken in real arithmetic: one product of O with the stacked
+    real and imaginary parts of a gives (Re a) O and (Im a) O, and with
+    x = Re b, y = Im b
+
+        <a|b> = (Re a) O x + (Im a) O y + i ((Re a) O y - (Im a) O x).
+
     Conjugate-symmetric; rejects mismatched widths.
     """
     sigma = _check_same_width(a, b)
-    d = a.centers[:, None] - b.centers[None, :]
-    overlap = np.exp(-(d * d) / (8.0 * sigma * sigma))
-    return complex(np.conj(a.amplitudes) @ overlap @ b.amplitudes)
+    overlap = a.centers[:, None] - b.centers[None, :]
+    overlap *= overlap
+    overlap /= -8.0 * sigma * sigma
+    np.exp(overlap, out=overlap)
+    re_o, im_o = np.stack((a.amplitudes.real, a.amplitudes.imag)) @ overlap
+    x, y = b.amplitudes.real, b.amplitudes.imag
+    return complex(re_o @ x + im_o @ y, re_o @ y - im_o @ x)
+
+
+def _kernel_step(
+    amps: np.ndarray, cents: np.ndarray, theta: float, g: float, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raw (amplitudes, centers) after one kernel, merged at ``tol``."""
+    g = float(g)
+    if not (g >= 0.0) or not math.isfinite(g):
+        raise ValueError(f"coupling shift must be non-negative, got {g!r}")
+    c2 = math.cos(theta) ** 2
+    s2 = math.sin(theta) ** 2
+    return _merge_components(np.concatenate((amps * s2, amps * c2)), np.concatenate((cents, cents + g)), tol)
 
 
 def apply_noise_kernel(state: GaussianSum, theta: float, g: float) -> GaussianSum:
@@ -170,14 +210,8 @@ def apply_noise_kernel(state: GaussianSum, theta: float, g: float) -> GaussianSu
     the conditional survival probability of the projective measurement that
     produced the kernel.
     """
-    g = float(g)
-    if not (g >= 0.0) or not math.isfinite(g):
-        raise ValueError(f"coupling shift must be non-negative, got {g!r}")
-    c2 = math.cos(theta) ** 2
-    s2 = math.sin(theta) ** 2
-    amps = np.concatenate((state.amplitudes * s2, state.amplitudes * c2))
-    cents = np.concatenate((state.centers, state.centers + g))
-    return GaussianSum(state.sigma, amps, cents)
+    tol = MERGE_TOLERANCE_FACTOR * state.sigma
+    return GaussianSum(state.sigma, *_kernel_step(state.amplitudes, state.centers, theta, g, tol))
 
 
 def fold_kernels(theta: float, sigma: float, couplings: Iterable[float]) -> GaussianSum:
@@ -185,12 +219,18 @@ def fold_kernels(theta: float, sigma: float, couplings: Iterable[float]) -> Gaus
 
     Starts from the unit Gaussian of width ``sigma``. The kernels commute, so
     the order only moves the last bits; the squared norm of the result is the
-    protected survival probability of the whole sequence.
+    protected survival probability of the whole sequence. The fold carries
+    raw (amplitudes, centers) arrays through the kernel step and merge of
+    ``apply_noise_kernel``, so each coupling is checked and each state is
+    the one that a chain of those calls gives, bit for bit; the
+    ``GaussianSum`` is built once, from the last of them.
     """
     state = make_gaussian(sigma)
+    tol = MERGE_TOLERANCE_FACTOR * state.sigma
+    amps, cents = state.amplitudes, state.centers
     for g in couplings:
-        state = apply_noise_kernel(state, theta, g)
-    return state
+        amps, cents = _kernel_step(amps, cents, theta, g, tol)
+    return GaussianSum(state.sigma, amps, cents)
 
 
 def density_at(state: GaussianSum, x) -> np.ndarray | float:

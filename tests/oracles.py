@@ -9,14 +9,15 @@ pixel masses and the detector's slot masses. ``clipped_lattice_masses``
 is the lattice formula with ``ndtr`` evaluated at every edge of every
 normal, and ``lattice_weights`` its weights with the diagonal loop run to
 any cutoff. ``theoretical_state`` folds one kernel per event of a
-configuration and ``multinomial_pmf`` is the closed-form probability of a
-count vector. The candidate-table oracles at the end recompute the table one
-candidate at a time, by kernel fold and pair-sum pixel masses, and its
-degeneracy groups and one candidate's moment neighbours by plain loops
-over pairs and rows. The l2 oracles keep the whole profile matrix, as the
-table once did, and take every candidate's distance and the rounded-row
-partners from it. None of it shares code with the lattice and estimator
-paths it checks.
+configuration; ``fold_by_events`` does the same on raw arrays and merges
+each event by adding every tolerance group into zeros. ``multinomial_pmf``
+is the closed-form probability of a count vector. The candidate-table
+oracles at the end recompute the table one candidate at a time, by kernel
+fold and pair-sum pixel masses, and its degeneracy groups and one
+candidate's moment neighbours by plain loops over pairs and rows. The l2
+oracles keep the whole profile matrix, as the table once did, and take
+every candidate's distance and the rounded-row partners from it. None of
+it shares code with the lattice and estimator paths it checks.
 """
 
 from __future__ import annotations
@@ -331,6 +332,50 @@ def theoretical_state(config, theta, sigma, values):
         raise ValueError("configuration and alphabet sizes differ")
     couplings = [value for nk, value in zip(config.counts, values) for _ in range(nk)]
     return fold_kernels(theta, sigma, couplings)
+
+
+def merge_by_add_at(amps, cents, tol):
+    """Canonical form of a component list, each tolerance group added into zeros.
+
+    Stable argsort by center; a group starts where the gap to the previous
+    center is at least ``tol`` and keeps its first center; ``np.add.at``
+    adds the members into a zero amplitude one at a time in input order.
+    Exactly-zero amplitudes are dropped unless all are zero.
+    """
+    order = np.argsort(cents, kind="stable")
+    cents = cents[order]
+    amps = amps[order]
+    if cents.size > 1:
+        starts = np.empty(cents.size, dtype=bool)
+        starts[0] = True
+        starts[1:] = np.diff(cents) >= tol
+        merged = np.zeros(int(starts.sum()), dtype=np.complex128)
+        np.add.at(merged, np.cumsum(starts) - 1, amps)
+        cents, amps = cents[starts], merged
+    keep = amps != 0.0
+    if np.any(keep) and not np.all(keep):
+        amps = amps[keep]
+        cents = cents[keep]
+    return amps, cents
+
+
+def fold_by_events(theta, sigma, couplings):
+    """Raw ``(amplitudes, centers)`` of the unit Gaussian after one kernel per coupling.
+
+    Each event applies s^2 I + c^2 T_g to the whole component list, as one
+    ``apply_noise_kernel`` call does, and merges it by ``merge_by_add_at``.
+    """
+    from zenosense.wavepacket import MERGE_TOLERANCE_FACTOR
+
+    c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
+    amps, cents = np.ones(1, dtype=np.complex128), np.zeros(1)
+    for g in couplings:
+        amps, cents = merge_by_add_at(
+            np.concatenate((amps * s2, amps * c2)),
+            np.concatenate((cents, cents + g)),
+            MERGE_TOLERANCE_FACTOR * sigma,
+        )
+    return amps, cents
 
 
 def multinomial_pmf(config, alphabet) -> float:

@@ -37,11 +37,13 @@ def pipeline_spec():
 
 
 def channel_spec():
-    """One seeded realization, a 5-event constant channel, a 2-value scaling ensemble of 4."""
+    """Two seeded realizations (N=6, and the first D=5, N=100 one of the benchmark's
+    long_channel job), a 5-event constant channel, a 2-value scaling ensemble of 4."""
+    long_channel = run.job_spec("long_channel", run.DEFAULT_SEED)
     return {
         "kind": "channel",
         "configs": [run.config_text()],
-        "realizations": [[0, 3, 1, 4, 2, 2]],
+        "realizations": [[0, 3, 1, 4, 2, 2], long_channel["realizations"][0]],
         "constant": {"n_events": 5, "g_over_sigma": 4.0},
         "scaling": {"n_values": [1, 5], "ensemble": 4, "survival_samples": 4, "coupling_um": 75.0, "seed": 3},
     }
@@ -63,3 +65,4 @@ def test_worker_job_succeeds(spec):
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["attempted"] > 0
     assert result["failed"] == 0, result["failures"]
+    assert result["survival_err"] <= run.SURVIVAL_RESOLUTION

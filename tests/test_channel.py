@@ -19,7 +19,9 @@ from zenosense.channel import (
     run_unprotected,
     uniform_coupling,
 )
+from zenosense.config import ExperimentConfig
 from zenosense.noise_model import NoiseAlphabet, config_realization, enumerate_configurations
+from zenosense.pipeline import resolve_unit_shift
 from zenosense.wavepacket import apply_noise_kernel, make_gaussian
 
 import oracles
@@ -278,6 +280,26 @@ class TestSpectralSurvival:
         assert abs(spectral - exact) <= 1e-13
 
 
+class TestBenchmarkShapedChannels:
+    """The channels the benchmark's long_channel workload evaluates: seeded
+    D=5 lattice channels at N=100 and N=200 and the constant N=500, g=4 sigma
+    channel, at the default config."""
+
+    def test_default_calibration_is_bit_stable(self):
+        # a norm change that moved g would move every histogram
+        assert resolve_unit_shift(ExperimentConfig()) == 114.05179744309162
+
+    def test_fold_survival_matches_spectral(self):
+        cfg = ExperimentConfig()
+        theta, sigma, g = cfg.theta_rad, cfg.sigma_um, resolve_unit_shift(cfg)
+        rng = np.random.default_rng(20220914)
+        channels = [tuple(g * float(m) for m in rng.integers(0, 5, n)) for n in (100, 100, 100, 200)]
+        channels.append((4.0 * sigma,) * 500)
+        for couplings in channels:
+            run = run_protected(theta, sigma, ChannelRealization(couplings))
+            assert abs(run.total_survival - protected_survival_spectral(theta, sigma, couplings)) <= 1e-13
+
+
 class TestStepRecord:
     @staticmethod
     def pairwise_record(theta, sigma, couplings):
@@ -353,6 +375,10 @@ class TestScalingReport:
             qze_scaling_report(QUARTER, 1.0, constant_coupling(1.0), [], 5, seed=0)
         with pytest.raises(ValueError):
             qze_scaling_report(QUARTER, 1.0, constant_coupling(1.0), [2], 0, seed=0)
+
+    def test_rejects_negative_survival_samples(self):
+        with pytest.raises(ValueError, match="survival_samples"):
+            qze_scaling_report(QUARTER, 1.0, constant_coupling(1.0), [2], 5, seed=0, survival_samples=-2)
 
 
 class TestCalibration:

@@ -239,3 +239,7 @@ class TestScalingReport:
         assert len(rows) == 4
         n, jm, *_ = [float(t) for t in rows[2].split(",")]
         assert (n, jm) == (2.0, 0.5)
+
+    def test_negative_survival_samples_rejected(self, tmp_path, capsys):
+        assert run("scaling-report", "--n-list", "1,2", "--survival-samples", "-2", "--out", tmp_path) == 2
+        assert "survival_samples" in capsys.readouterr().err

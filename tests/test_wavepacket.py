@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zenosense.channel import ChannelRealization, run_protected
 from zenosense.config import ExperimentConfig
 from zenosense.noise_model import enumerate_configurations
 from zenosense.pipeline import resolve_unit_shift
@@ -15,6 +16,7 @@ from zenosense.wavepacket import (
     GaussianSum,
     apply_noise_kernel,
     density_at,
+    fold_kernels,
     inner_product,
     lattice_masses,
     make_gaussian,
@@ -136,6 +138,61 @@ class TestKernel:
         state = GaussianSum(sigma, [0.5, 0.5], [0.0, 1e-12 * sigma])
         assert state.n_components == 1
         assert state.components[0][0] == pytest.approx(1.0)
+
+    def test_tolerance_chain_sums_left_to_right(self):
+        # one group of three; a pairwise sum gives 1 + (1e-16 + 1e-16) = 1 + 2**-52
+        state = GaussianSum(1.0, [1.0, 1e-16, 1e-16], [0.0, 0.6e-9, 1.2e-9])
+        assert state.components == ((1.0 + 0.0j, 0.0),)
+
+
+# every state the CLI and the benchmark form sits on this lattice of shifts
+FOLD_SIGMA = 150.0
+FOLD_UNIT = 114.05179744309162
+
+
+def fold_cases() -> dict[str, tuple[float, ...]]:
+    rng = np.random.default_rng(16)
+    cases = {f"lattice-{n}": tuple(FOLD_UNIT * float(m) for m in rng.integers(0, 5, n)) for n in (1, 6, 10, 100)}
+    for n in (3, 8, 12):
+        cases[f"continuous-{n}"] = tuple(rng.uniform(0.0, 3.0 * FOLD_SIGMA, n))
+    cases["zero"] = (0.0,) * 6
+    # the second event makes one tolerance group of four: 0, 0.8, 1.5, 2.3 (x 1e-9 sigma)
+    cases["chain"] = (1.5e-9 * FOLD_SIGMA, 0.8e-9 * FOLD_SIGMA)
+    return cases
+
+
+FOLD_CASES = fold_cases()
+
+
+class TestFoldBitIdentity:
+    """The fold, run_protected's final state and a chain of apply_noise_kernel
+    calls against the per-event fold that adds each group into zeros."""
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4, 1.2, math.pi / 2])
+    @pytest.mark.parametrize("case", sorted(FOLD_CASES))
+    def test_states_equal_the_add_at_fold(self, theta, case):
+        couplings = FOLD_CASES[case]
+        amps, cents = oracles.fold_by_events(theta, FOLD_SIGMA, couplings)
+        chained = make_gaussian(FOLD_SIGMA)
+        for g in couplings:
+            chained = apply_noise_kernel(chained, theta, g)
+        states = (
+            fold_kernels(theta, FOLD_SIGMA, couplings),
+            run_protected(theta, FOLD_SIGMA, ChannelRealization(couplings)).final_state,
+            chained,
+        )
+        for state in states:
+            assert np.array_equal(state.amplitudes.view(np.uint64), amps.view(np.uint64))
+            assert np.array_equal(state.centers.view(np.uint64), cents.view(np.uint64))
+
+    def test_chain_case_tells_the_summation_orders_apart(self):
+        # at theta = 1.2 the chain group's pairwise sum differs from the
+        # left-to-right one, so the case above pins the order
+        c2, s2 = math.cos(1.2) ** 2, math.sin(1.2) ** 2
+        first = np.array([s2, c2], dtype=np.complex128)
+        members = np.concatenate((first * s2, first * c2))[[0, 2, 1, 3]]
+        assert np.add.reduceat(members, [0])[0] != np.add.accumulate(members)[-1]
+        assert oracles.fold_by_events(1.2, FOLD_SIGMA, FOLD_CASES["chain"])[0].size == 1
 
 
 class TestMoments:
