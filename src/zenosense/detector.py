@@ -5,10 +5,13 @@ photons is the squared modulus of the channel's output wavepacket, and a
 detector records how many photons land in each half-open pixel of fixed
 pitch. A trial's counts are drawn by inverting the exact CDF at the pixel
 edges, one bucket lookup per photon; the CDF comes from slot masses the
-caller supplies (``wavepacket.lattice_masses`` in the pipeline). The
-photons' uniforms are drawn and counted ``_CHUNK`` at a time through one
-reused buffer, so a trial's working memory does not grow with its photon
-count (about 1.5 MB for 1024 pixels).
+caller supplies. In the pipeline they are a row of
+``wavepacket.lattice_weights`` times the head of the read-only
+``wavepacket.normal_masses``, cached on (sigma, g, normal count,
+geometry); the detector's edges are built only there. The photons'
+uniforms are drawn and counted ``_CHUNK`` at a time through one reused
+buffer, so a trial's working memory does not grow with its photon count
+(about 1.5 MB for 1024 pixels).
 """
 
 from __future__ import annotations
@@ -86,8 +89,10 @@ def sample_histogram(
     The slots are the mass left of ``offset``, one mass per pixel and the
     mass right of the pixel span, so there are ``len(slot_masses) - 2``
     pixels. The masses need not be normalized: the pipeline passes the
-    product of the ``wavepacket.lattice_masses`` factors over the pixel
-    edges with -inf and +inf added, which sums to the state's squared norm.
+    truth's row of ``wavepacket.lattice_weights`` times the head of the
+    read-only ``wavepacket.normal_masses`` (the normals' masses in these
+    slots, built once per geometry and cached), which sums to the state's
+    squared norm.
     Each photon's uniform draw is mapped through the CDF at the pixel edges
     (cumulative slot masses over their total), which is inverse-CDF
     sampling followed by binning into half-open pixels without ever forming

@@ -44,7 +44,7 @@ from scipy.special import betaincinv
 
 from zenosense.detector import SpatialHistogram
 from zenosense.noise_model import Configuration, NoiseAlphabet
-from zenosense.wavepacket import lattice_masses
+from zenosense.wavepacket import lattice_weights, normal_masses
 
 __all__ = [
     "TrialEstimate",
@@ -100,8 +100,9 @@ class _CandidateSet:
     ``configs[c]`` is the configuration of candidate c. Profile c, its
     pixel masses normalized to its mass on the detector, is
     ``weights[c] @ diffs``: ``weights`` holds the candidates' lattice
-    weights divided by those masses, ``diffs`` the masses of the shared
-    normals in each pixel (see ``wavepacket.lattice_masses``).
+    weights (``wavepacket.lattice_weights``) divided by those masses,
+    ``diffs`` the masses of the shared normals in each pixel, a read-only
+    view of the pixel columns of the cached ``wavepacket.normal_masses``.
     ``sq_norms[c]`` is the squared norm of profile c through the Gram form,
     weights[c] (diffs diffs^T) weights[c]^T. No (candidates x pixels) array
     is kept; ``_profile_rows`` forms rows on demand.
@@ -135,13 +136,18 @@ def candidate_table(
     duplicates allowed) and the detector geometry. Plain count tuples hash
     and compare several times faster than ``Configuration`` objects, which
     matters when each batch enumerates its candidates afresh; the table
-    builds its own ``Configuration`` of each once. The factors
-    of all candidates come from one lattice evaluation
-    (``wavepacket.lattice_masses``); the moments are those of the profile
-    rows, formed ``_ROW_BLOCK`` at a time by ``_profile_rows``.
+    builds its own ``Configuration`` of each once. The weights of all
+    candidates come from one ``wavepacket.lattice_weights`` call; the
+    normals' pixel masses are the pixel columns of the read-only
+    ``wavepacket.normal_masses`` entry for as many normals as the weights
+    have. Over every configuration of N events that is the entry
+    ``pipeline.simulate_trials`` reads at the same geometry, so a table
+    built after a simulation in one process finds its masses cached. The
+    moments are those of the profile rows, formed ``_ROW_BLOCK`` at a time
+    by ``_profile_rows``.
     """
-    edges = offset + np.arange(n_pixels + 1) * pitch
-    weights, diffs = lattice_masses(theta, sigma, unit_shift, multipliers, counts, edges)
+    weights = lattice_weights(theta, sigma, unit_shift, multipliers, counts)
+    diffs = normal_masses(sigma, unit_shift, weights.shape[1], pitch, n_pixels, offset)[:, 1:-1]
     totals = weights @ diffs.sum(axis=1)
     missed = np.flatnonzero(~(totals > 0.0))
     if missed.size:
@@ -156,7 +162,7 @@ def candidate_table(
     for start in range(0, len(counts), _ROW_BLOCK):
         block = slice(start, start + _ROW_BLOCK)
         means[block], variances[block] = pixel_moments(_profile_rows(weights, diffs, block, buf), pitch, offset)
-    for array in (weights, diffs, sq_norms, means, variances):
+    for array in (weights, sq_norms, means, variances):
         array.setflags(write=False)
     configs = tuple(Configuration(c) for c in counts)
     return _CandidateSet(configs, weights, diffs, sq_norms, means, variances, sigma)

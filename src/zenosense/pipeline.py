@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from zenosense.channel import ChannelRealization, RunReport, calibrate_unit_shift, run_protected
 from zenosense.config import ConfigError, ExperimentConfig
 from zenosense.detector import SpatialHistogram, sample_histogram
@@ -26,7 +24,7 @@ from zenosense.noise_model import (
     sample_realization,
 )
 from zenosense.seeds import derive_seed, make_rng
-from zenosense.wavepacket import lattice_masses
+from zenosense.wavepacket import lattice_weights, normal_masses
 
 __all__ = [
     "TrialRecord",
@@ -80,16 +78,29 @@ def simulate_trials(
     """Simulate L trials: sample noise, run the protected channel, detect.
 
     A trial's truth is a lattice state, so its slot masses (left overflow,
-    pixels, right overflow) are the one row of the ``lattice_masses``
-    factors' product over the pixel edges with -inf and +inf added.
+    pixels, right overflow) are its one row of ``lattice_weights`` times
+    the head of the read-only ``normal_masses`` D. D is fetched once per
+    call for the 2 N max(m) + 1 normals any truth can reach; it is cached
+    on (sigma, g, that count, geometry), an entry a candidate table over
+    every configuration of N events shares. So a process that makes more
+    than one ``simulate_trials`` or estimate call at one geometry builds
+    it once, not once per call. ``n_trials`` below 1 is an error.
     """
     alphabet = config.alphabet(unit_shift)
-    pixel_edges = config.detector_offset_um + np.arange(config.pixel_count + 1) * config.pixel_pitch_um
-    edges = np.concatenate(([-np.inf], pixel_edges, [np.inf]))
     n_trials = config.n_trials if n_trials is None else n_trials
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     seed = config.master_seed if master_seed is None else master_seed
     forced = (
         Configuration(config.forced_config) if config.forced_config is not None else None
+    )
+    diffs = normal_masses(
+        config.sigma_um,
+        unit_shift,
+        2 * config.n_events * int(max(alphabet.multipliers)) + 1,
+        config.pixel_pitch_um,
+        config.pixel_count,
+        config.detector_offset_um,
     )
     records: list[TrialRecord] = []
     for i in range(n_trials):
@@ -98,10 +109,8 @@ def simulate_trials(
         else:
             truth, realization = sample_realization(alphabet, config.n_events, make_rng(seed, i, 0))
         run = run_protected(config.theta_rad, config.sigma_um, realization)
-        weights, diffs = lattice_masses(
-            config.theta_rad, config.sigma_um, unit_shift, alphabet.multipliers, [truth.counts], edges
-        )
-        masses = weights @ diffs
+        weights = lattice_weights(config.theta_rad, config.sigma_um, unit_shift, alphabet.multipliers, [truth.counts])
+        masses = weights @ diffs[: weights.shape[1]]
         histogram = sample_histogram(
             masses[0],
             config.photons_per_trial,

@@ -14,11 +14,14 @@ and every quantity of interest has an exact pairwise closed form:
 
 (N(x; m, s^2) is the unit-mass normal density.) All public operations below
 are evaluated through these identities; the library never integrates
-numerically. ``lattice_masses`` is the one path to the mass of a state
-between given points: it gives the weights of shared normals cut at 9
-sigma, and the masses of those normals between the points, whose CDFs are
-evaluated only inside that band. Every simulated trial takes the product
-of the two; the candidate table keeps them as factors. States are kept
+numerically. The mass of a lattice state in the detector's slots is the
+product of two factors: ``lattice_weights`` gives the state's weights on
+normals shared by every lattice state, and ``normal_masses`` the masses of
+those normals, cut at 9 sigma, in each slot, with their CDFs evaluated only
+inside that band. The second depends only on the width, the unit shift
+and the detector, so it is cached and read-only; every simulated trial
+takes the product of one row of weights with it, and the candidate table
+keeps the two as factors. States are kept
 non-normalized on purpose: the running squared norm of the bath state is
 exactly the survival probability of the polarization qubit, and
 normalization happens only inside the density accessor.
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,7 +44,8 @@ __all__ = [
     "apply_noise_kernel",
     "fold_kernels",
     "density_at",
-    "lattice_masses",
+    "lattice_weights",
+    "normal_masses",
     "MERGE_TOLERANCE_FACTOR",
 ]
 
@@ -253,15 +258,14 @@ def density_at(state: GaussianSum, x) -> np.ndarray | float:
     return float(rho[0]) if scalar else rho
 
 
-def lattice_masses(
+def lattice_weights(
     theta: float,
     sigma: float,
     unit_shift: float,
     multipliers: Sequence[int],
     counts: np.ndarray,
-    edges: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice factors of the masses between consecutive ``edges`` of many states.
+) -> np.ndarray:
+    """Weights of the shared normals in the densities of many lattice states.
 
     Row r of ``counts`` (shape ``(rows, len(multipliers))``) is the state
     after ``counts[r, k]`` kernels of shift ``multipliers[k] * unit_shift``
@@ -277,22 +281,14 @@ def lattice_masses(
     accumulated one diagonal a - b at a time until the overlap falls below
     1e-40. The coefficients are non-negative and sum to 1, so the diagonals
     left out carry less than 2e-40 of a row's mass, far below the cut of
-    the normals below.
+    the normals in ``normal_masses``.
 
-    Returns ``(weights, diffs)``: W, shape ``(rows, 2M - 1)``, and D, shape
-    ``(2M - 1, len(edges) - 1)``, the mass of each normal between
-    consecutive edges. The masses are the product ``weights @ diffs``.
-    Each normal is cut at 9 sigma from its center (each tail beyond carries
-    < 1.2e-19 of its mass and is returned as zero), so an interval more
-    than 9 sigma from every weighted center gets exactly zero; ``ndtr`` is
-    evaluated only at the edges inside a normal's band (about a fifth of
-    them at the default geometry), and the CDF outside it is the constant
-    ndtr(+-9) of the cut. Not normalized: a row of masses summed over the
-    whole line is the squared norm of its state, the protected survival
-    probability. Multipliers must be non-negative integers and ``edges``
-    strictly increasing; the first edge may be -inf and the last +inf (the
-    cut keeps every value finite), which gives the masses beyond the finite
-    edges.
+    Returns W, shape ``(rows, 2M - 1)``, where M - 1 is the largest
+    ``counts[r] @ multipliers``. A row's masses over the detector's slots
+    are ``W[r] @ normal_masses(sigma, unit_shift, n, ...)[:2M - 1]`` for
+    any n >= 2M - 1. Not normalized: a row summed over the whole line is the
+    squared norm of its state, the protected survival probability.
+    Multipliers must be non-negative integers.
     """
     if not all(float(m).is_integer() and m >= 0 for m in multipliers):
         raise ValueError(f"lattice multipliers must be non-negative integers, got {multipliers!r}")
@@ -303,9 +299,6 @@ def lattice_masses(
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 2 or counts.shape[1] != len(mult) or np.any(counts < 0):
         raise ValueError("counts must be non-negative, one row per state and one column per multiplier")
-    edges = np.asarray(edges, dtype=np.float64)
-    if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0.0):
-        raise ValueError("edges must be a strictly increasing 1-d array of at least 2 points")
     c2 = math.cos(theta) ** 2
     s2 = math.sin(theta) ** 2
     size = int((counts @ np.asarray(mult, dtype=np.int64)).max()) + 1
@@ -327,10 +320,58 @@ def lattice_masses(
             break
         # pairs (a, a + d) and (a + d, a) sit at s = 2a + d
         weights[:, d : 2 * size - 1 - d : 2] += (2.0 if d else 1.0) * overlap * coef[:, : size - d] * coef[:, d:]
-    z = (edges[None, :] - 0.5 * h * np.arange(2 * size - 1)[:, None]) / sigma
+    return weights
+
+
+@lru_cache(maxsize=16)
+def normal_masses(
+    sigma: float,
+    unit_shift: float,
+    n_normals: int,
+    pitch: float,
+    n_pixels: int,
+    offset: float,
+) -> np.ndarray:
+    """Masses of the normals N(x; s h / 2, sigma^2), s < ``n_normals``, in the detector's slots.
+
+    The slots are the line left of ``offset``, the ``n_pixels`` half-open
+    pixels [offset + i pitch, offset + (i + 1) pitch) and the line right of
+    the last pixel; this is the one place the detector's edges are built.
+    Returns D, shape ``(n_normals, n_pixels + 2)``, read-only: row s is
+    normal s's mass in each slot and does not depend on ``n_normals``, so
+    the head of a larger build equals a smaller one bit for bit. Each
+    normal is cut at 9 sigma from its center (each tail beyond carries
+    < 1.2e-19 of its mass and is returned as zero), so a slot more than
+    9 sigma from the center gets exactly zero; ``ndtr`` is evaluated only
+    at the edges inside a normal's band (about a fifth of them at the
+    default geometry), and the CDF outside it is the constant ndtr(+-9) of
+    the cut.
+
+    D depends only on the width, the unit shift, the row count and the
+    geometry, so it is cached on them (16 entries, as the candidate table):
+    ``pipeline.simulate_trials`` asks for the 2 N max(m) + 1 normals that
+    any of its truths can reach, and a candidate table over every
+    configuration of N events asks for the same rows, so both read one
+    entry. That pays wherever a process makes more than one
+    ``simulate_trials`` or estimate call at one geometry.
+    """
+    h = float(unit_shift)
+    if not (0.0 < h < math.inf) or not (0.0 < sigma < math.inf):
+        raise ValueError(f"unit shift and packet width must be positive, got {unit_shift!r}, {sigma!r}")
+    if n_normals < 1 or n_pixels < 1:
+        raise ValueError(f"need at least one normal and one pixel, got {n_normals!r}, {n_pixels!r}")
+    if not (0.0 < pitch < math.inf) or not math.isfinite(offset):
+        raise ValueError(f"pixel pitch must be positive and finite and the offset finite, got {pitch!r}, {offset!r}")
+    pixel_edges = offset + np.arange(n_pixels + 1) * pitch
+    if not np.all(np.diff(pixel_edges) > 0.0):
+        raise ValueError(f"pixel edges must be strictly increasing, got pitch {pitch!r} at offset {offset!r}")
+    edges = np.concatenate(([-np.inf], pixel_edges, [np.inf]))
+    z = (edges[None, :] - 0.5 * h * np.arange(n_normals)[:, None]) / sigma
     # ndtr only inside each normal's +-9 sigma band; outside it the CDF is
     # that of the cut, ndtr(+-9), exactly as if z were clipped to [-9, 9]
     cdf = np.where(z > 0.0, ndtr(9.0), ndtr(-9.0))
     band = np.abs(z) < 9.0
     cdf[band] = ndtr(z[band])
-    return weights, np.diff(cdf, axis=1)
+    masses = np.diff(cdf, axis=1)
+    masses.setflags(write=False)
+    return masses

@@ -7,8 +7,8 @@ The pair-sum accessors evaluate any ``GaussianSum`` (lattice or not) as a
 sum over all M^2 component pairs: spatial and momentum moments, the CDF,
 pixel masses and the detector's slot masses. ``clipped_lattice_masses``
 is the lattice formula with ``ndtr`` evaluated at every edge of every
-normal, and ``lattice_weights`` its weights with the diagonal loop run to
-any cutoff. ``theoretical_state`` folds one kernel per event of a
+normal, over any edges (``slot_edges`` builds the detector's), and
+``lattice_weights`` its weights with the diagonal loop run to any cutoff. ``theoretical_state`` folds one kernel per event of a
 configuration; ``fold_by_events`` does the same on raw arrays and merges
 each event by adding every tolerance group into zeros. ``multinomial_pmf``
 is the closed-form probability of a count vector. The candidate-table
@@ -178,7 +178,7 @@ def lattice_survival(theta: float, sigma: float, h: float, multipliers) -> float
 
 
 def lattice_weights(theta, sigma, unit_shift, multipliers, counts, cutoff=1e-40):
-    """Normal weights of ``lattice_masses`` in the same arithmetic.
+    """Normal weights of ``wavepacket.lattice_weights`` in the same arithmetic.
 
     The diagonal loop stops at the first overlap below ``cutoff``; a cutoff
     of 0 runs it until the overlap underflows to zero.
@@ -206,16 +206,24 @@ def lattice_weights(theta, sigma, unit_shift, multipliers, counts, cutoff=1e-40)
 
 
 def clipped_lattice_masses(theta, sigma, unit_shift, multipliers, counts, edges):
-    """``lattice_masses`` factors with ``ndtr`` over every normal at every edge.
+    """Lattice weights and normal masses, with ``ndtr`` over every normal at every edge.
 
-    The same weights, but the cut at 9 sigma is taken by clipping every z
-    to [-9, 9] before one ``ndtr`` pass over the whole (2M - 1) x edges
-    matrix, so the band-limited evaluation must match it bit for bit.
+    The same weights as ``wavepacket.lattice_weights``, and the masses of
+    its 2M - 1 normals between consecutive ``edges``, but the cut at 9
+    sigma is taken by clipping every z to [-9, 9] before one ``ndtr`` pass
+    over the whole (2M - 1) x edges matrix, so the band-limited
+    ``wavepacket.normal_masses`` must match it bit for bit over
+    ``slot_edges``.
     """
     weights = lattice_weights(theta, sigma, unit_shift, multipliers, counts)
     edges = np.asarray(edges, dtype=np.float64)
     z = (edges[None, :] - 0.5 * unit_shift * np.arange(weights.shape[1])[:, None]) / sigma
     return weights, np.diff(ndtr(np.clip(z, -9.0, 9.0)), axis=1)
+
+
+def slot_edges(pitch, n_pixels, offset):
+    """Pixel edges with -inf and +inf added: the slots ``sample_histogram`` counts into."""
+    return np.concatenate(([-np.inf], offset + np.arange(n_pixels + 1) * pitch, [np.inf]))
 
 
 def _pair_weights(state):

@@ -22,7 +22,7 @@ from zenosense.estimator import pixel_moments
 from zenosense.noise_model import Configuration, NoiseAlphabet, enumerate_configurations
 from zenosense.pipeline import resolve_unit_shift, simulate_trials
 from zenosense.seeds import make_rng
-from zenosense.wavepacket import GaussianSum, apply_noise_kernel, density_at, lattice_masses, make_gaussian
+from zenosense.wavepacket import GaussianSum, apply_noise_kernel, density_at, lattice_weights, make_gaussian, normal_masses
 
 import oracles
 from oracles import theoretical_state
@@ -31,15 +31,17 @@ QUARTER = math.pi / 4.0
 ALPHABET = NoiseAlphabet(0.76, (0.0, 1.0, 2.0, 3.0, 4.0), (0.2,) * 5)
 
 
-def slot_edges(pitch, n_pixels, offset):
-    """Pixel edges with -inf and +inf added: the slots ``sample_histogram`` counts into."""
-    return np.concatenate(([-np.inf], offset + np.arange(n_pixels + 1) * pitch, [np.inf]))
+def trial_slots(theta, sigma, unit_shift, multipliers, counts, pitch, n_pixels, offset):
+    """Slot masses of one lattice state as ``simulate_trials`` takes them: its ``lattice_weights`` row times
+    the head of ``normal_masses`` for the 2 N max(m) + 1 normals any state of its N events reaches."""
+    weights = lattice_weights(theta, sigma, unit_shift, multipliers, [counts])
+    diffs = normal_masses(sigma, unit_shift, 2 * sum(counts) * int(max(multipliers)) + 1, pitch, n_pixels, offset)
+    return (weights @ diffs[: weights.shape[1]])[0]
 
 
 def lattice_slots(counts, pitch, n_pixels, offset):
     """Slot masses of a lattice state of ``ALPHABET`` at unit width, as the pipeline takes them."""
-    edges = slot_edges(pitch, n_pixels, offset)
-    return np.matmul(*lattice_masses(QUARTER, 1.0, ALPHABET.unit_shift, ALPHABET.multipliers, [counts], edges))[0]
+    return trial_slots(QUARTER, 1.0, ALPHABET.unit_shift, ALPHABET.multipliers, counts, pitch, n_pixels, offset)
 
 
 def detect(state, photons, pitch, n_pixels, offset, seed):
@@ -196,13 +198,10 @@ def edge_cdf(masses):
 
 
 def lattice_cdfs(theta, unit_shift, multipliers, n_events, config):
-    """Edge CDF of every candidate, one ``lattice_masses`` product row each as in the pipeline."""
-    edges = slot_edges(config.pixel_pitch_um, config.pixel_count, config.detector_offset_um)
+    """Edge CDF of every candidate, one slot row each as in the pipeline."""
+    geometry = (config.pixel_pitch_um, config.pixel_count, config.detector_offset_um)
     candidates = enumerate_configurations(len(multipliers), n_events)
-    rows = [
-        np.matmul(*lattice_masses(theta, config.sigma_um, unit_shift, multipliers, [c.counts], edges))[0]
-        for c in candidates
-    ]
+    rows = [trial_slots(theta, config.sigma_um, unit_shift, multipliers, c.counts, *geometry) for c in candidates]
     return candidates, [edge_cdf(row) for row in rows]
 
 
@@ -311,13 +310,11 @@ class TestSlotCounting:
 def reference_slots():
     """Default config and the slot masses of its reference set (2, 0, 2, 2, 0), as the pipeline takes them."""
     config = ExperimentConfig()
-    edges = slot_edges(config.pixel_pitch_um, config.pixel_count, config.detector_offset_um)
+    geometry = (config.pixel_pitch_um, config.pixel_count, config.detector_offset_um)
     unit_shift = resolve_unit_shift(config)
-    masses = np.matmul(
-        *lattice_masses(
-            config.theta_rad, config.sigma_um, unit_shift, config.alphabet_multipliers, [(2, 0, 2, 2, 0)], edges
-        )
-    )[0]
+    masses = trial_slots(
+        config.theta_rad, config.sigma_um, unit_shift, config.alphabet_multipliers, (2, 0, 2, 2, 0), *geometry
+    )
     return config, masses
 
 

@@ -27,7 +27,6 @@ from zenosense.estimator import (
 )
 from zenosense.noise_model import Configuration, NoiseAlphabet, enumerate_configurations
 from zenosense.seeds import make_rng
-from zenosense.wavepacket import lattice_masses
 
 import oracles
 from oracles import theoretical_state
@@ -245,7 +244,8 @@ class TestCandidateTable:
         def rebuild(*args, **kwargs):
             raise AssertionError("a warm estimate rebuilt the candidate table")
 
-        monkeypatch.setattr(estimator, "lattice_masses", rebuild)
+        monkeypatch.setattr(estimator, "lattice_weights", rebuild)
+        monkeypatch.setattr(estimator, "normal_masses", rebuild)
         for method in ("l2", "moments"):
             assert estimate_histogram(hist, CANDIDATES, QUARTER, SIGMA, ALPHABET, method=method).config == TRUTH
 

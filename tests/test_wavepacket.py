@@ -1,5 +1,6 @@
 """Closed-form Gaussian-sum algebra against adaptive-quadrature oracles, and the
-band-limited lattice CDF against the clip-everything formula."""
+lattice weights and band-limited normal masses against the clip-everything
+formula."""
 
 import math
 
@@ -18,8 +19,9 @@ from zenosense.wavepacket import (
     density_at,
     fold_kernels,
     inner_product,
-    lattice_masses,
+    lattice_weights,
     make_gaussian,
+    normal_masses,
 )
 
 import oracles
@@ -321,13 +323,20 @@ class TestCumulativeMass:
         assert cumulative_mass(state, 60.0) == pytest.approx(1.0, abs=1e-12)
 
 
-def same_factors(*args):
-    """``lattice_masses`` and the clip-everything oracle agree bit for bit in both factors."""
-    return all(np.array_equal(a, b) for a, b in zip(lattice_masses(*args), oracles.clipped_lattice_masses(*args)))
+def same_factors(theta, sigma, unit_shift, multipliers, counts, pitch, n_pixels, offset):
+    """``lattice_weights``, and every row of ``normal_masses`` for as many normals, equal the
+    clip-everything oracle's factors over the slot edges bit for bit."""
+    weights, diffs = oracles.clipped_lattice_masses(
+        theta, sigma, unit_shift, multipliers, counts, oracles.slot_edges(pitch, n_pixels, offset)
+    )
+    built = normal_masses(sigma, unit_shift, weights.shape[1], pitch, n_pixels, offset)
+    return np.array_equal(lattice_weights(theta, sigma, unit_shift, multipliers, counts), weights) and np.array_equal(
+        built.view(np.uint64), diffs.view(np.uint64)
+    )
 
 
 def lattice_z(sigma, unit_shift, counts, multipliers, edges):
-    """z of every edge against every normal, as ``lattice_masses`` forms it."""
+    """z of every edge against every normal the states reach, as ``normal_masses`` forms it."""
     size = int(np.max(np.asarray(counts) @ np.asarray(multipliers, dtype=np.int64))) + 1
     return (edges[None, :] - 0.5 * unit_shift * np.arange(2 * size - 1)[:, None]) / sigma
 
@@ -338,21 +347,19 @@ class TestLatticeBand:
     @pytest.fixture(scope="class")
     def default(self):
         config = ExperimentConfig()
-        edges = config.detector_offset_um + np.arange(config.pixel_count + 1) * config.pixel_pitch_um
-        return config, resolve_unit_shift(config), edges
+        geometry = (config.pixel_pitch_um, config.pixel_count, config.detector_offset_um)
+        return config, resolve_unit_shift(config), geometry
 
     @pytest.mark.parametrize("n_events", [6, 10])
     def test_default_table_and_trial_rows(self, default, n_events):
-        config, unit_shift, edges = default
+        config, unit_shift, geometry = default
         multipliers = config.alphabet_multipliers
         counts = [c.counts for c in enumerate_configurations(len(multipliers), n_events)]
         head = (config.theta_rad, config.sigma_um, unit_shift, multipliers)
-        assert same_factors(*head, counts, edges)
-        # a trial's row over the pixel edges with -inf and +inf added
-        trial_edges = np.concatenate(([-np.inf], edges, [np.inf]))
+        assert same_factors(*head, counts, *geometry)
+        # a trial's row, with only the normals its own state reaches
         for row in counts[:: len(counts) // 7]:
-            one = (*head, [row], trial_edges)
-            assert same_factors(*one)
+            assert same_factors(*head, [row], *geometry)
 
     @pytest.mark.parametrize(
         "sigma,unit_shift",
@@ -363,31 +370,74 @@ class TestLatticeBand:
         ],
     )
     def test_band_width_extremes(self, default, sigma, unit_shift):
-        config, _, edges = default
+        config, _, geometry = default
         multipliers = config.alphabet_multipliers
         counts = [c.counts for c in enumerate_configurations(len(multipliers), 6)]
+        edges = oracles.slot_edges(*geometry)[1:-1]
         inside = np.abs(lattice_z(sigma, unit_shift, counts, multipliers, edges)) < 9.0
         if sigma > 1000.0:
             assert inside.all()
         else:
             assert inside.mean() < 0.01
-        trial_edges = np.concatenate(([-np.inf], edges, [np.inf]))
-        for e in (edges, trial_edges):
-            head = (math.pi / 4, sigma, unit_shift, multipliers, counts, e)
-            assert same_factors(*head)
+        assert same_factors(math.pi / 4, sigma, unit_shift, multipliers, counts, *geometry)
 
     def test_edges_exactly_nine_sigma_from_a_center(self):
         # unit width and a shift of 2 put the normals on the integers, so
-        # integer edges give z exactly +-9 for many of them
+        # the integer edges of 33 unit pixels from -12 give z exactly +-9
+        # for many of them
         multipliers = (0, 1, 2)
         counts = [c.counts for c in enumerate_configurations(3, 4)]
-        edges = np.arange(-12.0, 22.0)
-        z = lattice_z(1.0, 2.0, counts, multipliers, edges)
+        geometry = (1.0, 33, -12.0)
+        z = lattice_z(1.0, 2.0, counts, multipliers, oracles.slot_edges(*geometry)[1:-1])
         assert np.any(z == 9.0) and np.any(z == -9.0)
-        for e in (edges, np.concatenate(([-np.inf], edges, [np.inf]))):
-            for theta in (math.pi / 4, 0.3):
-                head = (theta, 1.0, 2.0, multipliers, counts, e)
-                assert same_factors(*head)
+        for theta in (math.pi / 4, 0.3):
+            assert same_factors(theta, 1.0, 2.0, multipliers, counts, *geometry)
+
+
+class TestNormalMasses:
+    """The cached, read-only slot masses of the shared normals."""
+
+    @pytest.mark.parametrize(
+        "sigma,unit_shift,geometry",
+        [
+            (150.0, 114.05, (13.0, 1024, -6656.0)),
+            (2.0, 2.3, (13.0, 1024, -6656.0)),
+            (1500.0, 114.05, (13.0, 1024, -6656.0)),
+            (1.0, 2.0, (1.0, 33, -12.0)),
+        ],
+    )
+    def test_head_of_a_larger_build_is_the_smaller_build(self, sigma, unit_shift, geometry):
+        big = normal_masses(sigma, unit_shift, 161, *geometry)
+        assert big.shape == (161, geometry[1] + 2)
+        for n in (1, 41, 81):
+            small = normal_masses.__wrapped__(sigma, unit_shift, n, *geometry)
+            assert np.array_equal(big[:n].view(np.uint64), small.view(np.uint64))
+
+    def test_read_only_and_cached(self):
+        masses = normal_masses(150.0, 114.05, 81, 13.0, 1024, -6656.0)
+        assert not masses.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            masses[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            masses[:, 1:-1] *= 2.0
+        assert normal_masses(150.0, 114.05, 81, 13.0, 1024, -6656.0) is masses
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (0.0, 114.05, 81, 13.0, 1024, -6656.0),
+            (150.0, -1.0, 81, 13.0, 1024, -6656.0),
+            (150.0, 114.05, 0, 13.0, 1024, -6656.0),
+            (150.0, 114.05, 81, 13.0, 0, -6656.0),
+            (150.0, 114.05, 81, 0.0, 1024, -6656.0),
+            (150.0, 114.05, 81, math.nan, 1024, -6656.0),
+            (150.0, 114.05, 81, 13.0, 1024, math.inf),
+            (150.0, 114.05, 81, 1.0, 1024, 1e20),  # the pitch is lost below the offset's last bit
+        ],
+    )
+    def test_bad_arguments_rejected(self, args):
+        with pytest.raises(ValueError):
+            normal_masses(*args)
 
 
 class TestLatticeWeightCut:
@@ -399,8 +449,8 @@ class TestLatticeWeightCut:
         # the only term of the weight halfway between them
         head = (math.pi / 4, 150.0, 114.05, (0, 40))
         counts = [c.counts for c in enumerate_configurations(2, 3)]
-        edges = np.concatenate(([-np.inf], -6656.0 + np.arange(1025) * 13.0, [np.inf]))
-        weights, diffs = lattice_masses(*head, counts, edges)
+        weights = lattice_weights(*head, counts)
+        diffs = normal_masses(150.0, 114.05, weights.shape[1], 13.0, 1024, -6656.0)
         dropped = oracles.lattice_weights(*head, counts, cutoff=0.0) - weights
         assert dropped.min() >= 0.0 and dropped.max() > 0.0
         mass = (dropped @ diffs).sum(axis=1)
@@ -416,5 +466,5 @@ class TestLatticeWeightCut:
         head = (theta, config.sigma_um, resolve_unit_shift(config), config.alphabet_multipliers)
         for n_events, stride in ((10, 1), (20, 5)):
             counts = [c.counts for c in enumerate_configurations(5, n_events)][::stride]
-            weights, _ = lattice_masses(*head, counts, [-np.inf, np.inf])
+            weights = lattice_weights(*head, counts)
             assert np.array_equal(weights, oracles.lattice_weights(*head, counts, cutoff=0.0))
