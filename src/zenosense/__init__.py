@@ -38,12 +38,6 @@ from zenosense.noise_model import (
     sample_realization,
 )
 from zenosense.seeds import derive_seed, make_rng
-from zenosense.wavepacket import (
-    GaussianSum,
-    apply_noise_kernel,
-    density_at,
-    inner_product,
-    make_gaussian,
-)
+from zenosense.wavepacket import GaussianSum, inner_product, make_gaussian
 
 __version__ = "0.1.0"

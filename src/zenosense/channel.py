@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from zenosense.seeds import make_rng
-from zenosense.wavepacket import GaussianSum, fold_kernels
+from zenosense.wavepacket import GaussianSum, fold_kernels, lattice_weights
 
 __all__ = [
     "ProbeState",
@@ -100,6 +100,11 @@ def _clip01(p: float) -> float:
     return min(1.0, max(0.0, p))
 
 
+def _check_sigma(sigma: float) -> None:
+    if not (0.0 < sigma < math.inf):
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+
+
 def run_protected(theta: float, sigma: float, realization: ChannelRealization) -> RunReport:
     """Run the Zeno-protected protocol: kernel + projection per event.
 
@@ -108,8 +113,8 @@ def run_protected(theta: float, sigma: float, realization: ChannelRealization) -
     step j survives with S_(j+1) / S_j.
     """
     ProbeState(theta)
-    state = fold_kernels(theta, sigma, realization.couplings)
     survivals, moments = _grid_survivals_and_moments(theta, sigma, realization.couplings)
+    state = fold_kernels(theta, sigma, realization.couplings)
     steps = survivals[1:] / survivals[:-1]
     return RunReport(
         final_state=state,
@@ -126,8 +131,7 @@ def run_unprotected(theta: float, sigma: float, realization: ChannelRealization)
     cos^4 + sin^4 + 2 sin^2 cos^2 exp(-G^2 / (8 sigma^2)) exactly.
     """
     ProbeState(theta)
-    if not (sigma > 0.0):
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    _check_sigma(sigma)
     c2 = math.cos(theta) ** 2
     s2 = math.sin(theta) ** 2
     total = realization.total
@@ -150,8 +154,7 @@ def decay_parameter(
     ``single-measurement`` is J_1 = DeltaS^2 * B2_1 * (sum g_j)^2.
     """
     probe = ProbeState(theta)
-    if not (sigma > 0.0):
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    _check_sigma(sigma)
     ds2 = probe.delta_s_squared
     v1 = 1.0 / (4.0 * sigma * sigma)
     g = np.asarray(realization.couplings, dtype=np.float64)
@@ -185,8 +188,7 @@ def _filter_products(
     nodes p = k h run over [0, T / (2 sigma)] with doubled weights for k >= 1.
     ``w @ prefix[:, j]`` is the survival after j events.
     """
-    if not (sigma > 0.0):
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    _check_sigma(sigma)
     g = np.asarray(couplings, dtype=np.float64)
     if not np.all(np.isfinite(g) & (g >= 0.0)):
         raise ValueError("couplings must be finite and non-negative")
@@ -350,23 +352,26 @@ def calibrate_unit_shift(sigma: float, target_survival: float, shift_multiples: 
 
     ``shift_multiples`` lists the per-event shifts in units of g (for the
     reference noise set (2,0,2,2,0) on the 0..4g alphabet this is
-    (0,0,2,2,3,3)). Survival depends on the couplings only through
+    (0,0,2,2,3,3)); they must be non-negative integers, as alphabet
+    multipliers are. The events then leave a lattice state, whose survival
+    is the sum of its ``lattice_weights`` row, since every normal of the
+    row has unit mass. Survival depends on the couplings only through
     u = g^2/(8 sigma^2), and is strictly decreasing in u from 1 toward a
     positive floor (the incoherent sum of sub-packet weights), so a bisection
     on u converges for any attainable target. Raises for targets at or above
     1 and at or below the floor.
     """
-    if not (sigma > 0.0):
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    multiples = tuple(float(m) for m in shift_multiples)
-    if len(multiples) == 0 or any(m < 0.0 for m in multiples):
-        raise ValueError("shift multiples must be non-negative and non-empty")
-    if all(m == 0.0 for m in multiples):
+    _check_sigma(sigma)
+    multiples = tuple(shift_multiples)
+    if len(multiples) == 0 or not all(float(m).is_integer() and m >= 0 for m in multiples):
+        raise ValueError(f"shift multiples must be non-negative integers and non-empty, got {multiples!r}")
+    if all(m == 0 for m in multiples):
         raise ValueError("all shift multiples are zero: survival is identically 1")
+    one_each = [[1] * len(multiples)]
 
     def survival_at(u: float) -> float:
-        g_over_sigma = math.sqrt(8.0 * u)
-        return _clip01(fold_kernels(CALIBRATION_THETA, 1.0, [m * g_over_sigma for m in multiples]).norm_sq)
+        weights = lattice_weights(CALIBRATION_THETA, 1.0, math.sqrt(8.0 * u), multiples, one_each)
+        return _clip01(float(weights.sum()))
 
     floor = survival_at(1e9)
     if not (floor + 1e-9 < target_survival < 1.0):

@@ -39,7 +39,7 @@ from zenosense.pipeline import (
     simulate_trials,
 )
 from zenosense.svgplot import Figure
-from zenosense.wavepacket import density_at, fold_kernels
+from zenosense.wavepacket import lattice_density, lattice_weights
 
 __all__ = ["main"]
 
@@ -207,9 +207,8 @@ def _reproduce_fig2(out: Path, seed: int, photons: int) -> None:
     sigma = config.sigma_um
     grid = np.linspace(-3.0 * sigma, 10.0 * unit_shift + 3.0 * sigma, 600)
 
-    def density(c: Configuration) -> np.ndarray:
-        return density_at(fold_kernels(config.theta_rad, sigma, config_realization(c, alphabet).couplings), grid)
-
+    weights = lattice_weights(config.theta_rad, sigma, unit_shift, alphabet.multipliers, [c.counts for c in candidates])
+    densities = lattice_density(weights, sigma, unit_shift, grid)
     hist = rec.histogram
     centers = hist.centers()
     window = (centers >= grid[0]) & (centers <= grid[-1])
@@ -222,13 +221,13 @@ def _reproduce_fig2(out: Path, seed: int, photons: int) -> None:
         xlabel="x (um)",
         ylabel="probability density (1/um)",
     )
-    for i, cand in enumerate(candidates):
+    for i, density in enumerate(densities):
         if i in (true_idx, recon_idx):
             continue
         color = "#d62728" if i in est_m.mean_window else "#c8c8c8"
-        fig.add_line(grid, density(cand), color=color, width=0.6)
-    recon_density = density(est_m.config)
-    true_density = density(rec.truth)
+        fig.add_line(grid, density, color=color, width=0.6)
+    recon_density = densities[recon_idx]
+    true_density = densities[true_idx]
     if recon_idx != true_idx:
         fig.add_line(grid, true_density, color="#1f77b4", width=2.0, dash="6,4", label="true set")
     fig.add_line(grid, recon_density, color="#2ca02c", width=2.5, label="reconstructed set")

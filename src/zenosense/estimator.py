@@ -239,9 +239,12 @@ def estimate_from_masses(
         raise ValueError("mass vector has a non-finite entry")
     if (masses < 0.0).any():
         raise ValueError("mass vector has a negative entry")
-    total = masses.sum()
+    with np.errstate(over="ignore"):
+        total = masses.sum()
     if not (total > 0.0):
         raise ValueError("mass vector is empty: every entry is zero")
+    if not math.isfinite(total):
+        raise ValueError(f"mass vector's sum is not finite, got {total!r}")
     masses = masses / total
     cand = candidate_table(
         alphabet.multipliers,

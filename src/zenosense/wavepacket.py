@@ -14,17 +14,18 @@ and every quantity of interest has an exact pairwise closed form:
 
 (N(x; m, s^2) is the unit-mass normal density.) All public operations below
 are evaluated through these identities; the library never integrates
-numerically. The mass of a lattice state in the detector's slots is the
-product of two factors: ``lattice_weights`` gives the state's weights on
-normals shared by every lattice state, and ``normal_masses`` the masses of
-those normals, cut at 9 sigma, in each slot, with their CDFs evaluated only
-inside that band. The second depends only on the width, the unit shift
-and the detector, so it is cached and read-only; every simulated trial
-takes the product of one row of weights with it, and the candidate table
-keeps the two as factors. States are kept
-non-normalized on purpose: the running squared norm of the bath state is
-exactly the survival probability of the polarization qubit, and
-normalization happens only inside the density accessor.
+numerically. Every state the pipeline forms sits on a lattice of shifts, so
+its density is a mixture of normals shared by all lattice states.
+``lattice_weights`` gives many states' weights on them at once, kept
+non-normalized on purpose: a row's sum is the state's squared norm, the
+survival probability of the polarization qubit. ``lattice_density`` gives
+the rows' normalized densities, and ``normal_masses`` the masses of the
+normals, cut at 9 sigma, in each of the detector's slots, with their CDFs
+evaluated only inside that band. Those masses depend only on the width,
+the unit shift and the detector, so they are cached and read-only; every
+simulated trial takes the product of one row of weights with them, and
+the candidate table keeps the two as factors. ``fold_kernels`` builds the
+one ``GaussianSum`` the protected run reports.
 """
 
 from __future__ import annotations
@@ -41,10 +42,9 @@ __all__ = [
     "GaussianSum",
     "make_gaussian",
     "inner_product",
-    "apply_noise_kernel",
     "fold_kernels",
-    "density_at",
     "lattice_weights",
+    "lattice_density",
     "normal_masses",
     "MERGE_TOLERANCE_FACTOR",
 ]
@@ -97,13 +97,6 @@ class GaussianSum:
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "centers", cents)
-
-    @property
-    def components(self) -> tuple[tuple[complex, float], ...]:
-        """(amplitude, center) pairs in ascending center order."""
-        return tuple(
-            (complex(a), float(c)) for a, c in zip(self.amplitudes, self.centers)
-        )
 
     @property
     def n_components(self) -> int:
@@ -206,29 +199,18 @@ def _kernel_step(
     return _merge_components(np.concatenate((amps * s2, amps * c2)), np.concatenate((cents, cents + g)), tol)
 
 
-def apply_noise_kernel(state: GaussianSum, theta: float, g: float) -> GaussianSum:
-    """Apply one (non-unitary) noise-event kernel to the bath state.
-
-    The kernel is B = cos^2(theta) * T_g + sin^2(theta) * I, where T_g shifts
-    every component center by +g (the horizontally polarized sub-packet moves
-    toward positive x). The result is non-normalized: its squared norm is
-    the conditional survival probability of the projective measurement that
-    produced the kernel.
-    """
-    tol = MERGE_TOLERANCE_FACTOR * state.sigma
-    return GaussianSum(state.sigma, *_kernel_step(state.amplitudes, state.centers, theta, g, tol))
-
-
 def fold_kernels(theta: float, sigma: float, couplings: Iterable[float]) -> GaussianSum:
     """Bath state after one noise kernel per coupling, in the given order.
 
-    Starts from the unit Gaussian of width ``sigma``. The kernels commute, so
-    the order only moves the last bits; the squared norm of the result is the
-    protected survival probability of the whole sequence. The fold carries
-    raw (amplitudes, centers) arrays through the kernel step and merge of
-    ``apply_noise_kernel``, so each coupling is checked and each state is
-    the one that a chain of those calls gives, bit for bit; the
-    ``GaussianSum`` is built once, from the last of them.
+    Starts from the unit Gaussian of width ``sigma``. Each kernel is the
+    non-unitary B = cos^2(theta) T_g + sin^2(theta) I, where T_g shifts
+    every component center by +g (the horizontally polarized sub-packet
+    moves toward positive x); each coupling is checked to be finite and
+    non-negative. The kernels commute, so the order only moves the last
+    bits; the squared norm of the result is the protected survival
+    probability of the whole sequence. The fold carries raw (amplitudes,
+    centers) arrays through one kernel step and merge per coupling and
+    builds the ``GaussianSum`` once, from the last of them.
     """
     state = make_gaussian(sigma)
     tol = MERGE_TOLERANCE_FACTOR * state.sigma
@@ -238,24 +220,11 @@ def fold_kernels(theta: float, sigma: float, couplings: Iterable[float]) -> Gaus
     return GaussianSum(state.sigma, amps, cents)
 
 
-def density_at(state: GaussianSum, x) -> np.ndarray | float:
-    """Normalized spatial probability density |psi(x)|^2 / <psi|psi>.
-
-    Accepts a scalar or array of positions; vectorized over the input shape.
-    Rejects zero-norm states.
-    """
-    norm = state.norm_sq
-    if not (norm > 0.0):
-        raise ValueError("density undefined for a zero-norm state")
-    xs = np.asarray(x, dtype=np.float64)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    sigma = state.sigma
-    pref = (2.0 * math.pi * sigma * sigma) ** -0.25
-    z = (xs[..., None] - state.centers) / sigma
-    psi = np.exp(-0.25 * z * z) @ state.amplitudes
-    rho = pref * pref * np.abs(psi) ** 2 / norm
-    return float(rho[0]) if scalar else rho
+def _lattice_spacing(sigma: float, unit_shift: float) -> float:
+    h = float(unit_shift)
+    if not (0.0 < h < math.inf) or not (0.0 < sigma < math.inf):
+        raise ValueError(f"unit shift and packet width must be positive, got {unit_shift!r}, {sigma!r}")
+    return h
 
 
 def lattice_weights(
@@ -293,9 +262,7 @@ def lattice_weights(
     if not all(float(m).is_integer() and m >= 0 for m in multipliers):
         raise ValueError(f"lattice multipliers must be non-negative integers, got {multipliers!r}")
     mult = tuple(int(m) for m in multipliers)
-    h = float(unit_shift)
-    if not (0.0 < h < math.inf) or not (0.0 < sigma < math.inf):
-        raise ValueError(f"unit shift and packet width must be positive, got {unit_shift!r}, {sigma!r}")
+    h = _lattice_spacing(sigma, unit_shift)
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 2 or counts.shape[1] != len(mult) or np.any(counts < 0):
         raise ValueError("counts must be non-negative, one row per state and one column per multiplier")
@@ -306,7 +273,8 @@ def lattice_weights(
     coef[:, 0] = 1.0
     for m, n in zip(mult, counts.T):
         # one factor s^2 + c^2 z^m per event, in the order and arithmetic of
-        # apply_noise_kernel; only rows with more than t such events take it
+        # one kernel step of fold_kernels; only rows with more than t such
+        # events take it
         for t in range(int(n.max())):
             rows = np.flatnonzero(n > t)
             before = coef[rows]
@@ -321,6 +289,24 @@ def lattice_weights(
         # pairs (a, a + d) and (a + d, a) sit at s = 2a + d
         weights[:, d : 2 * size - 1 - d : 2] += (2.0 if d else 1.0) * overlap * coef[:, : size - d] * coef[:, d:]
     return weights
+
+
+def lattice_density(weights: np.ndarray, sigma: float, unit_shift: float, x) -> np.ndarray:
+    """Normalized densities of lattice states from their ``lattice_weights`` rows.
+
+    Row r of the result is sum_s W_rs N(x; s h / 2, sigma^2) / sum_s W_rs
+    at each position of the 1-d ``x``, with h = ``unit_shift``: shape
+    ``(rows, len(x))``. Rejects a row whose weights sum to zero, the
+    squared norm of a state that does not survive.
+    """
+    h = _lattice_spacing(sigma, unit_shift)
+    weights = np.asarray(weights, dtype=np.float64)
+    totals = weights.sum(axis=1)
+    if not np.all(totals > 0.0):
+        raise ValueError("density undefined for a zero-norm state")
+    z = (np.asarray(x, dtype=np.float64)[None, :] - 0.5 * h * np.arange(weights.shape[1])[:, None]) / sigma
+    normals = np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
+    return (weights @ normals) / totals[:, None]
 
 
 @lru_cache(maxsize=16)
@@ -355,9 +341,7 @@ def normal_masses(
     entry. That pays wherever a process makes more than one
     ``simulate_trials`` or estimate call at one geometry.
     """
-    h = float(unit_shift)
-    if not (0.0 < h < math.inf) or not (0.0 < sigma < math.inf):
-        raise ValueError(f"unit shift and packet width must be positive, got {unit_shift!r}, {sigma!r}")
+    h = _lattice_spacing(sigma, unit_shift)
     if n_normals < 1 or n_pixels < 1:
         raise ValueError(f"need at least one normal and one pixel, got {n_normals!r}, {n_pixels!r}")
     if not (0.0 < pitch < math.inf) or not math.isfinite(offset):

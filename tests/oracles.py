@@ -3,12 +3,14 @@
 Most of this evaluates wavefunctions from the explicit Gaussian formula
 and integrates with adaptive quadrature (piecewise between packet centers,
 tolerance 1e-12 on a support of +/- 10 sigma beyond the outermost centers).
-The pair-sum accessors evaluate any ``GaussianSum`` (lattice or not) as a
-sum over all M^2 component pairs: spatial and momentum moments, the CDF,
-pixel masses and the detector's slot masses. ``clipped_lattice_masses``
-is the lattice formula with ``ndtr`` evaluated at every edge of every
-normal, over any edges (``slot_edges`` builds the detector's), and
-``lattice_weights`` its weights with the diagonal loop run to any cutoff. ``theoretical_state`` folds one kernel per event of a
+``density_at`` evaluates the normalized density of any ``GaussianSum``
+from its components. The pair-sum accessors evaluate any ``GaussianSum``
+(lattice or not) as a sum over all M^2 component pairs: spatial and
+momentum moments, the CDF, pixel masses and the detector's slot masses.
+``clipped_lattice_masses`` is the lattice formula with ``ndtr`` evaluated
+at every edge of every normal, over any edges (``slot_edges`` builds the
+detector's), and ``lattice_weights`` its weights with the diagonal loop
+run to any cutoff. ``theoretical_state`` folds one kernel per event of a
 configuration; ``fold_by_events`` does the same on raw arrays and merges
 each event by adding every tolerance group into zeros. ``multinomial_pmf``
 is the closed-form probability of a count vector. The candidate-table
@@ -17,7 +19,9 @@ fold and pair-sum pixel masses, and its degeneracy groups and one
 candidate's moment neighbours by plain loops over pairs and rows. The l2
 oracles keep the whole profile matrix, as the table once did, and take
 every candidate's distance and the rounded-row partners from it. None of
-it shares code with the lattice and estimator paths it checks.
+it shares code with the lattice and estimator paths it checks: from
+``zenosense`` it takes only ``GaussianSum``, ``fold_kernels`` and
+``MERGE_TOLERANCE_FACTOR`` (``tests/test_exports.py`` holds it to that).
 """
 
 from __future__ import annotations
@@ -109,6 +113,24 @@ def quad_density(state, x: float) -> float:
     return abs(psi(state, x)) ** 2 / quad_norm_sq(state)
 
 
+def density_at(state, x):
+    """Normalized density |psi(x)|^2 / <psi|psi> from the component sum.
+
+    Accepts a scalar or array of positions; rejects zero-norm states.
+    """
+    norm = state.norm_sq
+    if not (norm > 0.0):
+        raise ValueError("density undefined for a zero-norm state")
+    xs = np.asarray(x, dtype=np.float64)
+    scalar = xs.ndim == 0
+    xs = np.atleast_1d(xs)
+    sigma = state.sigma
+    pref = (2.0 * math.pi * sigma * sigma) ** -0.25
+    z = (xs[..., None] - state.centers) / sigma
+    rho = pref * pref * np.abs(np.exp(-0.25 * z * z) @ state.amplitudes) ** 2 / norm
+    return float(rho[0]) if scalar else rho
+
+
 def quad_cumulative(state, x: float) -> float:
     norm = quad_norm_sq(state)
     lo = float(state.centers.min() - 10.0 * state.sigma)
@@ -155,6 +177,22 @@ def random_state(rng: np.random.Generator, max_components: int = 16, complex_amp
     else:
         amps = rng.uniform(0.05, 1.0, size=n).astype(complex)
     return GaussianSum(sigma, amps, centers)
+
+
+def random_lattice_rows(rng, rows):
+    """(theta, sigma, h, multipliers, counts) of random lattice states, h / sigma in [0.05, 5]."""
+    theta = float(rng.uniform(0.0, math.pi / 2))
+    sigma = float(rng.uniform(0.3, 3.0))
+    h = sigma * float(rng.uniform(0.05, 5.0))
+    multipliers = tuple(int(m) for m in rng.integers(0, 5, size=int(rng.integers(1, 4))))
+    return theta, sigma, h, multipliers, rng.integers(0, 4, size=(rows, len(multipliers)))
+
+
+def lattice_state(theta, sigma, h, multipliers, counts):
+    """The folded ``GaussianSum`` of one lattice row, for the quadrature oracles."""
+    from zenosense.wavepacket import fold_kernels
+
+    return fold_kernels(theta, sigma, [m * h for m, n in zip(multipliers, counts) for _ in range(int(n))])
 
 
 def lattice_survival(theta: float, sigma: float, h: float, multipliers) -> float:
@@ -371,7 +409,7 @@ def fold_by_events(theta, sigma, couplings):
     """Raw ``(amplitudes, centers)`` of the unit Gaussian after one kernel per coupling.
 
     Each event applies s^2 I + c^2 T_g to the whole component list, as one
-    ``apply_noise_kernel`` call does, and merges it by ``merge_by_add_at``.
+    kernel step of ``fold_kernels`` does, and merges it by ``merge_by_add_at``.
     """
     from zenosense.wavepacket import MERGE_TOLERANCE_FACTOR
 

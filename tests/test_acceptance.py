@@ -203,7 +203,7 @@ def test_criterion_5_qze_scaling():
 
 def test_criterion_6_analytics_oracle_suite():
     """Closed forms vs quadrature at 1e-10; quartic residual; cooling sequence."""
-    from zenosense.wavepacket import GaussianSum, density_at, inner_product
+    from zenosense.wavepacket import GaussianSum, inner_product, lattice_density, lattice_weights
     from oracles import moment, momentum_second_moment
 
     t0 = time.time()
@@ -218,15 +218,24 @@ def test_criterion_6_analytics_oracle_suite():
             worst,
             abs(momentum_second_moment(state) - oracles.quad_momentum_second(state)),
         )
-        x = float(rng.uniform(-2, 6) * state.sigma)
-        worst = max(worst, abs(float(density_at(state, x)) - oracles.quad_density(state, x)))
         other = GaussianSum(
             state.sigma,
             rng.normal(0.3, 1.0, size=3) + 1j * rng.normal(0.0, 0.5, size=3),
             rng.uniform(-2.0, 6.0, size=3) * state.sigma,
         )
         worst = max(worst, abs(inner_product(state, other) - oracles.quad_overlap(state, other)))
-    closed_forms_ok = worst < 1e-10
+    # lattice survival (a row's sum) and density, the forms the pipeline uses
+    lattice_rng = np.random.default_rng(607)
+    lattice_worst = 0.0
+    for _ in range(100):
+        theta, sigma, h, multipliers, counts = oracles.random_lattice_rows(lattice_rng, 1)
+        state = oracles.lattice_state(theta, sigma, h, multipliers, counts[0])
+        weights = lattice_weights(theta, sigma, h, multipliers, counts)
+        lattice_worst = max(lattice_worst, abs(float(weights.sum()) - oracles.quad_norm_sq(state)))
+        x = float(lattice_rng.uniform(-2.0, 6.0) * sigma + 0.5 * h * lattice_rng.integers(0, weights.shape[1]))
+        density = float(lattice_density(weights, sigma, h, [x])[0, 0])
+        lattice_worst = max(lattice_worst, abs(density - oracles.quad_density(state, x)))
+    closed_forms_ok = max(worst, lattice_worst) < 1e-10
 
     # residual of the second-order expansion 1 - G^2 DeltaS^2 / (4 sigma^2)
     # (sigma = 1) shrinks 16x (+/- 10%) when G halves
@@ -254,7 +263,7 @@ def test_criterion_6_analytics_oracle_suite():
     _report(
         "criterion-6",
         ok,
-        f"worst closed-form deviation {worst:.2e}, quartic residual ok={residual_ok}, "
+        f"worst closed-form deviation {worst:.2e} (lattice {lattice_worst:.2e}), quartic residual ok={residual_ok}, "
         f"cooling ok={cooling_ok}, {elapsed:.1f}s",
     )
 

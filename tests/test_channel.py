@@ -8,6 +8,8 @@ import pytest
 
 from zenosense import channel
 from zenosense.channel import (
+    CALIBRATION_THETA,
+    CALIBRATION_TOLERANCE,
     ChannelRealization,
     ProbeState,
     calibrate_unit_shift,
@@ -22,7 +24,7 @@ from zenosense.channel import (
 from zenosense.config import ExperimentConfig
 from zenosense.noise_model import NoiseAlphabet, config_realization, enumerate_configurations
 from zenosense.pipeline import resolve_unit_shift
-from zenosense.wavepacket import apply_noise_kernel, make_gaussian
+from zenosense.wavepacket import fold_kernels
 
 import oracles
 
@@ -49,11 +51,35 @@ class TestTypes:
             ChannelRealization((1.0, -0.5))
 
 
+WIDTH_REALIZATION = ChannelRealization((0.5, 1.0))
+WIDTH_CALLS = {
+    "run_protected": lambda sigma: run_protected(QUARTER, sigma, WIDTH_REALIZATION),
+    "run_unprotected": lambda sigma: run_unprotected(QUARTER, sigma, WIDTH_REALIZATION),
+    "protected_survival_spectral": lambda sigma: protected_survival_spectral(
+        QUARTER, sigma, WIDTH_REALIZATION.couplings
+    ),
+    "qze_scaling_report": lambda sigma: qze_scaling_report(QUARTER, sigma, constant_coupling(0.5), [2], 1, seed=0),
+    "calibrate_unit_shift": lambda sigma: calibrate_unit_shift(sigma, 0.58, (0, 0, 2, 2, 3, 3)),
+}
+for _mode in ("fixed-bath", "evolving-bath", "single-measurement"):
+    WIDTH_CALLS[f"decay_parameter-{_mode}"] = lambda sigma, mode=_mode: decay_parameter(
+        QUARTER, sigma, WIDTH_REALIZATION, mode
+    )
+
+
+@pytest.mark.parametrize("sigma", [math.inf, math.nan])
+@pytest.mark.parametrize("call", sorted(WIDTH_CALLS))
+def test_width_must_be_positive_and_finite(call, sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        WIDTH_CALLS[call](sigma)
+
+
 class TestRunProtected:
     def test_all_zero_couplings(self):
         report = run_protected(QUARTER, 1.0, ChannelRealization((0.0,) * 5))
         assert report.total_survival == pytest.approx(1.0, abs=1e-15)
-        assert report.final_state.components == ((1.0 + 0.0j, 0.0),)
+        assert report.final_state.amplitudes.tolist() == [1.0 + 0.0j]
+        assert report.final_state.centers.tolist() == [0.0]
 
     def test_pure_h_never_decoheres(self):
         report = run_protected(0.0, 2.0, ChannelRealization((1.0, 3.0, 0.4)))
@@ -123,7 +149,7 @@ class TestRunUnprotected:
     def test_against_quadrature(self):
         sigma, g_total = 1.0, 1.7
         # single final measurement == one kernel with the total shift
-        state = apply_noise_kernel(make_gaussian(sigma), 0.7, g_total)
+        state = fold_kernels(0.7, sigma, [g_total])
         survival = run_unprotected(0.7, sigma, ChannelRealization((g_total / 2, g_total / 2)))
         assert survival == pytest.approx(oracles.quad_norm_sq(state), abs=1e-12)
 
@@ -304,14 +330,9 @@ class TestStepRecord:
     @staticmethod
     def pairwise_record(theta, sigma, couplings):
         """Step survivals and moments from norm ratios and pair sums."""
-        state = make_gaussian(sigma)
-        steps, moments = [], []
-        for g in couplings:
-            moments.append(oracles.momentum_second_moment(state))
-            nxt = apply_noise_kernel(state, theta, g)
-            steps.append(nxt.norm_sq / state.norm_sq)
-            state = nxt
-        return steps, moments
+        states = [fold_kernels(theta, sigma, couplings[:j]) for j in range(len(couplings) + 1)]
+        steps = [nxt.norm_sq / state.norm_sq for state, nxt in zip(states, states[1:])]
+        return steps, [oracles.momentum_second_moment(state) for state in states[:-1]]
 
     def check(self, theta, sigma, couplings):
         report = run_protected(theta, sigma, ChannelRealization(tuple(couplings)))
@@ -408,3 +429,23 @@ class TestCalibration:
     def test_all_zero_multiples_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             calibrate_unit_shift(1.0, 0.5, (0.0, 0.0))
+
+    @pytest.mark.parametrize("multiples", [(0.5, 2.0), (1.0, -2.0), (), (1.0, math.nan), (2.0, math.inf)])
+    def test_non_integer_or_negative_multiples_rejected(self, multiples):
+        with pytest.raises(ValueError, match="shift multiples"):
+            calibrate_unit_shift(1.0, 0.5, multiples)
+
+    @pytest.mark.parametrize("multiples", [(0, 0, 2, 2, 3, 3), (1, 1, 1), (0, 3, 7, 7), (2, 2, 3, 3, 4, 4, 4)])
+    def test_calibrated_shift_meets_the_target(self, multiples):
+        # the lattice sum at the calibrated g, against the convolution oracle;
+        # targets at or below the incoherent floor are unattainable
+        sigma = 150.0
+        floor = oracles.lattice_survival(CALIBRATION_THETA, 1.0, 1e5, multiples)
+        for target in np.linspace(0.05, 0.99, 27):
+            if target <= floor + 1e-9:
+                with pytest.raises(ValueError, match="unattainable"):
+                    calibrate_unit_shift(sigma, float(target), multiples)
+                continue
+            g = calibrate_unit_shift(sigma, float(target), multiples)
+            survival = oracles.lattice_survival(CALIBRATION_THETA, sigma, g, multiples)
+            assert abs(survival - target) <= CALIBRATION_TOLERANCE

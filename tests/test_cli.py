@@ -10,6 +10,9 @@ import pytest
 from zenosense.cli import main
 from zenosense.config import ExperimentConfig, serialize_config
 from zenosense.detector import read_histogram_csv
+from zenosense.noise_model import Configuration
+
+import oracles
 
 
 def write_config(path: Path, **kwargs) -> Path:
@@ -186,7 +189,14 @@ class TestReproduce:
         svg = (out / "fig2.svg").read_text()
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert (out / "fig2_histogram.csv").exists()
-        assert (out / "fig2_density_true.csv").exists()
+        # the true set's density against the component sum of its folded state
+        curve = np.loadtxt(out / "fig2_density_true.csv", delimiter=",", skiprows=1)
+        cfg = ExperimentConfig()
+        alphabet = cfg.alphabet(report["unit_shift_um"])
+        state = oracles.theoretical_state(
+            Configuration(tuple(report["true_configuration"])), cfg.theta_rad, cfg.sigma_um, alphabet.values
+        )
+        assert curve[:, 1] == pytest.approx(oracles.density_at(state, curve[:, 0]), rel=1e-13, abs=0.0)
 
     def test_fig3_recipe_small(self, tmp_path):
         out = tmp_path / "fig3"

@@ -22,7 +22,7 @@ from zenosense.estimator import pixel_moments
 from zenosense.noise_model import Configuration, NoiseAlphabet, enumerate_configurations
 from zenosense.pipeline import resolve_unit_shift, simulate_trials
 from zenosense.seeds import make_rng
-from zenosense.wavepacket import GaussianSum, apply_noise_kernel, density_at, lattice_weights, make_gaussian, normal_masses
+from zenosense.wavepacket import GaussianSum, lattice_density, lattice_weights, make_gaussian, normal_masses
 
 import oracles
 from oracles import theoretical_state
@@ -61,31 +61,25 @@ def support_grid(state, points_per_sigma=200):
     return np.linspace(lo, hi, int(math.ceil((hi - lo) * points_per_sigma / state.sigma)) + 1)
 
 
+def config_density(config, sigma, alphabet, xs):
+    """Normalized density of a configuration's lattice state at ``QUARTER``, from its ``lattice_weights`` row."""
+    weights = lattice_weights(QUARTER, sigma, alphabet.unit_shift, alphabet.multipliers, [config.counts])
+    return lattice_density(weights, sigma, alphabet.unit_shift, xs)[0]
+
+
 class TestTheoreticalDensity:
     def test_identity_configuration(self):
         # all events have zero shift: the output is the input Gaussian
-        state = theoretical_state(Configuration((6, 0, 0, 0, 0)), QUARTER, 1.0, ALPHABET.values)
         xs = np.linspace(-4, 4, 101)
-        ref = density_at(make_gaussian(1.0), xs)
-        assert density_at(state, xs) == pytest.approx(ref, abs=1e-14)
-
-    def test_order_invariance(self):
-        config = Configuration((2, 0, 2, 2, 0))
-        state = theoretical_state(config, QUARTER, 1.0, ALPHABET.values)
-        # build in reversed value order by hand
-        other = make_gaussian(1.0)
-        for nk, value in reversed(list(zip(config.counts, ALPHABET.values))):
-            for _ in range(nk):
-                other = apply_noise_kernel(other, QUARTER, value)
-        xs = np.linspace(-3, 12, 1000)
-        assert density_at(state, xs) == pytest.approx(density_at(other, xs), abs=1e-12)
+        ref = np.exp(-0.5 * xs * xs) / math.sqrt(2.0 * math.pi)
+        assert config_density(Configuration((6, 0, 0, 0, 0)), 1.0, ALPHABET, xs) == pytest.approx(ref, abs=1e-14)
 
     def test_reference_set_support_at_calibration(self):
         sigma, g = 150.0, 114.0
         alph = NoiseAlphabet(g, (0.0, 1.0, 2.0, 3.0, 4.0), (0.2,) * 5)
-        state = theoretical_state(Configuration((2, 0, 2, 2, 0)), QUARTER, sigma, alph.values)
-        xs = support_grid(state)
-        rho = density_at(state, xs)
+        config = Configuration((2, 0, 2, 2, 0))
+        xs = support_grid(theoretical_state(config, QUARTER, sigma, alph.values))
+        rho = config_density(config, sigma, alph, xs)
         # integrates to 1 on the sampling grid
         assert np.trapezoid(rho, xs) == pytest.approx(1.0, abs=1e-9)
         # essentially all mass inside [0, 10 g] plus tails
@@ -97,17 +91,16 @@ class TestTheoreticalDensity:
         # width (g >= ~2 sigma); at the calibrated g/sigma ~ 0.76 the
         # sub-packets blend into a single smooth bump
         alph = NoiseAlphabet(3.0, (0.0, 1.0, 2.0, 3.0, 4.0), (0.2,) * 5)
-        state = theoretical_state(Configuration((2, 0, 2, 2, 0)), QUARTER, 1.0, alph.values)
-        xs = support_grid(state)
-        rho = density_at(state, xs)
+        config = Configuration((2, 0, 2, 2, 0))
+        xs = support_grid(theoretical_state(config, QUARTER, 1.0, alph.values))
+        rho = config_density(config, 1.0, alph, xs)
         peaks = np.flatnonzero((rho[1:-1] > rho[:-2]) & (rho[1:-1] > rho[2:])) + 1
         significant = [p for p in peaks if rho[p] > 0.01 * rho.max()]
         assert len(significant) >= 2
 
     def test_zero_norm_state_rejected(self):
-        null = GaussianSum(1.0, [1.0, -1.0], [0.0, 0.0])
         with pytest.raises(ValueError):
-            density_at(null, 0.0)
+            lattice_density([[0.0]], 1.0, ALPHABET.unit_shift, [0.0])
 
 
 class TestSamplePositions:

@@ -136,6 +136,16 @@ class TestFiniteStatistics:
                 CANDIDATES, QUARTER, SIGMA, ALPHABET, method=method,
             )
 
+    @pytest.mark.parametrize("method", ["l2", "moments"])
+    def test_overflowing_sum_rejected(self, method):
+        # every entry is finite, but their sum is not: dividing by it would
+        # leave all-zero masses
+        with pytest.raises(ValueError, match="sum is not finite"):
+            estimate_from_masses(
+                np.full(1024, 1e306), GEOMETRY["pitch"], GEOMETRY["offset"],
+                CANDIDATES, QUARTER, SIGMA, ALPHABET, method=method,
+            )
+
     @pytest.mark.parametrize("masses", [np.ones((2, 512)), np.ones(1)], ids=["2-d", "1-pixel"])
     def test_mass_vector_shape_rejected(self, masses):
         with pytest.raises(ValueError, match="1-d with at least 2 pixels"):

@@ -1,6 +1,6 @@
-"""Closed-form Gaussian-sum algebra against adaptive-quadrature oracles, and the
-lattice weights and band-limited normal masses against the clip-everything
-formula."""
+"""Closed-form Gaussian-sum algebra and lattice densities against
+adaptive-quadrature oracles, and the lattice weights and band-limited normal
+masses against the clip-everything formula."""
 
 import math
 
@@ -15,10 +15,9 @@ from zenosense.noise_model import enumerate_configurations
 from zenosense.pipeline import resolve_unit_shift
 from zenosense.wavepacket import (
     GaussianSum,
-    apply_noise_kernel,
-    density_at,
     fold_kernels,
     inner_product,
+    lattice_density,
     lattice_weights,
     make_gaussian,
     normal_masses,
@@ -38,7 +37,7 @@ def shifted(sigma: float, center: float) -> GaussianSum:
 class TestMakeGaussian:
     def test_unit_gaussian(self):
         state = make_gaussian(1.0)
-        assert state.components == ((1.0 + 0.0j, 0.0),)
+        assert state.amplitudes.tolist() == [1.0 + 0.0j] and state.centers.tolist() == [0.0]
         assert state.norm_sq == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
@@ -47,10 +46,12 @@ class TestMakeGaussian:
             make_gaussian(sigma)
 
     def test_peak_density(self):
-        # peak of the normalized Gaussian: (2 pi sigma^2)^(-1/2)
+        # peak of the normalized Gaussian: (2 pi sigma^2)^(-1/2); the state
+        # after no events is the one lattice normal at the origin
         state = make_gaussian(0.5)
         expected = (2.0 * math.pi * 0.25) ** -0.5
-        assert density_at(state, 0.0) == pytest.approx(expected, rel=1e-12)
+        weights = lattice_weights(math.pi / 4, 0.5, 1.0, (1,), [[0]])
+        assert lattice_density(weights, 0.5, 1.0, [0.0])[0, 0] == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.7978845608, abs=1e-9)
         # quadrature normalization check
         assert oracles.quad_norm_sq(state) == pytest.approx(1.0, abs=1e-12)
@@ -98,29 +99,27 @@ class TestInnerProduct:
 
 class TestKernel:
     def test_zero_shift_is_identity(self):
-        out = apply_noise_kernel(make_gaussian(1.0), math.pi / 4, 0.0)
+        out = fold_kernels(math.pi / 4, 1.0, [0.0])
         assert out.n_components == 1
-        assert out.components[0][0] == pytest.approx(1.0)
+        assert out.amplitudes[0] == pytest.approx(1.0)
         assert out.norm_sq == pytest.approx(1.0, abs=1e-15)
 
     def test_pure_h_is_pure_translation(self):
-        out = apply_noise_kernel(make_gaussian(1.0), 0.0, 3.0)
-        assert out.components == ((1.0 + 0.0j, 3.0),)
+        out = fold_kernels(0.0, 1.0, [3.0])
+        assert out.amplitudes.tolist() == [1.0 + 0.0j] and out.centers.tolist() == [3.0]
 
     def test_balanced_two_sigma_kernel(self):
         sigma = 1.0
-        out = apply_noise_kernel(make_gaussian(sigma), math.pi / 4, 2.0 * sigma)
-        amps = [a for a, _ in out.components]
-        cents = [c for _, c in out.components]
-        assert cents == pytest.approx([0.0, 2.0])
-        assert np.asarray(amps) == pytest.approx([0.5, 0.5], abs=1e-15)
+        out = fold_kernels(math.pi / 4, sigma, [2.0 * sigma])
+        assert out.centers == pytest.approx([0.0, 2.0])
+        assert out.amplitudes == pytest.approx([0.5, 0.5], abs=1e-15)
         expected = 0.5 * (1.0 + math.exp(-0.5))
         assert out.norm_sq == pytest.approx(expected, rel=1e-13)
         assert out.norm_sq == pytest.approx(oracles.quad_norm_sq(out), abs=1e-12)
 
     def test_negative_shift_rejected(self):
         with pytest.raises(ValueError):
-            apply_noise_kernel(make_gaussian(1.0), 0.3, -0.1)
+            fold_kernels(0.3, 1.0, [-0.1])
 
     @given(
         st.floats(0.05, math.pi / 2 - 0.05),
@@ -129,9 +128,8 @@ class TestKernel:
     )
     @settings(max_examples=60, deadline=None)
     def test_kernels_commute(self, theta, g1, g2):
-        base = make_gaussian(1.0)
-        ab = apply_noise_kernel(apply_noise_kernel(base, theta, g1), theta, g2)
-        ba = apply_noise_kernel(apply_noise_kernel(base, theta, g2), theta, g1)
+        ab = fold_kernels(theta, 1.0, [g1, g2])
+        ba = fold_kernels(theta, 1.0, [g2, g1])
         assert ab.centers == pytest.approx(ba.centers, abs=1e-12)
         assert np.allclose(ab.amplitudes, ba.amplitudes, atol=1e-12)
 
@@ -139,12 +137,12 @@ class TestKernel:
         sigma = 1.0
         state = GaussianSum(sigma, [0.5, 0.5], [0.0, 1e-12 * sigma])
         assert state.n_components == 1
-        assert state.components[0][0] == pytest.approx(1.0)
+        assert state.amplitudes[0] == pytest.approx(1.0)
 
     def test_tolerance_chain_sums_left_to_right(self):
         # one group of three; a pairwise sum gives 1 + (1e-16 + 1e-16) = 1 + 2**-52
         state = GaussianSum(1.0, [1.0, 1e-16, 1e-16], [0.0, 0.6e-9, 1.2e-9])
-        assert state.components == ((1.0 + 0.0j, 0.0),)
+        assert state.amplitudes.tolist() == [1.0 + 0.0j] and state.centers.tolist() == [0.0]
 
 
 # every state the CLI and the benchmark form sits on this lattice of shifts
@@ -167,21 +165,17 @@ FOLD_CASES = fold_cases()
 
 
 class TestFoldBitIdentity:
-    """The fold, run_protected's final state and a chain of apply_noise_kernel
-    calls against the per-event fold that adds each group into zeros."""
+    """The fold and run_protected's final state against the per-event fold
+    that adds each group into zeros."""
 
     @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4, 1.2, math.pi / 2])
     @pytest.mark.parametrize("case", sorted(FOLD_CASES))
     def test_states_equal_the_add_at_fold(self, theta, case):
         couplings = FOLD_CASES[case]
         amps, cents = oracles.fold_by_events(theta, FOLD_SIGMA, couplings)
-        chained = make_gaussian(FOLD_SIGMA)
-        for g in couplings:
-            chained = apply_noise_kernel(chained, theta, g)
         states = (
             fold_kernels(theta, FOLD_SIGMA, couplings),
             run_protected(theta, FOLD_SIGMA, ChannelRealization(couplings)).final_state,
-            chained,
         )
         for state in states:
             assert np.array_equal(state.amplitudes.view(np.uint64), amps.view(np.uint64))
@@ -207,7 +201,7 @@ class TestMoments:
     def test_kernel_output_mean(self):
         # two equal components at 0 and 2 sigma: density symmetric about sigma
         sigma = 1.0
-        out = apply_noise_kernel(make_gaussian(sigma), math.pi / 4, 2.0 * sigma)
+        out = fold_kernels(math.pi / 4, sigma, [2.0 * sigma])
         got = moment(out, 1)
         assert got == pytest.approx(sigma, rel=1e-13)
         assert got == pytest.approx(oracles.quad_moment(out, 1), abs=1e-10)
@@ -245,7 +239,7 @@ class TestMomentumSecondMoment:
     def test_single_kernel_closed_form(self, g_over_sigma):
         sigma = 1.0
         g = g_over_sigma * sigma
-        out = apply_noise_kernel(make_gaussian(sigma), math.pi / 4, g)
+        out = fold_kernels(math.pi / 4, sigma, [g])
         v = 1.0 / (4.0 * sigma**2)
         e = math.exp(-v * g * g / 2.0)
         expected = v * (1.0 + (1.0 - v * g * g) * e) / (1.0 + e)
@@ -256,7 +250,7 @@ class TestMomentumSecondMoment:
 
     def test_far_separated_components_approach_limit(self):
         sigma = 1.0
-        out = apply_noise_kernel(make_gaussian(sigma), math.pi / 4, 20.0 * sigma)
+        out = fold_kernels(math.pi / 4, sigma, [20.0 * sigma])
         v = 0.25
         got = momentum_second_moment(out)
         assert got <= v
@@ -269,43 +263,59 @@ class TestMomentumSecondMoment:
         for _ in range(40):
             theta = rng.uniform(0.05, math.pi / 2 - 0.05)
             g = rng.uniform(0.05, 5.0)
-            state = make_gaussian(1.0)
-            for _ in range(rng.integers(0, 5)):
-                state = apply_noise_kernel(state, theta, float(rng.uniform(0.0, 4.0)))
-            before = momentum_second_moment(state)
-            after = momentum_second_moment(apply_noise_kernel(state, theta, g))
+            couplings = [float(rng.uniform(0.0, 4.0)) for _ in range(rng.integers(0, 5))]
+            before = momentum_second_moment(fold_kernels(theta, 1.0, couplings))
+            after = momentum_second_moment(fold_kernels(theta, 1.0, couplings + [g]))
             assert after < before + 1e-12
 
 
 class TestDensity:
+    """Normalized lattice densities from ``lattice_weights`` rows."""
+
     def test_non_negative(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            state = oracles.random_state(rng, 8)
-            xs = rng.uniform(-10, 15, size=50)
-            assert np.all(np.asarray(density_at(state, xs)) >= 0.0)
+            theta, sigma, h, multipliers, counts = oracles.random_lattice_rows(rng, 4)
+            xs = rng.uniform(-10.0, 40.0, size=50) * sigma
+            weights = lattice_weights(theta, sigma, h, multipliers, counts)
+            assert np.all(lattice_density(weights, sigma, h, xs) >= 0.0)
 
     def test_kernel_output_against_quadrature(self):
         sigma = 1.0
-        out = apply_noise_kernel(make_gaussian(sigma), math.pi / 4, 2.0 * sigma)
-        assert density_at(out, sigma) == pytest.approx(
+        out = fold_kernels(math.pi / 4, sigma, [2.0 * sigma])
+        weights = lattice_weights(math.pi / 4, sigma, 2.0 * sigma, (1,), [[1]])
+        assert lattice_density(weights, sigma, 2.0 * sigma, [sigma])[0, 0] == pytest.approx(
             oracles.quad_density(out, sigma), abs=1e-10
         )
 
     def test_integrates_to_one(self):
         rng = np.random.default_rng(21)
         for _ in range(5):
-            state = oracles.random_state(rng, 8)
-            lo = state.centers.min() - 8.0 * state.sigma
-            hi = state.centers.max() + 8.0 * state.sigma
-            xs = np.linspace(lo, hi, 20001)
-            total = np.trapezoid(np.asarray(density_at(state, xs)), xs)
-            assert total == pytest.approx(1.0, abs=1e-9)
+            theta, sigma, h, multipliers, counts = oracles.random_lattice_rows(rng, 3)
+            hi = int((counts @ np.asarray(multipliers)).max()) * h
+            xs = np.linspace(-8.0 * sigma, hi + 8.0 * sigma, 20001)
+            weights = lattice_weights(theta, sigma, h, multipliers, counts)
+            totals = np.trapezoid(lattice_density(weights, sigma, h, xs), xs, axis=1)
+            assert totals == pytest.approx(np.ones(len(counts)), abs=1e-9)
+
+    def test_rows_match_the_component_density(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            theta, sigma, h, multipliers, counts = oracles.random_lattice_rows(rng, 3)
+            xs = rng.uniform(-4.0, 40.0, size=30) * sigma
+            got = lattice_density(lattice_weights(theta, sigma, h, multipliers, counts), sigma, h, xs)
+            for row, n in zip(got, counts):
+                want = oracles.density_at(oracles.lattice_state(theta, sigma, h, multipliers, n), xs)
+                assert np.abs(row - want).max() <= 1e-13 * want.max()
 
     def test_zero_norm_rejected(self):
-        null = GaussianSum(1.0, [1.0, -1.0], [0.0, 0.0])
-        with pytest.raises(ValueError):
-            density_at(null, 0.0)
+        with pytest.raises(ValueError, match="zero-norm"):
+            lattice_density([[0.5, 0.0, 0.5], [0.0, 0.0, 0.0]], 1.0, 1.0, [0.0])
+
+    @pytest.mark.parametrize("sigma,unit_shift", [(0.0, 1.0), (math.inf, 1.0), (1.0, -1.0), (1.0, math.nan)])
+    def test_bad_width_or_shift_rejected(self, sigma, unit_shift):
+        with pytest.raises(ValueError, match="positive"):
+            lattice_density([[1.0]], sigma, unit_shift, [0.0])
 
 
 class TestCumulativeMass:
