@@ -123,7 +123,8 @@ def sample_histogram(
         raise ValueError("slot masses must be 1-d: left overflow, at least 2 pixels, right overflow")
     if not np.all(np.isfinite(masses)) or np.any(masses < 0.0):
         raise ValueError("slot masses must be finite and non-negative")
-    total = masses.sum()
+    with np.errstate(over="ignore"):
+        total = float(masses.sum())
     if not (0.0 < total < math.inf):
         raise ValueError(f"slot masses must have a positive finite sum, got {total!r}")
     cdf = np.cumsum(masses[:-1]) / total

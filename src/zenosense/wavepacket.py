@@ -25,12 +25,23 @@ evaluated only inside that band. Those masses depend only on the width,
 the unit shift and the detector, so they are cached and read-only; every
 simulated trial takes the product of one row of weights with them, and
 the candidate table keeps the two as factors. ``fold_kernels`` builds the
-one ``GaussianSum`` the protected run reports.
+one ``GaussianSum`` the protected run reports. On a lattice whose unit is
+its smallest positive coupling h, with every float center within half the
+merge tolerance of its slot's multiple of h, no product of N kernel weights
+near underflow and at most 16 (N + 1) slots, it runs on slots: the
+amplitude on slot k is the coefficient of z^k in prod_j (s^2 + c^2 z^{n_j}),
+built by one real multiply-add per event, and each slot keeps the smallest
+center that reached it. That equals the merge fold bit for bit, since each
+merge group is then one unshifted and one shifted copy, whose sum does not
+depend on order, whose kept center is the smaller one and whose imaginary
+parts are +0. Every other input runs the merge fold, one kernel step and
+merge per coupling.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -188,15 +199,61 @@ def inner_product(a: GaussianSum, b: GaussianSum) -> complex:
 
 
 def _kernel_step(
-    amps: np.ndarray, cents: np.ndarray, theta: float, g: float, tol: float
+    amps: np.ndarray, cents: np.ndarray, c2: float, s2: float, g: float, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw (amplitudes, centers) after one kernel, merged at ``tol``."""
-    g = float(g)
-    if not (g >= 0.0) or not math.isfinite(g):
-        raise ValueError(f"coupling shift must be non-negative, got {g!r}")
-    c2 = math.cos(theta) ** 2
-    s2 = math.sin(theta) ** 2
     return _merge_components(np.concatenate((amps * s2, amps * c2)), np.concatenate((cents, cents + g)), tol)
+
+
+# The slot fold keeps arrays of M = sum(n_j) + 1 slots, most of them empty
+# when the multiples are spread, and touches every slot up to the current
+# top on each event, while the merge loop's work follows the occupied
+# components. Up to this many slots per event covers every alphabet whose
+# multipliers reach 15 times the smallest positive one (the default and
+# benchmark alphabets reach 4) and keeps couplings such as (h, 1e6 h) from
+# allocating a million slots.
+_MAX_SLOTS_PER_EVENT = 16
+
+# Every slot amplitude is a sum of non-negative rounded products of N
+# factors, each at least min(c^2, s^2); the factor e of margin covers the
+# rounding of N products, so none of them falls below the smallest normal.
+_LOG_AMPLITUDE_FLOOR = math.log(sys.float_info.min) + 1.0
+
+
+def _slot_multiples(c2: float, s2: float, tol: float, couplings: list[float]) -> np.ndarray | None:
+    """Multiples n_j of the smallest positive coupling, or None where the
+    slot fold would not equal the merge fold (the rule is in ``fold_kernels``)."""
+    positive = [g for g in couplings if g > 0.0]
+    weight = min(c2, s2)
+    if not positive or not (weight > 0.0) or len(couplings) * math.log(weight) <= _LOG_AMPLITUDE_FLOOR:
+        return None
+    g = np.asarray(couplings)
+    h = min(positive)
+    with np.errstate(over="ignore"):
+        n = np.rint(g / h)
+        bound = float(np.abs(g - n * h).sum() + g.size * sys.float_info.epsilon * g.sum())
+    if not (2.0 * bound < tol <= h - 2.0 * bound) or n.sum() >= _MAX_SLOTS_PER_EVENT * (g.size + 1):
+        return None
+    return n.astype(np.intp)
+
+
+def _slot_fold(
+    c2: float, s2: float, couplings: list[float], multiples: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raw (amplitudes, centers) of the fold on lattice slots, +inf marking an empty slot."""
+    amps = np.zeros(int(multiples.sum()) + 1)
+    amps[0] = 1.0
+    cents = np.full(amps.size, np.inf)
+    cents[0] = 0.0
+    top = 1
+    for g, n in zip(couplings, multiples.tolist()):
+        shifted = amps[:top] * c2
+        amps[:top] *= s2
+        amps[n : top + n] += shifted
+        np.minimum(cents[n : top + n], cents[:top] + g, out=cents[n : top + n])
+        top += n
+    occupied = cents < np.inf
+    return amps[occupied].astype(np.complex128), cents[occupied]
 
 
 def fold_kernels(theta: float, sigma: float, couplings: Iterable[float]) -> GaussianSum:
@@ -205,18 +262,69 @@ def fold_kernels(theta: float, sigma: float, couplings: Iterable[float]) -> Gaus
     Starts from the unit Gaussian of width ``sigma``. Each kernel is the
     non-unitary B = cos^2(theta) T_g + sin^2(theta) I, where T_g shifts
     every component center by +g (the horizontally polarized sub-packet
-    moves toward positive x); each coupling is checked to be finite and
-    non-negative. The kernels commute, so the order only moves the last
-    bits; the squared norm of the result is the protected survival
-    probability of the whole sequence. The fold carries raw (amplitudes,
-    centers) arrays through one kernel step and merge per coupling and
-    builds the ``GaussianSum`` once, from the last of them.
+    moves toward positive x); every coupling is checked to be finite and
+    non-negative before any kernel runs, and the first that is not raises.
+    The kernels commute, so the order only moves the last bits; the squared
+    norm of the result is the protected survival probability of the whole
+    sequence. The ``GaussianSum`` is built once, from the last raw
+    (amplitudes, centers) arrays of one of two folds that give it bit for
+    bit.
+
+    The merge fold runs one kernel step per coupling: the component list
+    and its shifted copy are concatenated, scaled by s^2 and c^2 and merged
+    at tol = ``MERGE_TOLERANCE_FACTOR`` sigma.
+
+    The slot fold runs where every coupling is a multiple n_j of the
+    smallest positive one, h. The state is then prod_j (s^2 + c^2 T_{n_j h})
+    applied to the Gaussian, and its amplitude on slot k (the copy near
+    k h) is the coefficient of z^k in prod_j (s^2 + c^2 z^{n_j}). The fold
+    keeps a real amplitude and a center per slot, +inf marking an empty
+    one, and each event is one multiply-add and one minimum over the
+    reached prefix: slot k becomes s^2 a_k + c^2 a_(k - n_j), and its
+    center the smaller of its own and slot k - n_j's plus g_j.
+
+    ``_slot_multiples`` selects it from the couplings and theta alone. With
+    n_j = rint(g_j / h) and E = sum_j |g_j - n_j h| + N eps sum_j g_j, every
+    float center of the merge fold lies within E of its slot's k h. So
+    2 E < tol <= h - 2 E puts two copies on one slot within tol of each
+    other and copies on different slots at least tol apart: every merge
+    group is exactly the unshifted copy on slot k and the copy shifted in
+    from slot k - n_j. N log min(c^2, s^2) above the log of the smallest
+    normal double, with a margin, keeps every amplitude positive, so the
+    merge fold never drops a zero. At most ``_MAX_SLOTS_PER_EVENT`` (N + 1)
+    slots bound the memory. The two folds then agree bit for bit:
+
+    * a two-member group's sum does not depend on the order of its members;
+    * the merge fold keeps a group's smaller center, which is what the
+      minimum keeps;
+    * the merge fold's amplitudes have +0 imaginary parts throughout (the
+      kernel weights are real and non-negative), so real arithmetic gives
+      the same real bits.
+
+    Continuous couplings, tolerance chains, all-zero couplings, theta = 0
+    (s^2 = 0), angles whose smaller weight could underflow over N events
+    (theta = pi/2, where c^2 = 3.7e-33, from ten events on) and lattices
+    whose smallest coupling is not their unit, such as {2, 3} h, take the
+    merge fold.
     """
-    state = make_gaussian(sigma)
-    tol = MERGE_TOLERANCE_FACTOR * state.sigma
-    amps, cents = state.amplitudes, state.centers
+    values = []
     for g in couplings:
-        amps, cents = _kernel_step(amps, cents, theta, g, tol)
+        g = float(g)
+        if not (g >= 0.0) or not math.isfinite(g):
+            raise ValueError(f"coupling shift must be non-negative, got {g!r}")
+        values.append(g)
+    # a width that is not positive and finite fails the selection, and the
+    # merge fold's unit Gaussian rejects it
+    tol = MERGE_TOLERANCE_FACTOR * float(sigma)
+    c2 = math.cos(theta) ** 2
+    s2 = math.sin(theta) ** 2
+    multiples = _slot_multiples(c2, s2, tol, values)
+    if multiples is not None:
+        return GaussianSum(sigma, *_slot_fold(c2, s2, values, multiples))
+    state = make_gaussian(sigma)
+    amps, cents = state.amplitudes, state.centers
+    for g in values:
+        amps, cents = _kernel_step(amps, cents, c2, s2, g, tol)
     return GaussianSum(state.sigma, amps, cents)
 
 

@@ -10,17 +10,20 @@ momentum moments, the CDF, pixel masses and the detector's slot masses.
 ``clipped_lattice_masses`` is the lattice formula with ``ndtr`` evaluated
 at every edge of every normal, over any edges (``slot_edges`` builds the
 detector's), and ``lattice_weights`` its weights with the diagonal loop
-run to any cutoff. ``theoretical_state`` folds one kernel per event of a
-configuration; ``fold_by_events`` does the same on raw arrays and merges
-each event by adding every tolerance group into zeros. ``multinomial_pmf``
-is the closed-form probability of a count vector. The candidate-table
-oracles at the end recompute the table one candidate at a time, by kernel
-fold and pair-sum pixel masses, and its degeneracy groups and one
-candidate's moment neighbours by plain loops over pairs and rows. The l2
-oracles keep the whole profile matrix, as the table once did, and take
-every candidate's distance and the rounded-row partners from it. None of
-it shares code with the lattice and estimator paths it checks: from
-``zenosense`` it takes only ``GaussianSum``, ``fold_kernels`` and
+run to any cutoff. ``fold_by_events`` folds one kernel per coupling on raw
+arrays and merges each event by adding every tolerance group into zeros;
+it is the reference for both of the package's folds, the merge loop and
+the lattice slots, and ``folded_state`` wraps its result in a
+``GaussianSum``, which ``theoretical_state`` (one kernel per event of a
+configuration) and ``lattice_state`` (one lattice row) return.
+``multinomial_pmf`` is the closed-form probability of a count vector. The
+candidate-table oracles at the end recompute the table one candidate at a
+time, by kernel fold and pair-sum pixel masses, and its degeneracy groups
+and one candidate's moment neighbours by plain loops over pairs and rows.
+The l2 oracles keep the whole profile matrix, as the table once did, and
+take every candidate's distance and the rounded-row partners from it.
+None of it shares code with the fold, lattice and estimator paths it
+checks: from ``zenosense`` it takes only ``GaussianSum`` and
 ``MERGE_TOLERANCE_FACTOR`` (``tests/test_exports.py`` holds it to that).
 """
 
@@ -188,11 +191,16 @@ def random_lattice_rows(rng, rows):
     return theta, sigma, h, multipliers, rng.integers(0, 4, size=(rows, len(multipliers)))
 
 
+def folded_state(theta, sigma, couplings):
+    """The ``GaussianSum`` of ``fold_by_events``: one kernel per coupling."""
+    from zenosense.wavepacket import GaussianSum
+
+    return GaussianSum(sigma, *fold_by_events(theta, sigma, couplings))
+
+
 def lattice_state(theta, sigma, h, multipliers, counts):
     """The folded ``GaussianSum`` of one lattice row, for the quadrature oracles."""
-    from zenosense.wavepacket import fold_kernels
-
-    return fold_kernels(theta, sigma, [m * h for m, n in zip(multipliers, counts) for _ in range(int(n))])
+    return folded_state(theta, sigma, [m * h for m, n in zip(multipliers, counts) for _ in range(int(n))])
 
 
 def lattice_survival(theta: float, sigma: float, h: float, multipliers) -> float:
@@ -372,12 +380,10 @@ def theoretical_state(config, theta, sigma, values):
     multiset of couplings, and its squared norm is the protected survival
     probability of that configuration.
     """
-    from zenosense.wavepacket import fold_kernels
-
     if len(config.counts) != len(values):
         raise ValueError("configuration and alphabet sizes differ")
     couplings = [value for nk, value in zip(config.counts, values) for _ in range(nk)]
-    return fold_kernels(theta, sigma, couplings)
+    return folded_state(theta, sigma, couplings)
 
 
 def merge_by_add_at(amps, cents, tol):

@@ -147,6 +147,12 @@ class TestSamplePositions:
         with pytest.raises(ValueError, match="slot masses"):
             sample_histogram(masses, 100, pitch=1.0, offset=-5.0, seed=1)
 
+    def test_overflowing_sum_rejected_without_a_warning(self):
+        # finite masses whose sum overflows: the suite turns warnings into
+        # errors, so a numpy overflow warning would preempt the ValueError
+        with pytest.raises(ValueError, match=r"positive finite sum, got inf$"):
+            sample_histogram(np.full(8, 1e308), 10, 1.0, 0.0, 1)
+
 
 class TestBinToPixels:
     """Counting photons into pixels: frequencies, overflow and conservation."""

@@ -28,9 +28,9 @@ def test_package_reexports_are_listed():
         assert [alias.name for alias in node.names if alias.name not in listed] == [], node.module
 
 
-def test_oracles_take_only_the_fold_from_the_package():
-    # the oracles check the lattice and estimator paths, so they may share
-    # only the Gaussian-sum fold with the package
+def test_oracles_take_only_the_gaussian_sum_from_the_package():
+    # the oracles check the fold, lattice and estimator paths, so they may
+    # share only the canonical Gaussian sum and its merge tolerance
     tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
     taken = set()
     for node in ast.walk(tree):
@@ -38,4 +38,4 @@ def test_oracles_take_only_the_fold_from_the_package():
             assert not [alias.name for alias in node.names if alias.name.split(".")[0] == "zenosense"]
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "zenosense":
             taken.update(alias.name for alias in node.names)
-    assert taken <= {"GaussianSum", "fold_kernels", "MERGE_TOLERANCE_FACTOR"}
+    assert taken <= {"GaussianSum", "MERGE_TOLERANCE_FACTOR"}

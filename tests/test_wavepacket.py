@@ -13,7 +13,9 @@ from zenosense.channel import ChannelRealization, run_protected
 from zenosense.config import ExperimentConfig
 from zenosense.noise_model import enumerate_configurations
 from zenosense.pipeline import resolve_unit_shift
+from zenosense import wavepacket
 from zenosense.wavepacket import (
+    MERGE_TOLERANCE_FACTOR,
     GaussianSum,
     fold_kernels,
     inner_product,
@@ -117,9 +119,16 @@ class TestKernel:
         assert out.norm_sq == pytest.approx(expected, rel=1e-13)
         assert out.norm_sq == pytest.approx(oracles.quad_norm_sq(out), abs=1e-12)
 
-    def test_negative_shift_rejected(self):
-        with pytest.raises(ValueError):
-            fold_kernels(0.3, 1.0, [-0.1])
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
+    def test_negative_shift_rejected(self, bad):
+        with pytest.raises(ValueError, match="coupling shift must be non-negative"):
+            fold_kernels(0.3, 1.0, [bad])
+
+    def test_bad_shift_after_lattice_couplings_rejected(self):
+        # -1e-12 rounds to slot 0 well within the merge tolerance, so the
+        # couplings would otherwise take the slot fold; the first bad one is named
+        with pytest.raises(ValueError, match=r"non-negative, got -1e-12$"):
+            fold_kernels(0.3, 1.0, [1.0, 2.0, 1.0, -1e-12, math.nan])
 
     @given(
         st.floats(0.05, math.pi / 2 - 0.05),
@@ -164,6 +173,45 @@ def fold_cases() -> dict[str, tuple[float, ...]]:
 FOLD_CASES = fold_cases()
 
 
+def benchmark_channels() -> list[tuple[float, ...]]:
+    """The long_channel workload's shapes: seeded D=5 lattice channels at
+    N=100 and N=200 and the constant N=500, g=4 sigma channel."""
+    rng = np.random.default_rng(20220914)
+    channels = [tuple(FOLD_UNIT * float(m) for m in rng.integers(0, 5, n)) for n in (100, 100, 100, 200)]
+    channels.append((4.0 * FOLD_SIGMA,) * 500)
+    return channels
+
+
+def selection_cases() -> dict[str, tuple[float, ...]]:
+    """Couplings on either side of the slot fold's selection rule."""
+    rng = np.random.default_rng(19)
+    lattice = [FOLD_UNIT * float(m) for m in rng.integers(0, 5, 100)]
+    # one coupling moved so that twice the residual bound E just reaches
+    # the merge tolerance: E = delta + N eps sum(g) with N eps sum(g) > 0
+    moved = list(lattice)
+    moved[lattice.index(4.0 * FOLD_UNIT)] += 0.5 * MERGE_TOLERANCE_FACTOR * FOLD_SIGMA
+    return {
+        "lattice-2-3": tuple(FOLD_UNIT * float(m) for m in rng.integers(2, 4, 20)),
+        "moved": tuple(moved),
+        "over-cap": (FOLD_UNIT, 1e6 * FOLD_UNIT),
+        # at pi/2, c^2 = 3.7e-33 underflows within 40 events, and a slot fold
+        # that kept the zeros would keep three centers the merge fold drops
+        "underflow-40": tuple(FOLD_UNIT * float(m) for m in np.random.default_rng(11).integers(0, 5, 40)),
+        "constant-500": benchmark_channels()[-1],
+        "seeded-200": tuple(FOLD_UNIT * float(m) for m in rng.integers(0, 5, 200)),
+    }
+
+
+SELECTION_CASES = selection_cases()
+
+
+def assert_fold_equals_the_add_at_fold(theta, couplings):
+    amps, cents = oracles.fold_by_events(theta, FOLD_SIGMA, couplings)
+    state = fold_kernels(theta, FOLD_SIGMA, couplings)
+    assert np.array_equal(state.amplitudes.view(np.uint64), amps.view(np.uint64))
+    assert np.array_equal(state.centers.view(np.uint64), cents.view(np.uint64))
+
+
 class TestFoldBitIdentity:
     """The fold and run_protected's final state against the per-event fold
     that adds each group into zeros."""
@@ -189,6 +237,43 @@ class TestFoldBitIdentity:
         members = np.concatenate((first * s2, first * c2))[[0, 2, 1, 3]]
         assert np.add.reduceat(members, [0])[0] != np.add.accumulate(members)[-1]
         assert oracles.fold_by_events(1.2, FOLD_SIGMA, FOLD_CASES["chain"])[0].size == 1
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4, 1.2, math.pi / 2])
+    @pytest.mark.parametrize("case", sorted(SELECTION_CASES))
+    def test_selection_cases_equal_the_add_at_fold(self, theta, case):
+        assert_fold_equals_the_add_at_fold(theta, SELECTION_CASES[case])
+
+    def test_near_underflow_angle_equals_the_add_at_fold(self):
+        # s^2 = 1e-6: s^(2 N) underflows long before N = 100 events, and the
+        # merge fold drops the zeros
+        assert_fold_equals_the_add_at_fold(1e-3, FOLD_CASES["lattice-100"])
+
+    def test_benchmark_shaped_channels_take_the_slot_fold(self, monkeypatch):
+        def no_merge(*args):
+            raise AssertionError("the merge loop ran")
+
+        monkeypatch.setattr(wavepacket, "_kernel_step", no_merge)
+        for couplings in benchmark_channels():
+            fold_kernels(ExperimentConfig().theta_rad, FOLD_SIGMA, couplings)
+
+    @pytest.mark.parametrize(
+        "theta, couplings",
+        [
+            pytest.param(math.pi / 4, SELECTION_CASES["lattice-2-3"], id="lattice-2-3"),
+            pytest.param(math.pi / 4, SELECTION_CASES["moved"], id="moved"),
+            pytest.param(math.pi / 4, SELECTION_CASES["over-cap"], id="over-cap"),
+            pytest.param(1e-3, FOLD_CASES["lattice-100"], id="underflow"),
+            pytest.param(0.0, FOLD_CASES["lattice-100"], id="theta-0"),
+            pytest.param(math.pi / 4, FOLD_CASES["zero"], id="zero"),
+            *(pytest.param(math.pi / 4, FOLD_CASES[f"continuous-{n}"], id=f"continuous-{n}") for n in (3, 8, 12)),
+        ],
+    )
+    def test_other_cases_take_the_merge_loop(self, monkeypatch, theta, couplings):
+        steps = []
+        step = wavepacket._kernel_step
+        monkeypatch.setattr(wavepacket, "_kernel_step", lambda *args: steps.append(args) or step(*args))
+        fold_kernels(theta, FOLD_SIGMA, couplings)
+        assert len(steps) == len(couplings)
 
 
 class TestMoments:
