@@ -119,8 +119,8 @@ def run_protected(theta: float, sigma: float, realization: ChannelRealization) -
     return RunReport(
         final_state=state,
         total_survival=_clip01(state.norm_sq),
-        step_survivals=tuple(_clip01(float(s)) for s in steps),
-        momentum_moments=tuple(float(m) for m in moments),
+        step_survivals=tuple(np.clip(steps, 0.0, 1.0).tolist()),
+        momentum_moments=tuple(moments.tolist()),
     )
 
 
@@ -174,6 +174,12 @@ def decay_parameter(
 # Gaussian weight beyond it is below 1e-17.
 _GRID_SPREADS = 8.9
 
+# Grouping repeated couplings costs 12-15 us (a sort, a neighbour test,
+# np.unique and the gather into event order) and saves at most the cosines
+# of repeats, about 10 ns each: it pays only from about 2000 grid entries
+# (nodes x events), 30 lattice events at the default config.
+_GROUPED_GRID_MIN = 2048
+
 
 def _filter_products(
     theta: float, sigma: float, couplings: Sequence[float]
@@ -187,6 +193,13 @@ def _filter_products(
     exact for it up to aliasing below exp(-2 T^2); the integrand is even, so
     nodes p = k h run over [0, T / (2 sigma)] with doubled weights for k >= 1.
     ``w @ prefix[:, j]`` is the survival after j events.
+
+    On a grid of at least ``_GROUPED_GRID_MIN`` entries where a coupling
+    repeats, as on a noise alphabet's lattice, the filter is evaluated once
+    per node and distinct coupling and gathered into event order; each
+    cosine still takes the product p_i g_j, so the prefix is the same bit
+    for bit. On such a grid, distinct couplings cost one sort to find that
+    none repeats.
     """
     _check_sigma(sigma)
     g = np.asarray(couplings, dtype=np.float64)
@@ -199,10 +212,17 @@ def _filter_products(
     w[1:] *= 2.0
     c2 = math.cos(theta) ** 2
     s2 = math.sin(theta) ** 2
-    filt = np.outer(p, g)
+    distinct, inverse = g, None
+    if p.size * g.size >= _GROUPED_GRID_MIN:
+        ordered = np.sort(g)
+        if (ordered[1:] == ordered[:-1]).any():
+            distinct, inverse = np.unique(g, return_inverse=True)
+    filt = np.outer(p, distinct)
     np.cos(filt, out=filt)
     filt *= 2.0 * c2 * s2
     filt += c2 * c2 + s2 * s2
+    if inverse is not None:
+        filt = filt[:, inverse]
     prefix = np.empty((p.size, g.size + 1))
     prefix[:, 0] = 1.0
     np.cumprod(filt, axis=1, out=prefix[:, 1:])

@@ -14,8 +14,10 @@ and every quantity of interest has an exact pairwise closed form:
 
 (N(x; m, s^2) is the unit-mass normal density.) All public operations below
 are evaluated through these identities; the library never integrates
-numerically. Every state the pipeline forms sits on a lattice of shifts, so
-its density is a mixture of normals shared by all lattice states.
+numerically. ``inner_product`` sums only the pairs within 27.14 sigma of
+each other, whose overlap is at least 1e-40. Every state the pipeline
+forms sits on a lattice of shifts, so its density is a mixture of normals
+shared by all lattice states.
 ``lattice_weights`` gives many states' weights on them at once, kept
 non-normalized on purpose: a row's sum is the state's squared norm, the
 survival probability of the polarization qubit. ``lattice_density`` gives
@@ -64,6 +66,10 @@ __all__ = [
 # combined by amplitude addition; keeps zero-shift kernels from doubling the
 # component list.
 MERGE_TOLERANCE_FACTOR = 1e-9
+
+# Center distance, in units of sigma, beyond which the overlap of two packets
+# exp(-d^2 / (8 sigma^2)) is below 1e-40: sqrt(8 ln 1e40) = 27.14.
+_OVERLAP_REACH = math.sqrt(8.0 * math.log(1e40))
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +121,9 @@ class GaussianSum:
 
     @property
     def norm_sq(self) -> float:
-        """Squared norm <psi|psi>; finite and >= 0 for any valid state."""
+        """Squared norm <psi|psi> by the banded ``inner_product``: finite and
+        >= 0 wherever its sums fit in a double, and a ``ValueError`` naming
+        the overflow where they do not (amplitudes of 1e200, say)."""
         val = inner_product(self, self).real
         return max(val, 0.0)
 
@@ -175,27 +183,70 @@ def _check_same_width(a: GaussianSum, b: GaussianSum) -> float:
     return a.sigma
 
 
+def _overlaps(distances: np.ndarray, sigma: float) -> np.ndarray:
+    """exp(-(d / sigma)^2 / 8) in place; no squared distance or width overflows."""
+    distances /= sigma
+    distances *= distances
+    distances *= -0.125
+    return np.exp(distances, out=distances)
+
+
 def inner_product(a: GaussianSum, b: GaussianSum) -> complex:
-    """Exact overlap <a|b> of two states with equal packet width.
+    """Overlap <a|b> of two states with equal packet width.
 
-    Pairwise form: sum_{m,m'} conj(a_m) b_{m'} exp(-(s_m - s_{m'})^2 / (8 sigma^2)).
-    The overlap matrix O is real. It is built once, in place in one
-    buffer, and taken in real arithmetic: one product of O with the stacked
-    real and imaginary parts of a gives (Re a) O and (Im a) O, and with
-    x = Re b, y = Im b
+    Pairwise form: sum_{m,m'} conj(a_m) b_{m'} exp(-(s_m - s_{m'})^2 / (8 sigma^2)),
+    summed over the pairs within reach r = sqrt(8 ln 1e40) sigma = 27.14
+    sigma, beyond which the overlap is below 1e-40, the cut of
+    ``lattice_weights``. Each overlap is taken as exp(-((s_m - s_m') /
+    sigma)^2 / 8). With O the real overlaps and x = Re b, y = Im b taken
+    against them, Ox = O x and Oy = O y row by row, and
 
-        <a|b> = (Re a) O x + (Im a) O y + i ((Re a) O y - (Im a) O x).
+        <a|b> = (Re a) . Ox + (Im a) . Oy + i ((Re a) . Oy - (Im a) . Ox).
 
-    Conjugate-symmetric; rejects mismatched widths.
+    Where the centers of both states together span at most r, every pair
+    is in reach and O is the whole (M_a, M_b) matrix. Otherwise, as both
+    center lists are sorted, two binary searches of s_m -+ r in b's centers
+    give each a_m the run of b's components in reach. A component left out lies
+    below the rounded s_m - r or above the rounded s_m + r, and no double
+    lies between a number and its rounding, so it is at least r from s_m.
+    The runs fill one (M_a, width) block, width the longest run, gathered
+    from b padded with centers +inf and amplitudes 0 (overlap 0). Taking the
+    whole matrix where it is all in reach spares the searches and the
+    gathers, which would double the cost of a short channel's few-component
+    state.
+
+    Every pair left out has overlap below 1e-40, so
+    |<a|b> - all pairs| <= 1e-40 sum|a_m| sum|b_m'| plus rounding; for the
+    folded states, whose coefficients sum to 1, that is at most 1e-40. No
+    pair in reach gives exactly 0j. Conjugate-symmetric to rounding;
+    rejects mismatched widths, and raises ``ValueError`` where the sums
+    overflow.
     """
     sigma = _check_same_width(a, b)
-    overlap = a.centers[:, None] - b.centers[None, :]
-    overlap *= overlap
-    overlap /= -8.0 * sigma * sigma
-    np.exp(overlap, out=overlap)
-    re_o, im_o = np.stack((a.amplitudes.real, a.amplitudes.imag)) @ overlap
-    x, y = b.amplitudes.real, b.amplitudes.imag
-    return complex(re_o @ x + im_o @ y, re_o @ y - im_o @ x)
+    reach = _OVERLAP_REACH * sigma
+    # the span and s_m -+ r may round to inf, which the test and the
+    # searches take as they should; sums that overflow are caught below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if max(a.centers[-1], b.centers[-1]) - min(a.centers[0], b.centers[0]) <= reach:
+            overlap = _overlaps(a.centers[:, None] - b.centers, sigma)
+            ox = overlap @ b.amplitudes.real
+            oy = overlap @ b.amplitudes.imag
+        else:
+            lo = np.searchsorted(b.centers, a.centers - reach, side="left")
+            hi = np.searchsorted(b.centers, a.centers + reach, side="right")
+            width = int((hi - lo).max())
+            if width == 0:
+                return 0j
+            cols = lo[:, None] + np.arange(width)
+            overlap = _overlaps(a.centers[:, None] - np.concatenate((b.centers, np.full(width, np.inf)))[cols], sigma)
+            zeros = np.zeros(width)
+            ox = np.einsum("ij,ij->i", overlap, np.concatenate((b.amplitudes.real, zeros))[cols])
+            oy = np.einsum("ij,ij->i", overlap, np.concatenate((b.amplitudes.imag, zeros))[cols])
+        ar, ai = a.amplitudes.real, a.amplitudes.imag
+        value = complex(ar @ ox + ai @ oy, ar @ oy - ai @ ox)
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ValueError(f"overlap overflows: the sums over the components reach {value!r}")
+    return value
 
 
 def _kernel_step(

@@ -4,7 +4,9 @@ Most of this evaluates wavefunctions from the explicit Gaussian formula
 and integrates with adaptive quadrature (piecewise between packet centers,
 tolerance 1e-12 on a support of +/- 10 sigma beyond the outermost centers).
 ``density_at`` evaluates the normalized density of any ``GaussianSum``
-from its components. The pair-sum accessors evaluate any ``GaussianSum``
+from its components, and ``dense_overlap`` the overlap of two of them over
+all M_a M_b component pairs, with no cut: the reference for the package's
+banded ``inner_product``. The pair-sum accessors evaluate any ``GaussianSum``
 (lattice or not) as a sum over all M^2 component pairs: spatial and
 momentum moments, the CDF, pixel masses and the detector's slot masses.
 ``clipped_lattice_masses`` is the lattice formula with ``ndtr`` evaluated
@@ -97,6 +99,23 @@ def quad_overlap(a, b) -> complex:
         re += val_re
         im += val_im
     return complex(re, im)
+
+
+def dense_overlap(a, b) -> complex:
+    """<a|b> summed over all M_a M_b component pairs, with no cut.
+
+    The real overlap matrix O_mm' = exp(-(s_m - s_m')^2 / (8 sigma^2)) is
+    taken against the real and imaginary parts of a and of b, x = Re b,
+    y = Im b: <a|b> = (Re a) O x + (Im a) O y + i ((Re a) O y - (Im a) O x).
+    """
+    sigma = a.sigma
+    overlap = a.centers[:, None] - b.centers[None, :]
+    overlap *= overlap
+    overlap /= -8.0 * sigma * sigma
+    np.exp(overlap, out=overlap)
+    re_o, im_o = np.stack((a.amplitudes.real, a.amplitudes.imag)) @ overlap
+    x, y = b.amplitudes.real, b.amplitudes.imag
+    return complex(re_o @ x + im_o @ y, re_o @ y - im_o @ x)
 
 
 def quad_moment(state, order: int) -> float:

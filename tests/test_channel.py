@@ -326,6 +326,54 @@ class TestBenchmarkShapedChannels:
             assert abs(run.total_survival - protected_survival_spectral(theta, sigma, couplings)) <= 1e-13
 
 
+def grid_cases() -> dict[str, tuple[float, ...]]:
+    """Couplings with and without repeats, on grids above and below the size
+    from which the momentum grid groups repeated couplings."""
+    g = 114.05179744309162
+    rng = np.random.default_rng(20)
+    cases = {f"D5-{n}": tuple(g * float(m) for m in rng.integers(0, 5, n)) for n in (100, 200)}
+    cases["constant-500"] = (4.0 * 150.0,) * 500
+    for n in (1, 20, 500):
+        cases[f"continuous-{n}"] = tuple(rng.uniform(0.0, 75.0, n).tolist())
+    cases["zero"] = (0.0,) * 6
+    cases["single"] = (g,)
+    return cases
+
+
+GRID_CASES = grid_cases()
+GRID_ANGLES = [0.0, 0.3, QUARTER, 1.2, math.pi / 2]
+
+
+class TestGridBitIdentity:
+    """The momentum grid groups repeated couplings and run_protected builds
+    its tuples from whole arrays; both against one cosine per coupling and a
+    conversion per element."""
+
+    @pytest.mark.parametrize("theta", GRID_ANGLES)
+    @pytest.mark.parametrize("case", sorted(GRID_CASES))
+    def test_prefix_equals_one_cosine_per_coupling(self, theta, case):
+        couplings = GRID_CASES[case]
+        p, _, prefix = channel._filter_products(theta, 150.0, couplings)
+        c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
+        filt = np.empty((p.size, len(couplings)))
+        for j, g in enumerate(couplings):
+            filt[:, j] = np.cos(p * g) * (2.0 * c2 * s2) + (c2 * c2 + s2 * s2)
+        expected = np.ones((p.size, len(couplings) + 1))
+        np.cumprod(filt, axis=1, out=expected[:, 1:])
+        assert np.array_equal(prefix.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("theta", GRID_ANGLES)
+    @pytest.mark.parametrize("case", ["D5-100", "D5-200", "constant-500", "continuous-1", "zero", "single"])
+    def test_run_tuples_hold_the_per_element_floats(self, theta, case):
+        couplings = GRID_CASES[case]
+        run = run_protected(theta, 150.0, ChannelRealization(couplings))
+        survivals, moments = channel._grid_survivals_and_moments(theta, 150.0, couplings)
+        steps = [channel._clip01(float(s)) for s in survivals[1:] / survivals[:-1]]
+        for got, expected in ((run.step_survivals, steps), (run.momentum_moments, [float(m) for m in moments])):
+            assert type(got) is tuple and all(type(v) is float for v in got)
+            assert np.array_equal(np.array(got).view(np.uint64), np.array(expected).view(np.uint64))
+
+
 class TestStepRecord:
     @staticmethod
     def pairwise_record(theta, sigma, couplings):

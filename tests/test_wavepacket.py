@@ -276,6 +276,113 @@ class TestFoldBitIdentity:
         assert len(steps) == len(couplings)
 
 
+# pairs farther apart than this many sigma overlap by less than 1e-40
+REACH = math.sqrt(8.0 * math.log(1e40))
+
+
+def long_channel_states() -> list[GaussianSum]:
+    """States of the long_channel workload's shape at the default config: 120
+    seeded D=5 lattice channels of N=100 and 4 of N=200, and the constant
+    N=500, g=4 sigma channel."""
+    rng = np.random.default_rng(124)
+    theta = ExperimentConfig().theta_rad
+    channels = [tuple(FOLD_UNIT * float(m) for m in rng.integers(0, 5, n)) for n in [100] * 120 + [200] * 4]
+    channels.append((4.0 * FOLD_SIGMA,) * 500)
+    return [fold_kernels(theta, FOLD_SIGMA, couplings) for couplings in channels]
+
+
+def assert_within_the_band_bound(a: GaussianSum, b: GaussianSum) -> complex:
+    """The banded overlap is within 1e-40 sum|a| sum|b| of all pairs, plus the
+    rounding of both sums. Each adds at most M_a + M_b terms, and the two
+    round each overlap's exponent z (up to 92 within reach) differently by a
+    few ulps, which exp scales by z; all of it is relative to the sum of the
+    terms' magnitudes."""
+    got = inner_product(a, b)
+    magnitudes = oracles.dense_overlap(
+        GaussianSum(a.sigma, np.abs(a.amplitudes), a.centers), GaussianSum(b.sigma, np.abs(b.amplitudes), b.centers)
+    ).real
+    rounding = (2 * (a.n_components + b.n_components) + 500) * np.finfo(float).eps * magnitudes
+    cut = 1e-40 * np.abs(a.amplitudes).sum() * np.abs(b.amplitudes).sum()
+    assert abs(got - oracles.dense_overlap(a, b)) <= cut + rounding
+    return got
+
+
+class TestBandedOverlap:
+    """``inner_product`` sums only the pairs within 27.14 sigma; the oracle
+    sums all of them."""
+
+    def test_long_channel_states(self):
+        states = long_channel_states()
+        for state in states:
+            assert_within_the_band_bound(state, state)
+        # unequal sizes, and the constant channel against a D=5 one
+        for a, b in zip(states[-6:], states[-5:]):
+            assert_within_the_band_bound(a, b)
+            assert_within_the_band_bound(b, a)
+
+    # spread 20 puts every pair in reach, so the whole overlap matrix is taken
+    @pytest.mark.parametrize("spread", [20.0, 150.0])
+    def test_random_complex_states_of_unequal_sizes(self, spread):
+        rng = np.random.default_rng(27)
+        for _ in range(40):
+            sigma = float(rng.uniform(0.3, 3.0))
+            a, b = (
+                GaussianSum(
+                    sigma,
+                    rng.normal(size=n) + 1j * rng.normal(size=n),
+                    rng.uniform(0.0, spread, n) * sigma,
+                )
+                for n in rng.integers(1, 60, 2)
+            )
+            assert_within_the_band_bound(a, b)
+            assert_within_the_band_bound(a, a)
+
+    @pytest.mark.parametrize("sigma", [1.0, 150.0])
+    def test_spacing_just_inside_the_reach(self, sigma):
+        a = make_gaussian(sigma)
+        b = shifted(sigma, REACH * (1.0 - 1e-9) * sigma)
+        got = assert_within_the_band_bound(a, b)
+        assert got.real > 0.0
+        lattice = GaussianSum(sigma, np.ones(20), REACH * (1.0 - 1e-9) * sigma * np.arange(20))
+        assert_within_the_band_bound(lattice, lattice)
+
+    @pytest.mark.parametrize("sigma", [1.0, 150.0])
+    def test_spacing_just_beyond_the_reach(self, sigma):
+        a = make_gaussian(sigma)
+        b = shifted(sigma, REACH * (1.0 + 1e-9) * sigma)
+        assert assert_within_the_band_bound(a, b) == 0j
+        lattice = GaussianSum(sigma, np.ones(20), REACH * (1.0 + 1e-9) * sigma * np.arange(20))
+        assert assert_within_the_band_bound(lattice, lattice) == 20.0
+
+    def test_pair_well_inside_the_reach(self):
+        # 20 sigma apart the overlap is exp(-50), far above the cut
+        got = assert_within_the_band_bound(make_gaussian(1.0), shifted(1.0, 20.0))
+        assert got.real == pytest.approx(math.exp(-50.0), rel=1e-13)
+
+    def test_single_component(self):
+        state = GaussianSum(2.0, [0.6 - 0.8j], [3.0])
+        assert assert_within_the_band_bound(state, state) == pytest.approx(1.0, abs=1e-15)
+
+    def test_no_pair_in_reach_is_exactly_zero(self):
+        rng = np.random.default_rng(3)
+        a = GaussianSum(1.0, rng.normal(size=8) + 1j * rng.normal(size=8), rng.uniform(0.0, 30.0, 8))
+        b = GaussianSum(1.0, rng.normal(size=5) + 1j * rng.normal(size=5), rng.uniform(60.0, 90.0, 5))
+        for got in (inner_product(a, b), inner_product(b, a)):
+            assert type(got) is complex and got == 0j
+
+    def test_norm_overflow_names_the_overflow(self):
+        with pytest.raises(ValueError, match="overflow"):
+            GaussianSum(1.0, [1e200], [0.0]).norm_sq
+        with pytest.raises(ValueError, match="overflow"):
+            inner_product(GaussianSum(1.0, [1e200, 1e200j], [0.0, 1.0]), GaussianSum(1.0, [1e200], [0.5]))
+
+    def test_wide_packets_take_the_overlap_in_units_of_sigma(self):
+        # squaring a center distance of 1e200 would overflow; its ratio to
+        # sigma does not
+        state = GaussianSum(1e200, [1.0, 1.0], [0.0, 1e200])
+        assert state.norm_sq == pytest.approx(2.0 + 2.0 * math.exp(-0.125), rel=1e-15)
+
+
 class TestMoments:
     def test_unit_gaussian_moments(self):
         state = make_gaussian(1.7)
