@@ -264,7 +264,9 @@ CouplingSampler = Callable[[np.random.Generator, int], np.ndarray]
 
 
 def constant_coupling(g: float) -> CouplingSampler:
-    """Sampler producing N identical couplings g."""
+    """Sampler producing N identical couplings g (finite, non-negative)."""
+    if not (0.0 <= g < math.inf):
+        raise ValueError(f"coupling scale must be finite and non-negative, got {g!r}")
 
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, float(g))
@@ -273,7 +275,9 @@ def constant_coupling(g: float) -> CouplingSampler:
 
 
 def uniform_coupling(high: float) -> CouplingSampler:
-    """Sampler of i.i.d. couplings uniform on [0, high)."""
+    """Sampler of i.i.d. couplings uniform on [0, high) (high finite, non-negative)."""
+    if not (0.0 <= high < math.inf):
+        raise ValueError(f"coupling scale must be finite and non-negative, got {high!r}")
 
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(0.0, float(high), size=n)

@@ -52,8 +52,8 @@ class SpatialHistogram:
     overflow: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.pitch > 0.0):
-            raise ValueError(f"pixel pitch must be positive, got {self.pitch!r}")
+        if not (0.0 < self.pitch < math.inf) or not math.isfinite(self.offset):
+            raise ValueError(f"pixel pitch must be positive and finite and the offset finite, got {self.pitch!r}, {self.offset!r}")
         counts = np.asarray(self.counts, dtype=np.int64).copy()
         if counts.ndim != 1 or counts.size < 2:
             raise ValueError("histogram needs at least 2 pixels")

@@ -15,11 +15,11 @@ histogram:
   measured mean. The tolerance doubles until the mean filter keeps a
   candidate.
 
-Candidate moments and profiles are evaluated with the same pixel-center
-functional that is applied to measured data, so pixelation bias cancels and
-a noiseless histogram is reconstructed exactly. Repeated trials aggregate
-into event probabilities with equal-tailed Beta posterior credible
-intervals.
+Measured data and candidates go through one pixel-center functional, so
+pixelation bias cancels and a noiseless histogram is reconstructed exactly;
+it is linear, so candidate moments are taken through the lattice factors
+without forming a profile row. Repeated trials aggregate into event
+probabilities with equal-tailed Beta posterior credible intervals.
 
 A reconstruction is ``degenerate`` when its chosen candidate has direct
 partners the method cannot tell apart from it, listed in ascending
@@ -104,8 +104,9 @@ class _CandidateSet:
     ``diffs`` the masses of the shared normals in each pixel, a read-only
     view of the pixel columns of the cached ``wavepacket.normal_masses``.
     ``sq_norms[c]`` is the squared norm of profile c through the Gram form,
-    weights[c] (diffs diffs^T) weights[c]^T. No (candidates x pixels) array
-    is kept; ``_profile_rows`` forms rows on demand.
+    weights[c] (diffs diffs^T) weights[c]^T, and ``means[c]``, ``variances[c]``
+    its pixel-center moments through the same factors. No (candidates x
+    pixels) array is kept; ``_profile_rows`` forms rows on demand.
     """
 
     configs: tuple[Configuration, ...]
@@ -143,8 +144,8 @@ def candidate_table(
     have. Over every configuration of N events that is the entry
     ``pipeline.simulate_trials`` reads at the same geometry, so a table
     built after a simulation in one process finds its masses cached. The
-    moments are those of the profile rows, formed ``_ROW_BLOCK`` at a time
-    by ``_profile_rows``.
+    on-detector totals, squared norms and moments are the weights times
+    products built once per table, so no profile row is formed.
     """
     weights = lattice_weights(theta, sigma, unit_shift, multipliers, counts)
     diffs = normal_masses(sigma, unit_shift, weights.shape[1], pitch, n_pixels, offset)[:, 1:-1]
@@ -156,21 +157,17 @@ def candidate_table(
     # row-wise quadratic form in the Gram matrix; an einsum of it doubled an
     # N=20 build's time
     sq_norms = np.sum((weights @ (diffs @ diffs.T)) * weights, axis=1)
-    means = np.empty(len(counts))
-    variances = np.empty(len(counts))
-    buf = np.empty((min(_ROW_BLOCK, len(counts)), n_pixels))
-    for start in range(0, len(counts), _ROW_BLOCK):
-        block = slice(start, start + _ROW_BLOCK)
-        means[block], variances[block] = pixel_moments(_profile_rows(weights, diffs, block, buf), pitch, offset)
+    centers = offset + (np.arange(n_pixels) + 0.5) * pitch  # as in pixel_moments
+    means = weights @ (diffs @ centers)
+    variances = weights @ (diffs @ centers**2) - means * means
     for array in (weights, sq_norms, means, variances):
         array.setflags(write=False)
     configs = tuple(Configuration(c) for c in counts)
     return _CandidateSet(configs, weights, diffs, sq_norms, means, variances, sigma)
 
 
-# Rows of a table formed at a time by ``_profile_rows``, and passed at a
-# time to ``pixel_moments`` by ``candidate_table``, so their temporaries
-# stay small at any table size; each row's sums are those of the
+# Rows of the l2 short list formed at a time by ``_profile_rows``, so their
+# temporaries stay small at any list size; each row's sums are those of the
 # whole-array expression. 64 rows of 1024 pixels (512 kB) stay in a 2 MB L2
 # cache, where 256 rows did not (on a 2-vCPU Xeon VM, distances over a
 # whole N=10 table took 1.6 ms instead of 2.1 ms).
@@ -191,14 +188,12 @@ def _profile_rows(weights: np.ndarray, diffs: np.ndarray, rows, buf: np.ndarray)
 def pixel_moments(weights: np.ndarray, pitch: float, offset: float) -> tuple[np.ndarray, np.ndarray]:
     """(mean, variance) of normalized pixel weights, pixel centers as positions.
 
-    The one pixel-center functional: measured histograms and candidate
-    profiles both go through it, so the pitch-scale discretization is the
-    same on both sides and cancels in comparisons. ``weights`` has shape
-    ``(n_pixels,)`` or ``(rows, n_pixels)`` and must already sum to 1 along
-    its last axis; pixel i sits at ``offset + (i + 0.5) * pitch``. Both
-    results have the shape of ``weights`` without its last axis, and each
-    row's equal those of the row passed alone. The temporaries are the size
-    of ``weights``, so callers with many rows pass them a block at a time.
+    The one pixel-center functional: measured histograms go through it and
+    candidate profiles through its linear form in ``candidate_table``, so
+    the pitch-scale discretization cancels in comparisons. ``weights`` has
+    shape ``(n_pixels,)`` or ``(rows, n_pixels)`` and must already sum to 1
+    along its last axis; pixel i sits at ``offset + (i + 0.5) * pitch``.
+    Both results have the shape of ``weights`` without its last axis.
     """
     weights = np.asarray(weights, dtype=np.float64)
     centers = offset + (np.arange(weights.shape[-1]) + 0.5) * pitch

@@ -424,6 +424,16 @@ class TestScalingReport:
         ratio = rows[0].j_ratio_mean
         assert 0.9 * (4.0 / 3.0) / n <= ratio <= 1.5 * (4.0 / 3.0) / n
 
+    @pytest.mark.parametrize("sampler", [constant_coupling, uniform_coupling])
+    @pytest.mark.parametrize("scale", [math.inf, math.nan, -5.0])
+    def test_sampler_scale_rejected(self, sampler, scale):
+        with pytest.raises(ValueError, match="coupling scale must be finite and non-negative"):
+            sampler(scale)
+
+    @pytest.mark.parametrize("sampler", [constant_coupling, uniform_coupling])
+    def test_zero_scale_gives_zero_couplings(self, sampler):
+        assert np.array_equal(sampler(0.0)(np.random.default_rng(0), 3), np.zeros(3))
+
     def test_deterministic_under_seed(self):
         a = qze_scaling_report(QUARTER, 1.0, uniform_coupling(1.0), [3, 5], 50, seed=42)
         b = qze_scaling_report(QUARTER, 1.0, uniform_coupling(1.0), [3, 5], 50, seed=42)

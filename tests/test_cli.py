@@ -250,6 +250,13 @@ class TestScalingReport:
         n, jm, *_ = [float(t) for t in rows[2].split(",")]
         assert (n, jm) == (2.0, 0.5)
 
+    @pytest.mark.parametrize("sampler", ["constant", "uniform"])
+    @pytest.mark.parametrize("coupling", ["inf", "nan", "-5"])
+    def test_bad_coupling_rejected(self, tmp_path, capsys, sampler, coupling):
+        argv = ("scaling-report", "--n-list", "1,2", "--sampler", sampler, "--coupling", coupling, "--out", tmp_path)
+        assert run(*argv) == 2
+        assert "error: coupling scale must be finite and non-negative" in capsys.readouterr().err
+
     def test_negative_survival_samples_rejected(self, tmp_path, capsys):
         assert run("scaling-report", "--n-list", "1,2", "--survival-samples", "-2", "--out", tmp_path) == 2
         assert "survival_samples" in capsys.readouterr().err

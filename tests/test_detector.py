@@ -387,6 +387,16 @@ class TestPipelineDetection:
             assert record.histogram.overflow == ref.overflow
 
 
+class TestHistogramGeometry:
+    @pytest.mark.parametrize(
+        "pitch, offset",
+        [(math.inf, 0.0), (math.nan, 0.0), (0.0, 0.0), (-1.0, 0.0), (1.0, math.inf), (1.0, -math.inf), (1.0, math.nan)],
+    )
+    def test_non_finite_geometry_rejected(self, pitch, offset):
+        with pytest.raises(ValueError, match="pixel pitch must be positive and finite and the offset finite"):
+            SpatialHistogram(pitch, offset, [1, 2])
+
+
 class TestEmpiricalMoment:
     def test_symmetric_two_pixel(self):
         # equal counts in pixels centered at -1.5 and +1.5

@@ -46,15 +46,11 @@ def counts_of(candidates):
 
 
 def table_profiles(table):
-    """Every profile row of a table, formed ``_ROW_BLOCK`` rows at a time as the table build forms them."""
-    n_rows, n_pixels = table.weights.shape[0], table.diffs.shape[1]
-    buf = np.empty((min(estimator._ROW_BLOCK, n_rows), n_pixels))
-    return np.concatenate(
-        [
-            estimator._profile_rows(table.weights, table.diffs, slice(start, start + estimator._ROW_BLOCK), buf).copy()
-            for start in range(0, n_rows, estimator._ROW_BLOCK)
-        ]
-    )
+    """Every profile row of a table, formed ``_ROW_BLOCK`` rows at a time as the l2 path forms its short list."""
+    rows = np.empty((table.weights.shape[0], table.diffs.shape[1]))
+    for start in range(0, rows.shape[0], estimator._ROW_BLOCK):
+        estimator._profile_rows(table.weights, table.diffs, slice(start, start + estimator._ROW_BLOCK), rows[start:])
+    return rows
 
 
 def noiseless_masses(config):
@@ -259,30 +255,29 @@ class TestCandidateTable:
         for method in ("l2", "moments"):
             assert estimate_histogram(hist, CANDIDATES, QUARTER, SIGMA, ALPHABET, method=method).config == TRUTH
 
-    def test_moments_are_the_shared_functional_of_profiles(self):
-        # candidate moments and a measured trial's go through one functional,
-        # so a noiseless trial reproduces its candidate's moments exactly
+    @pytest.mark.parametrize("theta", [0.3, QUARTER, 1.2])
+    @pytest.mark.parametrize("n_events", [6, 10, 20])
+    def test_moments_are_the_functional_of_formed_profiles(self, n_events, theta):
+        # the table takes the pixel-center functional through the lattice
+        # factors; on every default candidate it agrees with the functional of
+        # the formed rows a measured trial's moments go through
         pitch, offset = GEOMETRY["pitch"], GEOMETRY["offset"]
-        table = candidate_table(
-            ALPHABET.multipliers, G, QUARTER, SIGMA, counts_of(CANDIDATES), pitch, GEOMETRY["n_pixels"], offset
-        )
-        profiles = table_profiles(table)
-        means, variances = pixel_moments(profiles, pitch, offset)
-        assert np.array_equal(table.means, means)
-        assert np.array_equal(table.variances, variances)
-        rows = [pixel_moments(profile, pitch, offset) for profile in profiles]
-        assert np.array_equal(np.array(rows), np.column_stack([means, variances]))
-
-    def test_blocked_moments_match_rows_at_n20(self):
-        # 10,626 candidates: the table's last block of moment rows is partial
-        pitch, offset = GEOMETRY["pitch"], GEOMETRY["offset"]
-        counts = counts_of(enumerate_configurations(5, 20))
-        assert len(counts) % estimator._ROW_BLOCK != 0
+        counts = counts_of(enumerate_configurations(5, n_events))
         table = candidate_table.__wrapped__(
-            ALPHABET.multipliers, G, QUARTER, SIGMA, counts, pitch, GEOMETRY["n_pixels"], offset
+            ALPHABET.multipliers, G, theta, SIGMA, counts, pitch, GEOMETRY["n_pixels"], offset
         )
-        rows = [pixel_moments(profile, pitch, offset) for profile in table_profiles(table)]
-        assert np.array_equal(np.array(rows), np.column_stack([table.means, table.variances]))
+        means, variances = pixel_moments(table_profiles(table), pitch, offset)
+        assert np.max(np.abs(table.means - means)) <= 1e-9 * SIGMA
+        assert np.max(np.abs(table.variances - variances)) <= 1e-9 * SIGMA * SIGMA
+
+    def test_build_forms_no_profile_row(self, monkeypatch):
+        def form(*args, **kwargs):
+            raise AssertionError("the table build formed profile rows")
+
+        monkeypatch.setattr(estimator, "_profile_rows", form)
+        monkeypatch.setattr(estimator, "pixel_moments", form)
+        table = candidate_table.__wrapped__(ALPHABET.multipliers, G, QUARTER, SIGMA, counts_of(CANDIDATES), **GEOMETRY)
+        assert table.means.shape == table.variances.shape == (len(CANDIDATES),)
 
 
 class TestLatticeTable:
