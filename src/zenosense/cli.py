@@ -55,7 +55,8 @@ _REPRODUCE_SEED = 20220914
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # a non-finite value raises instead of writing an Infinity or NaN literal
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _sha256(path: Path) -> str:

@@ -59,6 +59,8 @@ class SpatialHistogram:
             raise ValueError("histogram needs at least 2 pixels")
         if np.any(counts < 0):
             raise ValueError("pixel counts must be non-negative")
+        if int(self.overflow) < 0:
+            raise ValueError(f"overflow count must be non-negative, got {self.overflow!r}")
         counts.setflags(write=False)
         object.__setattr__(self, "pitch", float(self.pitch))
         object.__setattr__(self, "offset", float(self.offset))
@@ -250,10 +252,13 @@ def read_histogram_csv(path) -> SpatialHistogram:
     if len(rows) < 2:
         raise HistogramFormatError(f"{path}: histogram needs at least 2 pixels")
     centers = np.array([r[1] for r in rows])
-    pitches = np.diff(centers)
+    with np.errstate(over="ignore"):
+        pitches = np.diff(centers)
     pitch = float(pitches[0])
+    offset = float(centers[0]) - 0.5 * pitch
+    if not (pitch < math.inf and math.isfinite(offset)):
+        raise HistogramFormatError(f"{path}: pixel spacing or offset is not finite")
     if pitch <= 0.0 or np.any(np.abs(pitches - pitch) > 1e-9 * abs(pitch)):
         raise HistogramFormatError(f"{path}: pixel centers are not uniformly spaced")
-    offset = float(centers[0] - 0.5 * pitch)
     counts = np.array([r[2] for r in rows], dtype=np.int64)
     return SpatialHistogram(pitch, offset, counts)

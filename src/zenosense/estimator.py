@@ -12,8 +12,9 @@ histogram:
 * ``"moments"`` is the two-stage search: keep the candidates whose
   mean arrival position matches the measured one within a tolerance, then
   minimize the squared mismatch of the second moment taken about the
-  measured mean. The tolerance doubles until the mean filter keeps a
-  candidate.
+  measured mean over that window only. The tolerance starts at the
+  table's half smallest gap between candidate means and doubles until
+  the mean filter keeps a candidate.
 
 Measured data and candidates go through one pixel-center functional, so
 pixelation bias cancels and a noiseless histogram is reconstructed exactly;
@@ -54,7 +55,6 @@ __all__ = [
     "beta_ci",
     "build_report",
     "candidate_table",
-    "default_mean_tolerance",
     "pixel_moments",
 ]
 
@@ -76,10 +76,12 @@ class TrialEstimate:
     ``degenerate`` is true when the chosen candidate has direct partners
     under the method's tolerances (see the module docstring);
     ``degenerate_with`` lists their configurations in ascending candidate
-    order. For ``"moments"``, ``mean_window`` holds the ascending indices of
-    the candidates whose mean lies within the tolerance after its
-    ``widenings`` doublings, the ones the second stage chose among; it is
-    ``()`` for ``"l2"``.
+    order. ``top`` holds up to five scored candidates with their
+    objectives, smallest first, ties in candidate order: the l2 short list,
+    or the moments window. For ``"moments"``, ``mean_window`` holds the
+    ascending indices of the candidates whose mean lies within the
+    tolerance after its ``widenings`` doublings, the ones the second stage
+    chose among; it is ``()`` for ``"l2"``.
     """
 
     method: str
@@ -105,8 +107,11 @@ class _CandidateSet:
     view of the pixel columns of the cached ``wavepacket.normal_masses``.
     ``sq_norms[c]`` is the squared norm of profile c through the Gram form,
     weights[c] (diffs diffs^T) weights[c]^T, and ``means[c]``, ``variances[c]``
-    its pixel-center moments through the same factors. No (candidates x
-    pixels) array is kept; ``_profile_rows`` forms rows on demand.
+    its pixel-center moments through the same factors. ``mean_tol`` is the
+    moment search's base tolerance: half the smallest gap between sorted
+    means that exceeds ``DEGENERATE_MEAN_TOL_FACTOR * sigma``, or inf when
+    every mean coincides. No (candidates x pixels) array is kept;
+    ``_profile_rows`` forms rows on demand.
     """
 
     configs: tuple[Configuration, ...]
@@ -116,6 +121,7 @@ class _CandidateSet:
     means: np.ndarray
     variances: np.ndarray
     sigma: float
+    mean_tol: float
 
 
 @lru_cache(maxsize=16)
@@ -162,8 +168,11 @@ def candidate_table(
     variances = weights @ (diffs @ centers**2) - means * means
     for array in (weights, sq_norms, means, variances):
         array.setflags(write=False)
+    gaps = np.diff(np.sort(means))
+    gaps = gaps[gaps > DEGENERATE_MEAN_TOL_FACTOR * sigma]
+    mean_tol = float(gaps.min() / 2.0) if gaps.size else math.inf
     configs = tuple(Configuration(c) for c in counts)
-    return _CandidateSet(configs, weights, diffs, sq_norms, means, variances, sigma)
+    return _CandidateSet(configs, weights, diffs, sq_norms, means, variances, sigma, mean_tol)
 
 
 # Rows of the l2 short list formed at a time by ``_profile_rows``, so their
@@ -199,19 +208,6 @@ def pixel_moments(weights: np.ndarray, pitch: float, offset: float) -> tuple[np.
     centers = offset + (np.arange(weights.shape[-1]) + 0.5) * pitch
     m1 = np.sum(weights * centers, axis=-1)
     return m1, np.sum(weights * centers**2, axis=-1) - m1 * m1
-
-
-def default_mean_tolerance(means: np.ndarray, sigma: float) -> float:
-    """Half the minimal nonzero gap between candidate means.
-
-    Gaps below the degeneracy tolerance count as zero; if every mean
-    coincides the filter is a no-op (infinite tolerance).
-    """
-    gaps = np.diff(np.sort(np.asarray(means)))
-    gaps = gaps[gaps > DEGENERATE_MEAN_TOL_FACTOR * sigma]
-    if gaps.size == 0:
-        return math.inf
-    return float(gaps.min() / 2.0)
 
 
 def estimate_from_masses(
@@ -260,11 +256,11 @@ def estimate_from_masses(
 
 
 def _top_candidates(
-    configs: Sequence[Configuration], objective: np.ndarray
+    configs: Sequence[Configuration], ixs: np.ndarray, objective: np.ndarray
 ) -> tuple[tuple[Configuration, float], ...]:
-    """The five smallest objectives with their configurations, ties in candidate order."""
+    """The five smallest objectives of the ascending candidates ``ixs``, ties in candidate order."""
     order = np.argsort(objective, kind="stable")[:5]
-    return tuple((configs[int(i)], float(objective[int(i)])) for i in order)
+    return tuple((configs[int(ixs[i])], float(objective[i])) for i in order)
 
 
 def _moment_partners(means: np.ndarray, variances: np.ndarray, sigma: float, best: int) -> np.ndarray:
@@ -367,37 +363,38 @@ def _estimate_l2(masses: np.ndarray, cand: _CandidateSet) -> TrialEstimate:
         index=best,
         config=cand.configs[best],
         objective=objective,
-        top=_top_candidates([cand.configs[i] for i in short], exact),
+        top=_top_candidates(cand.configs, short, exact),
         degenerate=bool(partners),
         degenerate_with=partners,
     )
 
 
 def _estimate_moments(m1: float, central2: float, cand: _CandidateSet) -> TrialEstimate:
-    tol = default_mean_tolerance(cand.means, cand.sigma)
+    """Second-moment argmin, and ``top``, over the mean window only, in its ascending order."""
     mean_dist = np.abs(cand.means - m1)
+    nearest = mean_dist.min()
+    tol = cand.mean_tol
     widenings = 0
     # ends: tol is positive or inf and m1 is finite
-    while not (mean_dist <= tol).any():
+    while not nearest <= tol:
         tol *= 2.0
         widenings += 1
-    subset = np.flatnonzero(mean_dist <= tol)
+    window = np.flatnonzero(mean_dist <= tol)
     # second moment about the measured mean: var_c + (mean_c - m1)^2
-    second_about_m1 = cand.variances + (cand.means - m1) ** 2
-    objective = np.full(len(cand.configs), np.inf)
-    objective[subset] = (central2 - second_about_m1[subset]) ** 2
-    best = int(subset[np.argmin(objective[subset])])
+    objective = (central2 - (cand.variances[window] + (cand.means[window] - m1) ** 2)) ** 2
+    pick = int(np.argmin(objective))
+    best = int(window[pick])
     partners = tuple(cand.configs[i] for i in _moment_partners(cand.means, cand.variances, cand.sigma, best))
     return TrialEstimate(
         method="moments",
         index=best,
         config=cand.configs[best],
-        objective=float(objective[best]),
-        top=_top_candidates(cand.configs, objective),
+        objective=float(objective[pick]),
+        top=_top_candidates(cand.configs, window, objective),
         widenings=widenings,
         degenerate=bool(partners),
         degenerate_with=partners,
-        mean_window=tuple(subset.tolist()),
+        mean_window=tuple(window.tolist()),
     )
 
 

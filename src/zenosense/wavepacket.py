@@ -22,22 +22,21 @@ shared by all lattice states.
 non-normalized on purpose: a row's sum is the state's squared norm, the
 survival probability of the polarization qubit. ``lattice_density`` gives
 the rows' normalized densities, and ``normal_masses`` the masses of the
-normals, cut at 9 sigma, in each of the detector's slots, with their CDFs
-evaluated only inside that band. Those masses depend only on the width,
-the unit shift and the detector, so they are cached and read-only; every
-simulated trial takes the product of one row of weights with them, and
-the candidate table keeps the two as factors. ``fold_kernels`` builds the
-one ``GaussianSum`` the protected run reports. On a lattice whose unit is
-its smallest positive coupling h, with every float center within half the
-merge tolerance of its slot's multiple of h, no product of N kernel weights
-near underflow and at most 16 (N + 1) slots, it runs on slots: the
-amplitude on slot k is the coefficient of z^k in prod_j (s^2 + c^2 z^{n_j}),
-built by one real multiply-add per event, and each slot keeps the smallest
-center that reached it. That equals the merge fold bit for bit, since each
-merge group is then one unshifted and one shifted copy, whose sum does not
-depend on order, whose kept center is the smaller one and whose imaginary
-parts are +0. Every other input runs the merge fold, one kernel step and
-merge per coupling.
+normals, cut at 9 sigma, in each of the detector's slots. Those masses
+depend only on the width, the unit shift and the detector, so they are
+cached and read-only; every simulated trial takes the product of one row
+of weights with them, and the candidate table keeps the two as factors.
+``fold_kernels`` builds the one ``GaussianSum`` the protected run reports.
+On a lattice whose unit is its smallest positive coupling h, with every
+float center within half the merge tolerance of its slot's multiple of h,
+no product of N kernel weights near underflow and at most 16 (N + 1)
+slots, it runs on slots: the amplitude on slot k is the coefficient of z^k
+in prod_j (s^2 + c^2 z^{n_j}), built by one real multiply-add per event,
+and each slot keeps the smallest center that reached it. That equals the
+merge fold bit for bit, since each merge group is then one unshifted and
+one shifted copy, whose sum does not depend on order, whose kept center is
+the smaller one and whose imaginary parts are +0. Every other input runs
+the merge fold, one kernel step and merge per coupling.
 """
 
 from __future__ import annotations
@@ -486,11 +485,9 @@ def normal_masses(
     normal s's mass in each slot and does not depend on ``n_normals``, so
     the head of a larger build equals a smaller one bit for bit. Each
     normal is cut at 9 sigma from its center (each tail beyond carries
-    < 1.2e-19 of its mass and is returned as zero), so a slot more than
-    9 sigma from the center gets exactly zero; ``ndtr`` is evaluated only
-    at the edges inside a normal's band (about a fifth of them at the
-    default geometry), and the CDF outside it is the constant ndtr(+-9) of
-    the cut.
+    < 1.2e-19 of its mass and is returned as zero): the CDF is ``ndtr`` of
+    z clipped to [-9, 9], so a slot more than 9 sigma from the center gets
+    exactly zero.
 
     D depends only on the width, the unit shift, the row count and the
     geometry, so it is cached on them (16 entries, as the candidate table):
@@ -510,11 +507,6 @@ def normal_masses(
         raise ValueError(f"pixel edges must be strictly increasing, got pitch {pitch!r} at offset {offset!r}")
     edges = np.concatenate(([-np.inf], pixel_edges, [np.inf]))
     z = (edges[None, :] - 0.5 * h * np.arange(n_normals)[:, None]) / sigma
-    # ndtr only inside each normal's +-9 sigma band; outside it the CDF is
-    # that of the cut, ndtr(+-9), exactly as if z were clipped to [-9, 9]
-    cdf = np.where(z > 0.0, ndtr(9.0), ndtr(-9.0))
-    band = np.abs(z) < 9.0
-    cdf[band] = ndtr(z[band])
-    masses = np.diff(cdf, axis=1)
+    masses = np.diff(ndtr(np.clip(z, -9.0, 9.0)), axis=1)
     masses.setflags(write=False)
     return masses

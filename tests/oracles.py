@@ -276,8 +276,8 @@ def clipped_lattice_masses(theta, sigma, unit_shift, multipliers, counts, edges)
     The same weights as ``wavepacket.lattice_weights``, and the masses of
     its 2M - 1 normals between consecutive ``edges``, but the cut at 9
     sigma is taken by clipping every z to [-9, 9] before one ``ndtr`` pass
-    over the whole (2M - 1) x edges matrix, so the band-limited
-    ``wavepacket.normal_masses`` must match it bit for bit over
+    over the whole (2M - 1) x edges matrix, built here apart from
+    ``wavepacket.normal_masses``, which must match it bit for bit over
     ``slot_edges``.
     """
     weights = lattice_weights(theta, sigma, unit_shift, multipliers, counts)

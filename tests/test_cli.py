@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from zenosense import cli
 from zenosense.cli import main
 from zenosense.config import ExperimentConfig, serialize_config
 from zenosense.detector import read_histogram_csv
@@ -23,6 +24,15 @@ def write_config(path: Path, **kwargs) -> Path:
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def strict_json(path: Path):
+    """Parse a file as strict JSON: an Infinity or NaN literal raises."""
+
+    def refuse(literal):
+        raise ValueError(f"{path.name} holds the non-JSON literal {literal}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 SMALL = dict(
@@ -161,6 +171,25 @@ class TestEstimate:
         assert run("estimate", *trials, "--config", cfg, "--out", tmp_path / "est") == 0
         report = json.loads((tmp_path / "est" / "report.json").read_text())
         assert max(report["diagnostics"]["widenings"]) > 10
+
+    @pytest.mark.parametrize("estimator", ["moments", "l2"])
+    def test_crowded_means_report_is_strict_json(self, tmp_path, estimator):
+        # with few photons the moments windows hold fewer than five candidates,
+        # so each top list holds only the window's scored candidates
+        cfg = write_config(tmp_path / "cfg.txt", theta_rad=0.3, n_events=10, n_trials=3, photons_per_trial=2_000)
+        out = tmp_path / "out"
+        assert run("simulate", "--config", cfg, "--out", out) == 0
+        trials = sorted(out.glob("trial_*.csv"))
+        est = tmp_path / "est"
+        assert run("estimate", *trials, "--config", cfg, "--estimator", estimator, "--out", est) == 0
+        tops = strict_json(est / "report.json")["diagnostics"]["top_candidates"]
+        assert len(tops) == 3
+        if estimator == "moments":
+            assert min(len(top) for top in tops) < 5
+
+    def test_non_finite_value_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli._write_json(tmp_path / "x.json", {"objective": float("inf")})
 
 
 class TestCalibrate:

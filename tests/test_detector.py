@@ -396,6 +396,10 @@ class TestHistogramGeometry:
         with pytest.raises(ValueError, match="pixel pitch must be positive and finite and the offset finite"):
             SpatialHistogram(pitch, offset, [1, 2])
 
+    def test_negative_overflow_rejected(self):
+        with pytest.raises(ValueError, match="overflow count must be non-negative, got -5"):
+            SpatialHistogram(1.0, 0.0, [1, 2], overflow=-5)
+
 
 class TestEmpiricalMoment:
     def test_symmetric_two_pixel(self):
@@ -471,6 +475,15 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("pixel_index,center_x_um,count\n0,1.0,5\n1,2.0,3\n2,nan,1\n")
         with pytest.raises(HistogramFormatError, match=r"bad\.csv:4"):
+            read_histogram_csv(path)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_pitch_names_file_without_a_warning(self, tmp_path):
+        # finite centers whose spacing overflows to inf: a numpy warning, or
+        # the plain ValueError of SpatialHistogram, would preempt this error
+        path = tmp_path / "wide.csv"
+        path.write_text("pixel_index,center_x_um,count\n0,-1e308,5\n1,1e308,3\n")
+        with pytest.raises(HistogramFormatError, match=r"wide\.csv: pixel spacing or offset is not finite"):
             read_histogram_csv(path)
 
     def test_bad_header_rejected(self, tmp_path):

@@ -20,7 +20,6 @@ from zenosense.estimator import (
     beta_ci,
     build_report,
     candidate_table,
-    default_mean_tolerance,
     estimate_from_masses,
     estimate_histogram,
     pixel_moments,
@@ -169,7 +168,7 @@ class TestMomentEstimatorStages:
             candidates = tuple(enumerate_configurations(5, n_events))
             est = estimate_histogram(hist, candidates, theta, SIGMA, ALPHABET, method="moments")
             table = candidate_table(ALPHABET.multipliers, G, theta, SIGMA, counts_of(candidates), 13.0, 1024, -6656.0)
-            tol = default_mean_tolerance(table.means, SIGMA)
+            tol = table.mean_tol
             mean_dist = np.abs(table.means - m1)
             widenings = 0
             while mean_dist.min() > tol * 2.0**widenings:
@@ -180,9 +179,27 @@ class TestMomentEstimatorStages:
             assert est.index in est.mean_window
 
     def test_default_tolerance_is_half_min_gap(self):
-        means = np.array([0.0, 10.0, 10.0 + 1e-9, 25.0])
-        assert default_mean_tolerance(means, sigma=1.0) == pytest.approx(5.0)
-        assert default_mean_tolerance(np.array([3.0, 3.0]), sigma=1.0) == math.inf
+        table = candidate_table(ALPHABET.multipliers, G, QUARTER, SIGMA, counts_of(CANDIDATES), 13.0, 1024, -6656.0)
+        gaps = np.diff(np.sort(table.means))
+        assert table.mean_tol == gaps[gaps > DEGENERATE_MEAN_TOL_FACTOR * SIGMA].min() / 2.0
+        # at theta = pi/2 every candidate's profile, so its mean, coincides
+        wide = tuple(enumerate_configurations(5, 10))
+        table = candidate_table(ALPHABET.multipliers, G, math.pi / 2, SIGMA, counts_of(wide), 13.0, 1024, -6656.0)
+        assert table.mean_tol == math.inf
+
+    def test_window_scores_only_its_own_candidates(self):
+        # at N=10, theta=0.3 and 1e5 photons this seed's window holds fewer
+        # than five candidates, so ``top`` is shorter than five, all finite
+        candidates = tuple(enumerate_configurations(5, 10))
+        truth = Configuration((2, 2, 2, 2, 2))
+        state = theoretical_state(truth, 0.3, SIGMA, ALPHABET.values)
+        hist = sample_histogram(oracles.slot_masses(state, **GEOMETRY), 100_000, 13.0, -6656.0, seed=3)
+        est = estimate_histogram(hist, candidates, 0.3, SIGMA, ALPHABET, method="moments")
+        assert 1 <= len(est.mean_window) < 5
+        assert len(est.top) == len(est.mean_window)
+        assert {candidates[i] for i in est.mean_window} == {c for c, _ in est.top}
+        assert all(math.isfinite(obj) for _, obj in est.top)
+        assert est.top[0] == (est.config, est.objective)
 
 
 class TestDegeneracyFlags:
@@ -339,7 +356,7 @@ def factor_table(profiles, configs):
     weights = np.eye(len(diffs))
     sq_norms = np.sum((weights @ (diffs @ diffs.T)) * weights, axis=1)
     zeros = np.zeros(len(diffs))
-    return estimator._CandidateSet(tuple(configs), weights, diffs, sq_norms, zeros, zeros, 1.0)
+    return estimator._CandidateSet(tuple(configs), weights, diffs, sq_norms, zeros, zeros, 1.0, math.inf)
 
 
 def _partners_in(groups):

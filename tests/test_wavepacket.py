@@ -1,6 +1,6 @@
 """Closed-form Gaussian-sum algebra and lattice densities against
-adaptive-quadrature oracles, and the lattice weights and band-limited normal
-masses against the clip-everything formula."""
+adaptive-quadrature oracles, and the lattice weights and the normal masses
+cut at 9 sigma against the clip-everything formula."""
 
 import math
 
@@ -544,7 +544,7 @@ def lattice_z(sigma, unit_shift, counts, multipliers, edges):
 
 
 class TestLatticeBand:
-    """``ndtr`` inside each normal's 9 sigma band only, against the clip-everything formula."""
+    """Each normal's CDF cut at 9 sigma, against the oracle's own clip-everything formula."""
 
     @pytest.fixture(scope="class")
     def default(self):
