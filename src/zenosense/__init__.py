@@ -1,5 +1,10 @@
 """Zeno-protected photonic channel simulation and noise-event statistics recovery."""
 
+# The package uses no scipy module. The benchmark worker
+# (perfbench/worker.py), this import's only reader, records
+# sys.modules["scipy"].__version__; the bare package loads no submodule.
+import scipy  # noqa: F401
+
 from zenosense.channel import (
     ChannelRealization,
     ProbeState,

@@ -48,7 +48,6 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "GaussianSum",
@@ -467,6 +466,9 @@ def lattice_density(weights: np.ndarray, sigma: float, unit_shift: float, x) -> 
     return (weights @ normals) / totals[:, None]
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
 @lru_cache(maxsize=16)
 def normal_masses(
     sigma: float,
@@ -485,9 +487,9 @@ def normal_masses(
     normal s's mass in each slot and does not depend on ``n_normals``, so
     the head of a larger build equals a smaller one bit for bit. Each
     normal is cut at 9 sigma from its center (each tail beyond carries
-    < 1.2e-19 of its mass and is returned as zero): the CDF is ``ndtr`` of
-    z clipped to [-9, 9], so a slot more than 9 sigma from the center gets
-    exactly zero.
+    < 1.2e-19 of its mass and is returned as zero): the CDF is
+    0.5 erfc(-z / sqrt 2), through ``math.erfc``, of z clipped to [-9, 9],
+    so a slot more than 9 sigma from the center gets exactly zero.
 
     D depends only on the width, the unit shift, the row count and the
     geometry, so it is cached on them (16 entries, as the candidate table):
@@ -507,6 +509,7 @@ def normal_masses(
         raise ValueError(f"pixel edges must be strictly increasing, got pitch {pitch!r} at offset {offset!r}")
     edges = np.concatenate(([-np.inf], pixel_edges, [np.inf]))
     z = (edges[None, :] - 0.5 * h * np.arange(n_normals)[:, None]) / sigma
-    masses = np.diff(ndtr(np.clip(z, -9.0, 9.0)), axis=1)
+    cdf = 0.5 * _erfc(-np.clip(z, -9.0, 9.0) / math.sqrt(2.0)).astype(np.float64)
+    masses = np.diff(cdf, axis=1)
     masses.setflags(write=False)
     return masses

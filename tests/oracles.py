@@ -9,12 +9,12 @@ all M_a M_b component pairs, with no cut: the reference for the package's
 banded ``inner_product``. The pair-sum accessors evaluate any ``GaussianSum``
 (lattice or not) as a sum over all M^2 component pairs: spatial and
 momentum moments, the CDF, pixel masses and the detector's slot masses.
-``clipped_lattice_masses`` is the lattice formula with ``ndtr`` evaluated
-at every edge of every normal, over any edges (``slot_edges`` builds the
-detector's), and ``lattice_weights`` its weights with the diagonal loop
-run to any cutoff. ``fold_by_events`` folds one kernel per coupling on raw
-arrays and merges each event by adding every tolerance group into zeros;
-it is the reference for both of the package's folds, the merge loop and
+``clipped_lattice_masses`` is the lattice formula with the normal CDF
+0.5 erfc(-z / sqrt 2) evaluated at every edge of every normal, over any
+edges (``slot_edges`` builds the detector's), and ``lattice_weights`` its
+weights with the diagonal loop run to any cutoff. ``fold_by_events``
+folds one kernel per coupling on raw arrays and merges each event by
+adding every tolerance group into zeros; it is the reference for both of the package's folds, the merge loop and
 the lattice slots, and ``folded_state`` wraps its result in a
 ``GaussianSum``, which ``theoretical_state`` (one kernel per event of a
 configuration) and ``lattice_state`` (one lattice row) return.
@@ -271,19 +271,21 @@ def lattice_weights(theta, sigma, unit_shift, multipliers, counts, cutoff=1e-40)
 
 
 def clipped_lattice_masses(theta, sigma, unit_shift, multipliers, counts, edges):
-    """Lattice weights and normal masses, with ``ndtr`` over every normal at every edge.
+    """Lattice weights and normal masses, with the normal CDF over every normal at every edge.
 
     The same weights as ``wavepacket.lattice_weights``, and the masses of
     its 2M - 1 normals between consecutive ``edges``, but the cut at 9
-    sigma is taken by clipping every z to [-9, 9] before one ``ndtr`` pass
-    over the whole (2M - 1) x edges matrix, built here apart from
+    sigma is taken by clipping every z to [-9, 9] before one pass of the
+    CDF 0.5 erfc(-z / sqrt 2), by ``math.erfc`` element by element, over
+    the whole (2M - 1) x edges matrix, built here apart from
     ``wavepacket.normal_masses``, which must match it bit for bit over
     ``slot_edges``.
     """
     weights = lattice_weights(theta, sigma, unit_shift, multipliers, counts)
     edges = np.asarray(edges, dtype=np.float64)
     z = (edges[None, :] - 0.5 * unit_shift * np.arange(weights.shape[1])[:, None]) / sigma
-    return weights, np.diff(ndtr(np.clip(z, -9.0, 9.0)), axis=1)
+    erfc = np.vectorize(math.erfc, otypes=[np.float64])
+    return weights, np.diff(0.5 * erfc(-np.clip(z, -9.0, 9.0) / math.sqrt(2.0)), axis=1)
 
 
 def slot_edges(pitch, n_pixels, offset):

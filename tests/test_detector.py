@@ -1,7 +1,9 @@
 """Detector forward model: output densities, photon detection, moments."""
 
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -356,6 +358,41 @@ class TestChunkedStream:
             tracemalloc.stop()
         assert peak < 4_000_000
 
+    def test_warm_call_allocates_under_one_mib(self, reference_slots):
+        # each thread keeps its two 512 KiB chunk buffers, so a warm call
+        # allocates neither (1.43 MiB when every call allocated them)
+        config, masses = reference_slots
+        args = (masses, 1_000_000, config.pixel_pitch_um, config.detector_offset_um, 1)
+        sample_histogram(*args)
+        tracemalloc.start()
+        try:
+            sample_histogram(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_threads_sampling_at_once_get_the_sequential_counts(self, reference_slots):
+        config, masses = reference_slots
+        photons = 4 * CHUNK + 11
+
+        def counts(seed):
+            hist = sample_histogram(masses, photons, config.pixel_pitch_um, config.detector_offset_um, seed)
+            return hist.counts, hist.overflow
+
+        seeds = [seed for seed in range(6) for _ in range(3)]
+        expected = {seed: counts(seed) for seed in set(seeds)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [(seed, pool.submit(counts, seed)) for seed in seeds]
+                results = [(seed, future.result(timeout=60)) for seed, future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for seed, (got, overflow) in results:
+            assert np.array_equal(got, expected[seed][0]) and overflow == expected[seed][1]
+
 
 class TestPipelineDetection:
     @pytest.mark.parametrize(
@@ -399,6 +436,24 @@ class TestHistogramGeometry:
     def test_negative_overflow_rejected(self):
         with pytest.raises(ValueError, match="overflow count must be non-negative, got -5"):
             SpatialHistogram(1.0, 0.0, [1, 2], overflow=-5)
+
+    @pytest.mark.parametrize(
+        "counts, overflow, what",
+        [
+            ([1.5, 2.9], 2.7, "pixel counts"),
+            ([1, 2], 2.7, "overflow count"),
+            ([1.0, math.nan], 0, "pixel counts"),
+            ([1e30, 1.0], 0, "pixel counts"),
+            ([1, 2], 2**70, "overflow count"),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, counts, overflow, what):
+        with pytest.raises(ValueError, match=f"{what}: expected whole numbers"):
+            SpatialHistogram(1.0, 0.0, counts, overflow=overflow)
+
+    def test_whole_float_counts_kept(self):
+        hist = SpatialHistogram(1.0, 0.0, np.array([1.0, 2.0]), overflow=np.float64(3.0))
+        assert hist.counts.dtype == np.int64 and hist.counts.tolist() == [1, 2] and hist.overflow == 3
 
 
 class TestEmpiricalMoment:

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import betaincinv
 
 import zenosense
 from zenosense import estimator
@@ -654,9 +655,48 @@ class TestBetaCi:
     def test_package_import_leaves_scipy_stats_unloaded(self):
         src = os.path.dirname(os.path.dirname(zenosense.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        code = "import sys, zenosense; print('scipy.stats' in sys.modules)"
+        code = "import sys, zenosense; print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "False False"
+
+
+class TestBetaQuantile:
+    """The package's Beta quantile against scipy's ``betaincinv``, to 1e-10 relative (fixed before the first run)."""
+
+    RTOL = 1e-10
+
+    def assert_matches_scipy(self, pairs):
+        pairs = list(pairs)
+        got = np.array([beta_ci(s, n, level) for s, n, level in pairs])
+        s, n, level = (np.array(column) for column in zip(*pairs))
+        tail = 0.5 * (1.0 - level)
+        lo = np.where(s > 0, betaincinv(s + 1.0, n - s + 1.0, tail), 0.0)
+        hi = np.where(s < n, betaincinv(s + 1.0, n - s + 1.0, 1.0 - tail), 1.0)
+        np.testing.assert_allclose(got[:, 0], lo, rtol=self.RTOL, atol=0.0)
+        np.testing.assert_allclose(got[:, 1], hi, rtol=self.RTOL, atol=0.0)
+
+    def test_every_count_up_to_total_300(self):
+        self.assert_matches_scipy(
+            (s, n, level) for n in range(1, 301) for s in range(n + 1) for level in (0.68, 0.95)
+        )
+
+    @pytest.mark.parametrize("total", [10**3, 10**4, 10**5, 10**6])
+    def test_sampled_counts_of_large_totals(self, total):
+        rng = np.random.default_rng(total)
+        counts = {0, 1, 2, total // 2, total - 2, total - 1, total, *map(int, rng.integers(0, total + 1, 8))}
+        self.assert_matches_scipy((s, total, level) for s in sorted(counts) for level in (0.68, 0.95))
+
+    def test_total_beyond_the_tested_range_rejected(self):
+        assert beta_ci(3, estimator.MAX_BETA_TOTAL, 0.68)[0] > 0.0
+        with pytest.raises(ValueError, match="total must lie in"):
+            beta_ci(3, estimator.MAX_BETA_TOTAL + 1, 0.68)
+        with pytest.raises(TypeError):
+            beta_ci(3.5, 60, 0.68)
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_QUANTILE_MAX_STEPS", 1)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            beta_ci(7, 60, 0.68)
 
 
 class TestReport:

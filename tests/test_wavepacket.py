@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from zenosense.channel import ChannelRealization, run_protected
 from zenosense.config import ExperimentConfig
@@ -640,6 +641,24 @@ class TestNormalMasses:
     def test_bad_arguments_rejected(self, args):
         with pytest.raises(ValueError):
             normal_masses(*args)
+
+    def test_cdf_and_masses_match_scipy_ndtr(self):
+        # scipy's ndtr was the masses' CDF; the bound, 2**-51 absolute on
+        # every mass, was fixed before the comparison was first run
+        z = np.linspace(-9.0, 9.0, 36_001)
+        cdf = 0.5 * wavepacket._erfc(-z / math.sqrt(2.0)).astype(np.float64)
+        assert np.max(np.abs(cdf - ndtr(z))) <= 2.0**-51
+        geometry = (13.0, 1024, -6656.0)
+        unit_shift = resolve_unit_shift(ExperimentConfig())
+        cases = [(150.0, unit_shift, 8 * n + 1) for n in (6, 10, 20)]  # 2 N max(m) + 1 normals
+        cases += [(2.0, 2.3, 49), (2.0, 114.05, 49), (1500.0, 114.05, 49)]  # TestLatticeBand's extremes
+        edges = oracles.slot_edges(*geometry)
+        for sigma, g, rows in cases:
+            masses = normal_masses(sigma, g, rows, *geometry)
+            z = (edges[None, :] - 0.5 * g * np.arange(rows)[:, None]) / sigma
+            expected = np.diff(ndtr(np.clip(z, -9.0, 9.0)), axis=1)
+            assert np.max(np.abs(masses - expected)) <= 2.0**-51
+            assert np.array_equal(masses == 0.0, expected == 0.0)
 
 
 class TestLatticeWeightCut:
