@@ -108,17 +108,22 @@ def _check_sigma(sigma: float) -> None:
 def run_protected(theta: float, sigma: float, realization: ChannelRealization) -> RunReport:
     """Run the Zeno-protected protocol: kernel + projection per event.
 
-    The final state folds one kernel per event. The survival S_j after j
-    events and the moments come from the momentum grid of ``_filter_products``:
-    step j survives with S_(j+1) / S_j.
+    ``fold_kernels`` gives the final state and its squared norm, the total
+    survival. Couplings that are multiples of the smallest positive one (the
+    rule is in ``fold_kernels``) take the lattice path: the amplitudes are
+    the coefficients of prod_j (s^2 + c^2 z^{n_j}), and the norm is their
+    autocorrelation over the lags in the 1e-40 overlap reach. Every other
+    channel takes the merge fold and the all-pairs ``inner_product``. The
+    survival S_j after j events and the moments come from the momentum grid
+    of ``_filter_products``: step j survives with S_(j+1) / S_j.
     """
     ProbeState(theta)
     survivals, moments = _grid_survivals_and_moments(theta, sigma, realization.couplings)
-    state = fold_kernels(theta, sigma, realization.couplings)
+    state, norm_sq = fold_kernels(theta, sigma, realization.couplings)
     steps = survivals[1:] / survivals[:-1]
     return RunReport(
         final_state=state,
-        total_survival=_clip01(state.norm_sq),
+        total_survival=_clip01(norm_sq),
         step_survivals=tuple(np.clip(steps, 0.0, 1.0).tolist()),
         momentum_moments=tuple(moments.tolist()),
     )

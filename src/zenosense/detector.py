@@ -29,6 +29,7 @@ from zenosense.seeds import as_rng
 __all__ = [
     "SpatialHistogram",
     "HistogramFormatError",
+    "pixel_centers",
     "sample_histogram",
     "write_histogram_csv",
     "read_histogram_csv",
@@ -79,7 +80,12 @@ class SpatialHistogram:
         return int(self.counts.sum())
 
     def centers(self) -> np.ndarray:
-        return self.offset + (np.arange(self.n_pixels) + 0.5) * self.pitch
+        return pixel_centers(self.n_pixels, self.pitch, self.offset)
+
+
+def pixel_centers(n_pixels: int, pitch: float, offset: float) -> np.ndarray:
+    """Centers ``offset + (i + 0.5) * pitch`` of the pixels i < ``n_pixels``: the one pixel grid."""
+    return offset + (np.arange(n_pixels) + 0.5) * pitch
 
 
 def _whole_numbers(values, what: str) -> np.ndarray:
@@ -204,9 +210,9 @@ def _uniform_chunks(rng: np.random.Generator, n: int):
 def _count_slots(cdf: np.ndarray, chunks) -> np.ndarray:
     """Photons per slot ``searchsorted(cdf, u, side="right")`` over every uniform in ``chunks``.
 
-    ``chunks`` yields 1-d float64 arrays of uniforms, each scaled in place.
-    Their bucket ids go into this thread's held buffer, or into a larger
-    one allocated for the call when a chunk is longer than ``_CHUNK``.
+    ``chunks`` yields 1-d float64 arrays of at most ``_CHUNK`` uniforms,
+    each scaled in place; their bucket ids go into this thread's held
+    buffer, and a longer chunk raises ``ValueError``.
     Slot 0 is left overflow, slot i + 1 is pixel i, slot n_pixels + 1 right
     overflow. A bucket [b, b + 1) of the scaled uniforms with no scaled edge
     strictly inside maps whole to the slot that counts the edges <= b, which
@@ -223,8 +229,6 @@ def _count_slots(cdf: np.ndarray, chunks) -> np.ndarray:
     buckets = _held_buffer("bucket_ids", np.intp)
     for u in chunks:
         u *= _BUCKETS
-        if buckets.size < u.size:
-            buckets = np.empty(u.size, dtype=np.intp)
         ids = buckets[: u.size]
         np.copyto(ids, u, casting="unsafe")
         per_bucket += np.bincount(ids, minlength=_BUCKETS)

@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from zenosense.detector import SpatialHistogram
+from zenosense.detector import SpatialHistogram, pixel_centers
 from zenosense.noise_model import Configuration, NoiseAlphabet
 from zenosense.wavepacket import lattice_weights, normal_masses
 
@@ -163,7 +163,7 @@ def candidate_table(
     # row-wise quadratic form in the Gram matrix; an einsum of it doubled an
     # N=20 build's time
     sq_norms = np.sum((weights @ (diffs @ diffs.T)) * weights, axis=1)
-    centers = offset + (np.arange(n_pixels) + 0.5) * pitch  # as in pixel_moments
+    centers = pixel_centers(n_pixels, pitch, offset)
     means = weights @ (diffs @ centers)
     variances = weights @ (diffs @ centers**2) - means * means
     for array in (weights, sq_norms, means, variances):
@@ -205,7 +205,7 @@ def pixel_moments(weights: np.ndarray, pitch: float, offset: float) -> tuple[np.
     Both results have the shape of ``weights`` without its last axis.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    centers = offset + (np.arange(weights.shape[-1]) + 0.5) * pitch
+    centers = pixel_centers(weights.shape[-1], pitch, offset)
     m1 = np.sum(weights * centers, axis=-1)
     return m1, np.sum(weights * centers**2, axis=-1) - m1 * m1
 

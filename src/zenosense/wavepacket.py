@@ -14,10 +14,9 @@ and every quantity of interest has an exact pairwise closed form:
 
 (N(x; m, s^2) is the unit-mass normal density.) All public operations below
 are evaluated through these identities; the library never integrates
-numerically. ``inner_product`` sums only the pairs within 27.14 sigma of
-each other, whose overlap is at least 1e-40. Every state the pipeline
-forms sits on a lattice of shifts, so its density is a mixture of normals
-shared by all lattice states.
+numerically. ``inner_product`` sums over every pair of components. Every
+state the pipeline forms sits on a lattice of shifts, so its density is a
+mixture of normals shared by all lattice states.
 ``lattice_weights`` gives many states' weights on them at once, kept
 non-normalized on purpose: a row's sum is the state's squared norm, the
 survival probability of the polarization qubit. ``lattice_density`` gives
@@ -26,17 +25,16 @@ normals, cut at 9 sigma, in each of the detector's slots. Those masses
 depend only on the width, the unit shift and the detector, so they are
 cached and read-only; every simulated trial takes the product of one row
 of weights with them, and the candidate table keeps the two as factors.
-``fold_kernels`` builds the one ``GaussianSum`` the protected run reports.
-On a lattice whose unit is its smallest positive coupling h, with every
-float center within half the merge tolerance of its slot's multiple of h,
-no product of N kernel weights near underflow and at most 16 (N + 1)
-slots, it runs on slots: the amplitude on slot k is the coefficient of z^k
-in prod_j (s^2 + c^2 z^{n_j}), built by one real multiply-add per event,
-and each slot keeps the smallest center that reached it. That equals the
-merge fold bit for bit, since each merge group is then one unshifted and
-one shifted copy, whose sum does not depend on order, whose kept center is
-the smaller one and whose imaginary parts are +0. Every other input runs
-the merge fold, one kernel step and merge per coupling.
+``fold_kernels`` builds the one ``GaussianSum`` the protected run reports,
+with its squared norm. Where every coupling is a multiple n_j of the
+smallest positive one, h, to within a residual that the merge tolerance
+bounds, and the multiples sum to fewer than 16 (N + 1), it takes the
+lattice path: the amplitude of the copy at k h is the coefficient of z^k in
+prod_j (s^2 + c^2 z^{n_j}), built by the helper ``lattice_weights`` uses,
+and the squared norm is the coefficients' autocorrelation over the lags
+whose overlap is at least 1e-40. Every other input takes the merge fold,
+one kernel step and merge per coupling, and the all-pairs
+``inner_product``.
 """
 
 from __future__ import annotations
@@ -64,11 +62,6 @@ __all__ = [
 # combined by amplitude addition; keeps zero-shift kernels from doubling the
 # component list.
 MERGE_TOLERANCE_FACTOR = 1e-9
-
-# Center distance, in units of sigma, beyond which the overlap of two packets
-# exp(-d^2 / (8 sigma^2)) is below 1e-40: sqrt(8 ln 1e40) = 27.14.
-_OVERLAP_REACH = math.sqrt(8.0 * math.log(1e40))
-
 
 @dataclass(frozen=True, eq=False)
 class GaussianSum:
@@ -119,7 +112,7 @@ class GaussianSum:
 
     @property
     def norm_sq(self) -> float:
-        """Squared norm <psi|psi> by the banded ``inner_product``: finite and
+        """Squared norm <psi|psi> by ``inner_product``: finite and
         >= 0 wherever its sums fit in a double, and a ``ValueError`` naming
         the overflow where they do not (amplitudes of 1e200, say)."""
         val = inner_product(self, self).real
@@ -192,54 +185,23 @@ def _overlaps(distances: np.ndarray, sigma: float) -> np.ndarray:
 def inner_product(a: GaussianSum, b: GaussianSum) -> complex:
     """Overlap <a|b> of two states with equal packet width.
 
-    Pairwise form: sum_{m,m'} conj(a_m) b_{m'} exp(-(s_m - s_{m'})^2 / (8 sigma^2)),
-    summed over the pairs within reach r = sqrt(8 ln 1e40) sigma = 27.14
-    sigma, beyond which the overlap is below 1e-40, the cut of
-    ``lattice_weights``. Each overlap is taken as exp(-((s_m - s_m') /
-    sigma)^2 / 8). With O the real overlaps and x = Re b, y = Im b taken
-    against them, Ox = O x and Oy = O y row by row, and
+    Pairwise form: sum_{m,m'} conj(a_m) b_{m'} exp(-(s_m - s_{m'})^2 / (8 sigma^2))
+    over all M_a M_b pairs, each overlap taken as exp(-((s_m - s_m') /
+    sigma)^2 / 8). With O the real overlap matrix and x = Re b, y = Im b,
+    Ox = O x and Oy = O y, and
 
         <a|b> = (Re a) . Ox + (Im a) . Oy + i ((Re a) . Oy - (Im a) . Ox).
 
-    Where the centers of both states together span at most r, every pair
-    is in reach and O is the whole (M_a, M_b) matrix. Otherwise, as both
-    center lists are sorted, two binary searches of s_m -+ r in b's centers
-    give each a_m the run of b's components in reach. A component left out lies
-    below the rounded s_m - r or above the rounded s_m + r, and no double
-    lies between a number and its rounding, so it is at least r from s_m.
-    The runs fill one (M_a, width) block, width the longest run, gathered
-    from b padded with centers +inf and amplitudes 0 (overlap 0). Taking the
-    whole matrix where it is all in reach spares the searches and the
-    gathers, which would double the cost of a short channel's few-component
-    state.
-
-    Every pair left out has overlap below 1e-40, so
-    |<a|b> - all pairs| <= 1e-40 sum|a_m| sum|b_m'| plus rounding; for the
-    folded states, whose coefficients sum to 1, that is at most 1e-40. No
-    pair in reach gives exactly 0j. Conjugate-symmetric to rounding;
-    rejects mismatched widths, and raises ``ValueError`` where the sums
-    overflow.
+    Conjugate-symmetric to rounding; rejects mismatched widths, and raises
+    ``ValueError`` where the sums overflow.
     """
     sigma = _check_same_width(a, b)
-    reach = _OVERLAP_REACH * sigma
-    # the span and s_m -+ r may round to inf, which the test and the
-    # searches take as they should; sums that overflow are caught below
+    # a center distance may round to inf, whose overlap is 0; sums that
+    # overflow are caught below
     with np.errstate(over="ignore", invalid="ignore"):
-        if max(a.centers[-1], b.centers[-1]) - min(a.centers[0], b.centers[0]) <= reach:
-            overlap = _overlaps(a.centers[:, None] - b.centers, sigma)
-            ox = overlap @ b.amplitudes.real
-            oy = overlap @ b.amplitudes.imag
-        else:
-            lo = np.searchsorted(b.centers, a.centers - reach, side="left")
-            hi = np.searchsorted(b.centers, a.centers + reach, side="right")
-            width = int((hi - lo).max())
-            if width == 0:
-                return 0j
-            cols = lo[:, None] + np.arange(width)
-            overlap = _overlaps(a.centers[:, None] - np.concatenate((b.centers, np.full(width, np.inf)))[cols], sigma)
-            zeros = np.zeros(width)
-            ox = np.einsum("ij,ij->i", overlap, np.concatenate((b.amplitudes.real, zeros))[cols])
-            oy = np.einsum("ij,ij->i", overlap, np.concatenate((b.amplitudes.imag, zeros))[cols])
+        overlap = _overlaps(a.centers[:, None] - b.centers, sigma)
+        ox = overlap @ b.amplitudes.real
+        oy = overlap @ b.amplitudes.imag
         ar, ai = a.amplitudes.real, a.amplitudes.imag
         value = complex(ar @ ox + ai @ oy, ar @ oy - ai @ ox)
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
@@ -254,27 +216,20 @@ def _kernel_step(
     return _merge_components(np.concatenate((amps * s2, amps * c2)), np.concatenate((cents, cents + g)), tol)
 
 
-# The slot fold keeps arrays of M = sum(n_j) + 1 slots, most of them empty
-# when the multiples are spread, and touches every slot up to the current
-# top on each event, while the merge loop's work follows the occupied
-# components. Up to this many slots per event covers every alphabet whose
-# multipliers reach 15 times the smallest positive one (the default and
-# benchmark alphabets reach 4) and keeps couplings such as (h, 1e6 h) from
-# allocating a million slots.
+# The lattice path keeps sum(n_j) + 1 coefficients, most of them zero when
+# the multiples are spread, and touches all of them on each event, while
+# the merge loop's work follows the occupied components. Up to this many
+# coefficients per event covers every alphabet whose multipliers reach 15
+# times the smallest positive one (the default and benchmark alphabets reach
+# 4) and keeps couplings such as (h, 1e6 h) from allocating a million.
 _MAX_SLOTS_PER_EVENT = 16
 
-# Every slot amplitude is a sum of non-negative rounded products of N
-# factors, each at least min(c^2, s^2); the factor e of margin covers the
-# rounding of N products, so none of them falls below the smallest normal.
-_LOG_AMPLITUDE_FLOOR = math.log(sys.float_info.min) + 1.0
 
-
-def _slot_multiples(c2: float, s2: float, tol: float, couplings: list[float]) -> np.ndarray | None:
-    """Multiples n_j of the smallest positive coupling, or None where the
-    slot fold would not equal the merge fold (the rule is in ``fold_kernels``)."""
+def _slot_multiples(tol: float, couplings: list[float]) -> tuple[float, list[int]] | None:
+    """The smallest positive coupling h and the multiples n_j of it, or None
+    off the lattice (the rule is in ``fold_kernels``)."""
     positive = [g for g in couplings if g > 0.0]
-    weight = min(c2, s2)
-    if not positive or not (weight > 0.0) or len(couplings) * math.log(weight) <= _LOG_AMPLITUDE_FLOOR:
+    if not positive:
         return None
     g = np.asarray(couplings)
     h = min(positive)
@@ -283,30 +238,49 @@ def _slot_multiples(c2: float, s2: float, tol: float, couplings: list[float]) ->
         bound = float(np.abs(g - n * h).sum() + g.size * sys.float_info.epsilon * g.sum())
     if not (2.0 * bound < tol <= h - 2.0 * bound) or n.sum() >= _MAX_SLOTS_PER_EVENT * (g.size + 1):
         return None
-    return n.astype(np.intp)
+    return h, n.astype(np.intp).tolist()
 
 
-def _slot_fold(
-    c2: float, s2: float, couplings: list[float], multiples: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (amplitudes, centers) of the fold on lattice slots, +inf marking an empty slot."""
-    amps = np.zeros(int(multiples.sum()) + 1)
-    amps[0] = 1.0
-    cents = np.full(amps.size, np.inf)
-    cents[0] = 0.0
-    top = 1
-    for g, n in zip(couplings, multiples.tolist()):
-        shifted = amps[:top] * c2
-        amps[:top] *= s2
-        amps[n : top + n] += shifted
-        np.minimum(cents[n : top + n], cents[:top] + g, out=cents[n : top + n])
-        top += n
-    occupied = cents < np.inf
-    return amps[occupied].astype(np.complex128), cents[occupied]
+def _lattice_coefficients(c2: float, s2: float, multipliers: Sequence[int], counts: np.ndarray) -> np.ndarray:
+    """Coefficients of z^a in prod_k (s^2 + c^2 z^{m_k})^{counts[r, k]}, one row per row of ``counts``.
+
+    Built one factor s^2 + c^2 z^m at a time, in the order of the
+    multipliers, in the arithmetic of one kernel step of ``fold_kernels``:
+    c_a becomes s^2 c_a + c^2 c_(a - m). A factor that every row takes is
+    applied in place; otherwise the rows that take it are gathered and
+    written back. Returns shape ``(rows, M)``, where M - 1 is the largest
+    ``counts[r] @ multipliers``.
+    """
+    size = int((counts @ np.asarray(multipliers, dtype=np.int64)).max()) + 1
+    coef = np.zeros((counts.shape[0], size))
+    coef[:, 0] = 1.0
+    for m, n, n_min, n_max in zip(multipliers, counts.T, counts.min(axis=0).tolist(), counts.max(axis=0).tolist()):
+        for t in range(n_max):
+            if t < n_min:
+                shifted = c2 * coef[:, : size - m]
+                coef *= s2
+                coef[:, m:] += shifted
+            else:
+                rows = np.flatnonzero(n > t)
+                before = coef[rows]
+                after = s2 * before
+                after[:, m:] += c2 * before[:, : size - m]
+                coef[rows] = after
+    return coef
 
 
-def fold_kernels(theta: float, sigma: float, couplings: Iterable[float]) -> GaussianSum:
-    """Bath state after one noise kernel per coupling, in the given order.
+def _lags_in_reach(size: int, h: float, sigma: float):
+    """Lags d < ``size`` of a lattice of spacing h with their overlaps
+    exp(-(d h)^2 / (8 sigma^2)), up to the first overlap below 1e-40."""
+    for d in range(size):
+        overlap = math.exp(-((d * h) ** 2) / (8.0 * sigma * sigma))
+        if overlap < 1e-40:
+            return
+        yield d, overlap
+
+
+def fold_kernels(theta: float, sigma: float, couplings: Iterable[float]) -> tuple[GaussianSum, float]:
+    """Bath state after one noise kernel per coupling, in the given order, and its squared norm.
 
     Starts from the unit Gaussian of width ``sigma``. Each kernel is the
     non-unitary B = cos^2(theta) T_g + sin^2(theta) I, where T_g shifts
@@ -314,47 +288,31 @@ def fold_kernels(theta: float, sigma: float, couplings: Iterable[float]) -> Gaus
     moves toward positive x); every coupling is checked to be finite and
     non-negative before any kernel runs, and the first that is not raises.
     The kernels commute, so the order only moves the last bits; the squared
-    norm of the result is the protected survival probability of the whole
-    sequence. The ``GaussianSum`` is built once, from the last raw
-    (amplitudes, centers) arrays of one of two folds that give it bit for
-    bit.
+    norm is the protected survival probability of the whole sequence.
 
-    The merge fold runs one kernel step per coupling: the component list
-    and its shifted copy are concatenated, scaled by s^2 and c^2 and merged
-    at tol = ``MERGE_TOLERANCE_FACTOR`` sigma.
+    Lattice path. Let h be the smallest positive coupling, n_j =
+    rint(g_j / h), E = sum_j |g_j - n_j h| + N eps sum_j g_j and tol =
+    ``MERGE_TOLERANCE_FACTOR`` sigma. Every center a sequence of shifts
+    reaches in floats lies within E of its k h, so where 2 E < tol <= h -
+    2 E the merge fold's tolerance groups are exactly the multiples of h.
+    There, and where sum_j n_j < ``_MAX_SLOTS_PER_EVENT`` (N + 1), the state
+    is prod_j (s^2 + c^2 T_{n_j h}) applied to the Gaussian: the copy
+    centered at k h has as amplitude the coefficient c_k of z^k in prod_j
+    (s^2 + c^2 z^{n_j}), one factor per event in event order, and copies
+    whose coefficient is zero are left out. The squared norm is
 
-    The slot fold runs where every coupling is a multiple n_j of the
-    smallest positive one, h. The state is then prod_j (s^2 + c^2 T_{n_j h})
-    applied to the Gaussian, and its amplitude on slot k (the copy near
-    k h) is the coefficient of z^k in prod_j (s^2 + c^2 z^{n_j}). The fold
-    keeps a real amplitude and a center per slot, +inf marking an empty
-    one, and each event is one multiply-add and one minimum over the
-    reached prefix: slot k becomes s^2 a_k + c^2 a_(k - n_j), and its
-    center the smaller of its own and slot k - n_j's plus g_j.
+        sum_d (2 - [d = 0]) exp(-(d h)^2 / (8 sigma^2)) sum_k c_k c_(k+d)
 
-    ``_slot_multiples`` selects it from the couplings and theta alone. With
-    n_j = rint(g_j / h) and E = sum_j |g_j - n_j h| + N eps sum_j g_j, every
-    float center of the merge fold lies within E of its slot's k h. So
-    2 E < tol <= h - 2 E puts two copies on one slot within tol of each
-    other and copies on different slots at least tol apart: every merge
-    group is exactly the unshifted copy on slot k and the copy shifted in
-    from slot k - n_j. N log min(c^2, s^2) above the log of the smallest
-    normal double, with a margin, keeps every amplitude positive, so the
-    merge fold never drops a zero. At most ``_MAX_SLOTS_PER_EVENT`` (N + 1)
-    slots bound the memory. The two folds then agree bit for bit:
+    over the lags d whose overlap is at least 1e-40, the cut of
+    ``lattice_weights``; the coefficients are non-negative and sum to 1, so
+    the lags left out carry less than 2e-40.
 
-    * a two-member group's sum does not depend on the order of its members;
-    * the merge fold keeps a group's smaller center, which is what the
-      minimum keeps;
-    * the merge fold's amplitudes have +0 imaginary parts throughout (the
-      kernel weights are real and non-negative), so real arithmetic gives
-      the same real bits.
-
-    Continuous couplings, tolerance chains, all-zero couplings, theta = 0
-    (s^2 = 0), angles whose smaller weight could underflow over N events
-    (theta = pi/2, where c^2 = 3.7e-33, from ten events on) and lattices
-    whose smallest coupling is not their unit, such as {2, 3} h, take the
-    merge fold.
+    Merge path, for every other input: continuous couplings, tolerance
+    chains, all-zero couplings and lattices whose smallest coupling is not
+    their unit, such as {2, 3} h. Each kernel step concatenates the
+    component list and its shifted copy, scaled by s^2 and c^2, and merges
+    them at tol; the squared norm is ``GaussianSum.norm_sq``, over all
+    pairs of components.
     """
     values = []
     for g in couplings:
@@ -362,19 +320,27 @@ def fold_kernels(theta: float, sigma: float, couplings: Iterable[float]) -> Gaus
         if not (g >= 0.0) or not math.isfinite(g):
             raise ValueError(f"coupling shift must be non-negative, got {g!r}")
         values.append(g)
-    # a width that is not positive and finite fails the selection, and the
-    # merge fold's unit Gaussian rejects it
+    # a width that is not positive and finite fails the lattice rule, and
+    # the merge fold's unit Gaussian rejects it
     tol = MERGE_TOLERANCE_FACTOR * float(sigma)
     c2 = math.cos(theta) ** 2
     s2 = math.sin(theta) ** 2
-    multiples = _slot_multiples(c2, s2, tol, values)
-    if multiples is not None:
-        return GaussianSum(sigma, *_slot_fold(c2, s2, values, multiples))
-    state = make_gaussian(sigma)
-    amps, cents = state.amplitudes, state.centers
-    for g in values:
-        amps, cents = _kernel_step(amps, cents, c2, s2, g, tol)
-    return GaussianSum(state.sigma, amps, cents)
+    lattice = _slot_multiples(tol, values)
+    if lattice is None:
+        state = make_gaussian(sigma)
+        amps, cents = state.amplitudes, state.centers
+        for g in values:
+            amps, cents = _kernel_step(amps, cents, c2, s2, g, tol)
+        state = GaussianSum(state.sigma, amps, cents)
+        return state, state.norm_sq
+    h, multiples = lattice
+    coef = _lattice_coefficients(c2, s2, multiples, np.ones((1, len(values)), dtype=np.int64))[0]
+    size = coef.size
+    norm_sq = sum(
+        (2.0 if d else 1.0) * overlap * float(coef[: size - d] @ coef[d:])
+        for d, overlap in _lags_in_reach(size, h, float(sigma))
+    )
+    return GaussianSum(sigma, coef, h * np.arange(size)), norm_sq
 
 
 def _lattice_spacing(sigma: float, unit_shift: float) -> float:
@@ -423,26 +389,10 @@ def lattice_weights(
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 2 or counts.shape[1] != len(mult) or np.any(counts < 0):
         raise ValueError("counts must be non-negative, one row per state and one column per multiplier")
-    c2 = math.cos(theta) ** 2
-    s2 = math.sin(theta) ** 2
-    size = int((counts @ np.asarray(mult, dtype=np.int64)).max()) + 1
-    coef = np.zeros((counts.shape[0], size))
-    coef[:, 0] = 1.0
-    for m, n in zip(mult, counts.T):
-        # one factor s^2 + c^2 z^m per event, in the order and arithmetic of
-        # one kernel step of fold_kernels; only rows with more than t such
-        # events take it
-        for t in range(int(n.max())):
-            rows = np.flatnonzero(n > t)
-            before = coef[rows]
-            after = s2 * before
-            after[:, m:] += c2 * before[:, : size - m]
-            coef[rows] = after
+    coef = _lattice_coefficients(math.cos(theta) ** 2, math.sin(theta) ** 2, mult, counts)
+    size = coef.shape[1]
     weights = np.zeros((counts.shape[0], 2 * size - 1))
-    for d in range(size):
-        overlap = math.exp(-((d * h) ** 2) / (8.0 * sigma * sigma))
-        if overlap < 1e-40:
-            break
+    for d, overlap in _lags_in_reach(size, h, sigma):
         # pairs (a, a + d) and (a + d, a) sit at s = 2a + d
         weights[:, d : 2 * size - 1 - d : 2] += (2.0 if d else 1.0) * overlap * coef[:, : size - d] * coef[:, d:]
     return weights

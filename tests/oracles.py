@@ -5,8 +5,8 @@ and integrates with adaptive quadrature (piecewise between packet centers,
 tolerance 1e-12 on a support of +/- 10 sigma beyond the outermost centers).
 ``density_at`` evaluates the normalized density of any ``GaussianSum``
 from its components, and ``dense_overlap`` the overlap of two of them over
-all M_a M_b component pairs, with no cut: the reference for the package's
-banded ``inner_product``. The pair-sum accessors evaluate any ``GaussianSum``
+all M_a M_b component pairs in complex arithmetic: the reference for the
+package's ``inner_product``. The pair-sum accessors evaluate any ``GaussianSum``
 (lattice or not) as a sum over all M^2 component pairs: spatial and
 momentum moments, the CDF, pixel masses and the detector's slot masses.
 ``clipped_lattice_masses`` is the lattice formula with the normal CDF
@@ -14,8 +14,9 @@ momentum moments, the CDF, pixel masses and the detector's slot masses.
 edges (``slot_edges`` builds the detector's), and ``lattice_weights`` its
 weights with the diagonal loop run to any cutoff. ``fold_by_events``
 folds one kernel per coupling on raw arrays and merges each event by
-adding every tolerance group into zeros; it is the reference for both of the package's folds, the merge loop and
-the lattice slots, and ``folded_state`` wraps its result in a
+adding every tolerance group into zeros; it is the reference for both of
+the package's fold paths, the merge loop and the lattice coefficients, and
+``folded_state`` wraps its result in a
 ``GaussianSum``, which ``theoretical_state`` (one kernel per event of a
 configuration) and ``lattice_state`` (one lattice row) return.
 ``multinomial_pmf`` is the closed-form probability of a count vector. The

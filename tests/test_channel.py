@@ -149,7 +149,7 @@ class TestRunUnprotected:
     def test_against_quadrature(self):
         sigma, g_total = 1.0, 1.7
         # single final measurement == one kernel with the total shift
-        state = fold_kernels(0.7, sigma, [g_total])
+        state = fold_kernels(0.7, sigma, [g_total])[0]
         survival = run_unprotected(0.7, sigma, ChannelRealization((g_total / 2, g_total / 2)))
         assert survival == pytest.approx(oracles.quad_norm_sq(state), abs=1e-12)
 
@@ -378,7 +378,7 @@ class TestStepRecord:
     @staticmethod
     def pairwise_record(theta, sigma, couplings):
         """Step survivals and moments from norm ratios and pair sums."""
-        states = [fold_kernels(theta, sigma, couplings[:j]) for j in range(len(couplings) + 1)]
+        states = [fold_kernels(theta, sigma, couplings[:j])[0] for j in range(len(couplings) + 1)]
         steps = [nxt.norm_sq / state.norm_sq for state, nxt in zip(states, states[1:])]
         return steps, [oracles.momentum_second_moment(state) for state in states[:-1]]
 

@@ -211,9 +211,14 @@ def edge_counts(cdf, ordered):
     return np.diff(np.concatenate(([0], np.searchsorted(ordered, cdf), [ordered.size])))
 
 
+def chunks(u):
+    """``u`` as consecutive copies of at most ``CHUNK`` uniforms, the chunks ``_count_slots`` takes."""
+    return (u[start : start + CHUNK].copy() for start in range(0, u.size, CHUNK))
+
+
 def assert_counts_match_oracle(cdf, u):
     expected = oracles.slot_counts(cdf, u)
-    got = _count_slots(cdf, [u.copy()])
+    got = _count_slots(cdf, chunks(u))
     assert np.array_equal(got, expected)
 
 
@@ -241,7 +246,7 @@ class TestSlotCounting:
                 assert np.array_equal(edge_counts(cdf, ordered), oracles.slot_counts(cdf, ordered))
             oracle = edge_counts
         for cdf in default_cdfs:
-            assert np.array_equal(_count_slots(cdf, [u.copy()]), oracle(cdf, ordered))
+            assert np.array_equal(_count_slots(cdf, chunks(u)), oracle(cdf, ordered))
 
     def test_lattice_cdfs_match_pair_sum_oracle(self):
         config = ExperimentConfig()
@@ -286,13 +291,13 @@ class TestSlotCounting:
         cdf = np.concatenate((np.linspace(0.0, 1.0, 101)[:-1], [np.nextafter(1.0, 2.0)]))
         u = np.concatenate((np.random.default_rng(3).random(10_000), [np.nextafter(1.0, 0.0), 0.0]))
         assert_counts_match_oracle(cdf, u)
-        counts = _count_slots(cdf, [u.copy()])
+        counts = _count_slots(cdf, chunks(u))
         assert counts[-1] == 0 and counts[0] == 0
 
     def test_overflow_on_both_sides(self):
         cdf = np.linspace(0.3, 0.6, 51)
         u = np.random.default_rng(4).random(100_000)
-        counts = _count_slots(cdf, [u.copy()])
+        counts = _count_slots(cdf, chunks(u))
         assert counts[0] > 0 and counts[-1] > 0
         assert_counts_match_oracle(cdf, u)
 
@@ -302,7 +307,7 @@ class TestSlotCounting:
         cdf = (k + np.linspace(0.1, 0.9, 41)) / BUCKETS
         rng = np.random.default_rng(5)
         u = np.concatenate(((k + rng.random(10_000)) / BUCKETS, rng.random(10_000)))
-        counts = _count_slots(cdf, [u.copy()])
+        counts = _count_slots(cdf, chunks(u))
         assert counts[1:-1].sum() > 0
         assert_counts_match_oracle(cdf, u)
 
@@ -337,6 +342,10 @@ class TestChunkedStream:
         cdf = np.linspace(0.3, 0.6, 51)
         got = _count_slots(cdf, _uniform_chunks(np.random.default_rng(photons), photons))
         assert np.array_equal(got, oracles.slot_counts(cdf, np.random.default_rng(photons).random(photons)))
+
+    def test_chunk_longer_than_the_held_buffer_raises(self):
+        with pytest.raises(ValueError):
+            _count_slots(np.linspace(0.3, 0.6, 51), [np.random.default_rng(6).random(CHUNK + 1)])
 
     @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
     def test_generator_left_as_one_draw_leaves_it(self, reference_slots, bit_generator):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from zenosense.channel import ChannelRealization, run_protected
+from zenosense.channel import ChannelRealization, protected_survival_spectral, run_protected
 from zenosense.config import ExperimentConfig
 from zenosense.noise_model import enumerate_configurations
 from zenosense.pipeline import resolve_unit_shift
@@ -102,21 +102,23 @@ class TestInnerProduct:
 
 class TestKernel:
     def test_zero_shift_is_identity(self):
-        out = fold_kernels(math.pi / 4, 1.0, [0.0])
+        out, norm_sq = fold_kernels(math.pi / 4, 1.0, [0.0])
         assert out.n_components == 1
         assert out.amplitudes[0] == pytest.approx(1.0)
-        assert out.norm_sq == pytest.approx(1.0, abs=1e-15)
+        assert norm_sq == out.norm_sq == pytest.approx(1.0, abs=1e-15)
 
     def test_pure_h_is_pure_translation(self):
-        out = fold_kernels(0.0, 1.0, [3.0])
+        out, norm_sq = fold_kernels(0.0, 1.0, [3.0])
+        assert norm_sq == 1.0
         assert out.amplitudes.tolist() == [1.0 + 0.0j] and out.centers.tolist() == [3.0]
 
     def test_balanced_two_sigma_kernel(self):
         sigma = 1.0
-        out = fold_kernels(math.pi / 4, sigma, [2.0 * sigma])
+        out, norm_sq = fold_kernels(math.pi / 4, sigma, [2.0 * sigma])
         assert out.centers == pytest.approx([0.0, 2.0])
         assert out.amplitudes == pytest.approx([0.5, 0.5], abs=1e-15)
         expected = 0.5 * (1.0 + math.exp(-0.5))
+        assert norm_sq == pytest.approx(expected, rel=1e-13)
         assert out.norm_sq == pytest.approx(expected, rel=1e-13)
         assert out.norm_sq == pytest.approx(oracles.quad_norm_sq(out), abs=1e-12)
 
@@ -126,8 +128,8 @@ class TestKernel:
             fold_kernels(0.3, 1.0, [bad])
 
     def test_bad_shift_after_lattice_couplings_rejected(self):
-        # -1e-12 rounds to slot 0 well within the merge tolerance, so the
-        # couplings would otherwise take the slot fold; the first bad one is named
+        # -1e-12 rounds to multiple 0 well within the merge tolerance, so the
+        # couplings would otherwise take the lattice path; the first bad one is named
         with pytest.raises(ValueError, match=r"non-negative, got -1e-12$"):
             fold_kernels(0.3, 1.0, [1.0, 2.0, 1.0, -1e-12, math.nan])
 
@@ -138,8 +140,8 @@ class TestKernel:
     )
     @settings(max_examples=60, deadline=None)
     def test_kernels_commute(self, theta, g1, g2):
-        ab = fold_kernels(theta, 1.0, [g1, g2])
-        ba = fold_kernels(theta, 1.0, [g2, g1])
+        ab = fold_kernels(theta, 1.0, [g1, g2])[0]
+        ba = fold_kernels(theta, 1.0, [g2, g1])[0]
         assert ab.centers == pytest.approx(ba.centers, abs=1e-12)
         assert np.allclose(ab.amplitudes, ba.amplitudes, atol=1e-12)
 
@@ -184,7 +186,7 @@ def benchmark_channels() -> list[tuple[float, ...]]:
 
 
 def selection_cases() -> dict[str, tuple[float, ...]]:
-    """Couplings on either side of the slot fold's selection rule."""
+    """Couplings on either side of the lattice rule."""
     rng = np.random.default_rng(19)
     lattice = [FOLD_UNIT * float(m) for m in rng.integers(0, 5, 100)]
     # one coupling moved so that twice the residual bound E just reaches
@@ -195,8 +197,8 @@ def selection_cases() -> dict[str, tuple[float, ...]]:
         "lattice-2-3": tuple(FOLD_UNIT * float(m) for m in rng.integers(2, 4, 20)),
         "moved": tuple(moved),
         "over-cap": (FOLD_UNIT, 1e6 * FOLD_UNIT),
-        # at pi/2, c^2 = 3.7e-33 underflows within 40 events, and a slot fold
-        # that kept the zeros would keep three centers the merge fold drops
+        # at pi/2, c^2 = 3.7e-33 underflows within 40 events, so some copies
+        # the shifts reach carry amplitude 0 and are left out
         "underflow-40": tuple(FOLD_UNIT * float(m) for m in np.random.default_rng(11).integers(0, 5, 40)),
         "constant-500": benchmark_channels()[-1],
         "seeded-200": tuple(FOLD_UNIT * float(m) for m in rng.integers(0, 5, 200)),
@@ -205,28 +207,33 @@ def selection_cases() -> dict[str, tuple[float, ...]]:
 
 SELECTION_CASES = selection_cases()
 
+FOLD_ANGLES = [0.0, 0.3, math.pi / 4, 1.2, math.pi / 2]
 
-def assert_fold_equals_the_add_at_fold(theta, couplings):
+# the cases off the lattice, which take the merge fold
+MERGE_CASES = {"chain", "zero", "continuous-3", "continuous-8", "continuous-12", "lattice-2-3", "moved", "over-cap"}
+
+
+def assert_state_matches_the_add_at_fold(theta, couplings, state):
+    """Same components as the per-event fold, amplitudes and centers within 1e-14 relative."""
     amps, cents = oracles.fold_by_events(theta, FOLD_SIGMA, couplings)
-    state = fold_kernels(theta, FOLD_SIGMA, couplings)
-    assert np.array_equal(state.amplitudes.view(np.uint64), amps.view(np.uint64))
-    assert np.array_equal(state.centers.view(np.uint64), cents.view(np.uint64))
+    assert state.n_components == amps.size
+    np.testing.assert_allclose(state.amplitudes, amps, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(state.centers, cents, rtol=1e-14, atol=0.0)
+    return amps, cents
 
 
-class TestFoldBitIdentity:
+class TestFold:
     """The fold and run_protected's final state against the per-event fold
     that adds each group into zeros."""
 
-    @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4, 1.2, math.pi / 2])
-    @pytest.mark.parametrize("case", sorted(FOLD_CASES))
-    def test_states_equal_the_add_at_fold(self, theta, case):
-        couplings = FOLD_CASES[case]
-        amps, cents = oracles.fold_by_events(theta, FOLD_SIGMA, couplings)
-        states = (
-            fold_kernels(theta, FOLD_SIGMA, couplings),
-            run_protected(theta, FOLD_SIGMA, ChannelRealization(couplings)).final_state,
-        )
-        for state in states:
+    @pytest.mark.parametrize("theta", FOLD_ANGLES)
+    @pytest.mark.parametrize("case", sorted(FOLD_CASES | SELECTION_CASES))
+    def test_states_match_the_add_at_fold(self, theta, case):
+        couplings = (FOLD_CASES | SELECTION_CASES)[case]
+        state = run_protected(theta, FOLD_SIGMA, ChannelRealization(couplings)).final_state
+        amps, cents = assert_state_matches_the_add_at_fold(theta, couplings, state)
+        if case in MERGE_CASES:
+            # the merge fold sums each group as the oracle does, bit for bit
             assert np.array_equal(state.amplitudes.view(np.uint64), amps.view(np.uint64))
             assert np.array_equal(state.centers.view(np.uint64), cents.view(np.uint64))
 
@@ -239,23 +246,27 @@ class TestFoldBitIdentity:
         assert np.add.reduceat(members, [0])[0] != np.add.accumulate(members)[-1]
         assert oracles.fold_by_events(1.2, FOLD_SIGMA, FOLD_CASES["chain"])[0].size == 1
 
-    @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4, 1.2, math.pi / 2])
-    @pytest.mark.parametrize("case", sorted(SELECTION_CASES))
-    def test_selection_cases_equal_the_add_at_fold(self, theta, case):
-        assert_fold_equals_the_add_at_fold(theta, SELECTION_CASES[case])
+    def test_near_underflow_angle_matches_the_add_at_fold(self):
+        # s^2 = 1e-6: s^(2 N) underflows long before N = 100 events
+        couplings = FOLD_CASES["lattice-100"]
+        assert_state_matches_the_add_at_fold(1e-3, couplings, fold_kernels(1e-3, FOLD_SIGMA, couplings)[0])
 
-    def test_near_underflow_angle_equals_the_add_at_fold(self):
-        # s^2 = 1e-6: s^(2 N) underflows long before N = 100 events, and the
-        # merge fold drops the zeros
-        assert_fold_equals_the_add_at_fold(1e-3, FOLD_CASES["lattice-100"])
+    @pytest.mark.parametrize(
+        "theta, couplings",
+        [
+            *(pytest.param(ExperimentConfig().theta_rad, c, id=f"benchmark-{i}") for i, c in enumerate(benchmark_channels())),
+            pytest.param(1e-3, FOLD_CASES["lattice-100"], id="underflow"),
+            pytest.param(0.0, FOLD_CASES["lattice-100"], id="theta-0"),
+            pytest.param(math.pi / 2, SELECTION_CASES["underflow-40"], id="pi-2"),
+        ],
+    )
+    def test_lattice_runs_take_no_merge_step_or_pair_sum(self, monkeypatch, theta, couplings):
+        def no_call(*args):
+            raise AssertionError("a lattice run merged components or summed pairs")
 
-    def test_benchmark_shaped_channels_take_the_slot_fold(self, monkeypatch):
-        def no_merge(*args):
-            raise AssertionError("the merge loop ran")
-
-        monkeypatch.setattr(wavepacket, "_kernel_step", no_merge)
-        for couplings in benchmark_channels():
-            fold_kernels(ExperimentConfig().theta_rad, FOLD_SIGMA, couplings)
+        monkeypatch.setattr(wavepacket, "_kernel_step", no_call)
+        monkeypatch.setattr(wavepacket, "inner_product", no_call)
+        run_protected(theta, FOLD_SIGMA, ChannelRealization(couplings))
 
     @pytest.mark.parametrize(
         "theta, couplings",
@@ -263,8 +274,6 @@ class TestFoldBitIdentity:
             pytest.param(math.pi / 4, SELECTION_CASES["lattice-2-3"], id="lattice-2-3"),
             pytest.param(math.pi / 4, SELECTION_CASES["moved"], id="moved"),
             pytest.param(math.pi / 4, SELECTION_CASES["over-cap"], id="over-cap"),
-            pytest.param(1e-3, FOLD_CASES["lattice-100"], id="underflow"),
-            pytest.param(0.0, FOLD_CASES["lattice-100"], id="theta-0"),
             pytest.param(math.pi / 4, FOLD_CASES["zero"], id="zero"),
             *(pytest.param(math.pi / 4, FOLD_CASES[f"continuous-{n}"], id=f"continuous-{n}") for n in (3, 8, 12)),
         ],
@@ -277,51 +286,57 @@ class TestFoldBitIdentity:
         assert len(steps) == len(couplings)
 
 
-# pairs farther apart than this many sigma overlap by less than 1e-40
-REACH = math.sqrt(8.0 * math.log(1e40))
+def reachable_copies(multiples) -> int:
+    """Distinct sums of sub-multisets of ``multiples``: the copies a lattice state occupies."""
+    reach = 1
+    for n in multiples:
+        reach |= reach << int(n)
+    return bin(reach).count("1")
 
 
-def long_channel_states() -> list[GaussianSum]:
-    """States of the long_channel workload's shape at the default config: 120
-    seeded D=5 lattice channels of N=100 and 4 of N=200, and the constant
-    N=500, g=4 sigma channel."""
+def long_channels() -> list[tuple[tuple[float, ...], float, tuple[int, ...], np.ndarray]]:
+    """Channels of the long_channel workload's shape at the default config:
+    120 seeded D=5 lattice channels of N=100 and 4 of N=200, and the constant
+    N=500, g=4 sigma channel; each with its unit shift, multipliers and
+    event multiples."""
     rng = np.random.default_rng(124)
+    channels = []
+    for n in [100] * 120 + [200] * 4:
+        multiples = rng.integers(0, 5, n)
+        channels.append((tuple(FOLD_UNIT * float(m) for m in multiples), FOLD_UNIT, (0, 1, 2, 3, 4), multiples))
+    channels.append(((4.0 * FOLD_SIGMA,) * 500, 4.0 * FOLD_SIGMA, (1,), np.ones(500, dtype=np.int64)))
+    return channels
+
+
+def test_long_channel_survival_is_the_lattice_norm():
     theta = ExperimentConfig().theta_rad
-    channels = [tuple(FOLD_UNIT * float(m) for m in rng.integers(0, 5, n)) for n in [100] * 120 + [200] * 4]
-    channels.append((4.0 * FOLD_SIGMA,) * 500)
-    return [fold_kernels(theta, FOLD_SIGMA, couplings) for couplings in channels]
+    for couplings, unit, multipliers, multiples in long_channels():
+        run = run_protected(theta, FOLD_SIGMA, ChannelRealization(couplings))
+        counts = np.bincount(multiples, minlength=max(multipliers) + 1)[list(multipliers)]
+        lattice_norm = lattice_weights(theta, FOLD_SIGMA, unit, multipliers, [counts]).sum()
+        assert abs(run.total_survival - lattice_norm) <= 1e-13
+        assert abs(run.total_survival - protected_survival_spectral(theta, FOLD_SIGMA, couplings)) <= 1e-13
+        assert run.final_state.n_components == reachable_copies(multiples)
 
 
-def assert_within_the_band_bound(a: GaussianSum, b: GaussianSum) -> complex:
-    """The banded overlap is within 1e-40 sum|a| sum|b| of all pairs, plus the
-    rounding of both sums. Each adds at most M_a + M_b terms, and the two
-    round each overlap's exponent z (up to 92 within reach) differently by a
-    few ulps, which exp scales by z; all of it is relative to the sum of the
-    terms' magnitudes."""
+def assert_matches_all_pairs(a: GaussianSum, b: GaussianSum) -> complex:
+    """The overlap is the oracle's sum over all pairs, to the rounding of
+    both sums. Each adds M_a M_b terms, and the two round each overlap's
+    exponent z differently by a few ulps, which exp scales by z; all of it
+    is relative to the sum of the terms' magnitudes."""
     got = inner_product(a, b)
     magnitudes = oracles.dense_overlap(
         GaussianSum(a.sigma, np.abs(a.amplitudes), a.centers), GaussianSum(b.sigma, np.abs(b.amplitudes), b.centers)
     ).real
     rounding = (2 * (a.n_components + b.n_components) + 500) * np.finfo(float).eps * magnitudes
-    cut = 1e-40 * np.abs(a.amplitudes).sum() * np.abs(b.amplitudes).sum()
-    assert abs(got - oracles.dense_overlap(a, b)) <= cut + rounding
+    assert abs(got - oracles.dense_overlap(a, b)) <= rounding
     return got
 
 
-class TestBandedOverlap:
-    """``inner_product`` sums only the pairs within 27.14 sigma; the oracle
-    sums all of them."""
+class TestOverlap:
+    """``inner_product`` against the oracle's sum over all pairs."""
 
-    def test_long_channel_states(self):
-        states = long_channel_states()
-        for state in states:
-            assert_within_the_band_bound(state, state)
-        # unequal sizes, and the constant channel against a D=5 one
-        for a, b in zip(states[-6:], states[-5:]):
-            assert_within_the_band_bound(a, b)
-            assert_within_the_band_bound(b, a)
-
-    # spread 20 puts every pair in reach, so the whole overlap matrix is taken
+    # at spread 150 most pairs are more than 27 sigma apart, their overlaps below 1e-40
     @pytest.mark.parametrize("spread", [20.0, 150.0])
     def test_random_complex_states_of_unequal_sizes(self, spread):
         rng = np.random.default_rng(27)
@@ -335,41 +350,17 @@ class TestBandedOverlap:
                 )
                 for n in rng.integers(1, 60, 2)
             )
-            assert_within_the_band_bound(a, b)
-            assert_within_the_band_bound(a, a)
+            assert_matches_all_pairs(a, b)
+            assert_matches_all_pairs(a, a)
 
-    @pytest.mark.parametrize("sigma", [1.0, 150.0])
-    def test_spacing_just_inside_the_reach(self, sigma):
-        a = make_gaussian(sigma)
-        b = shifted(sigma, REACH * (1.0 - 1e-9) * sigma)
-        got = assert_within_the_band_bound(a, b)
-        assert got.real > 0.0
-        lattice = GaussianSum(sigma, np.ones(20), REACH * (1.0 - 1e-9) * sigma * np.arange(20))
-        assert_within_the_band_bound(lattice, lattice)
-
-    @pytest.mark.parametrize("sigma", [1.0, 150.0])
-    def test_spacing_just_beyond_the_reach(self, sigma):
-        a = make_gaussian(sigma)
-        b = shifted(sigma, REACH * (1.0 + 1e-9) * sigma)
-        assert assert_within_the_band_bound(a, b) == 0j
-        lattice = GaussianSum(sigma, np.ones(20), REACH * (1.0 + 1e-9) * sigma * np.arange(20))
-        assert assert_within_the_band_bound(lattice, lattice) == 20.0
-
-    def test_pair_well_inside_the_reach(self):
-        # 20 sigma apart the overlap is exp(-50), far above the cut
-        got = assert_within_the_band_bound(make_gaussian(1.0), shifted(1.0, 20.0))
+    def test_pair_twenty_sigma_apart(self):
+        # 20 sigma apart the overlap is exp(-50)
+        got = assert_matches_all_pairs(make_gaussian(1.0), shifted(1.0, 20.0))
         assert got.real == pytest.approx(math.exp(-50.0), rel=1e-13)
 
     def test_single_component(self):
         state = GaussianSum(2.0, [0.6 - 0.8j], [3.0])
-        assert assert_within_the_band_bound(state, state) == pytest.approx(1.0, abs=1e-15)
-
-    def test_no_pair_in_reach_is_exactly_zero(self):
-        rng = np.random.default_rng(3)
-        a = GaussianSum(1.0, rng.normal(size=8) + 1j * rng.normal(size=8), rng.uniform(0.0, 30.0, 8))
-        b = GaussianSum(1.0, rng.normal(size=5) + 1j * rng.normal(size=5), rng.uniform(60.0, 90.0, 5))
-        for got in (inner_product(a, b), inner_product(b, a)):
-            assert type(got) is complex and got == 0j
+        assert assert_matches_all_pairs(state, state) == pytest.approx(1.0, abs=1e-15)
 
     def test_norm_overflow_names_the_overflow(self):
         with pytest.raises(ValueError, match="overflow"):
@@ -394,7 +385,7 @@ class TestMoments:
     def test_kernel_output_mean(self):
         # two equal components at 0 and 2 sigma: density symmetric about sigma
         sigma = 1.0
-        out = fold_kernels(math.pi / 4, sigma, [2.0 * sigma])
+        out = fold_kernels(math.pi / 4, sigma, [2.0 * sigma])[0]
         got = moment(out, 1)
         assert got == pytest.approx(sigma, rel=1e-13)
         assert got == pytest.approx(oracles.quad_moment(out, 1), abs=1e-10)
@@ -432,7 +423,7 @@ class TestMomentumSecondMoment:
     def test_single_kernel_closed_form(self, g_over_sigma):
         sigma = 1.0
         g = g_over_sigma * sigma
-        out = fold_kernels(math.pi / 4, sigma, [g])
+        out = fold_kernels(math.pi / 4, sigma, [g])[0]
         v = 1.0 / (4.0 * sigma**2)
         e = math.exp(-v * g * g / 2.0)
         expected = v * (1.0 + (1.0 - v * g * g) * e) / (1.0 + e)
@@ -443,7 +434,7 @@ class TestMomentumSecondMoment:
 
     def test_far_separated_components_approach_limit(self):
         sigma = 1.0
-        out = fold_kernels(math.pi / 4, sigma, [20.0 * sigma])
+        out = fold_kernels(math.pi / 4, sigma, [20.0 * sigma])[0]
         v = 0.25
         got = momentum_second_moment(out)
         assert got <= v
@@ -457,8 +448,8 @@ class TestMomentumSecondMoment:
             theta = rng.uniform(0.05, math.pi / 2 - 0.05)
             g = rng.uniform(0.05, 5.0)
             couplings = [float(rng.uniform(0.0, 4.0)) for _ in range(rng.integers(0, 5))]
-            before = momentum_second_moment(fold_kernels(theta, 1.0, couplings))
-            after = momentum_second_moment(fold_kernels(theta, 1.0, couplings + [g]))
+            before = momentum_second_moment(fold_kernels(theta, 1.0, couplings)[0])
+            after = momentum_second_moment(fold_kernels(theta, 1.0, couplings + [g])[0])
             assert after < before + 1e-12
 
 
@@ -475,7 +466,7 @@ class TestDensity:
 
     def test_kernel_output_against_quadrature(self):
         sigma = 1.0
-        out = fold_kernels(math.pi / 4, sigma, [2.0 * sigma])
+        out = fold_kernels(math.pi / 4, sigma, [2.0 * sigma])[0]
         weights = lattice_weights(math.pi / 4, sigma, 2.0 * sigma, (1,), [[1]])
         assert lattice_density(weights, sigma, 2.0 * sigma, [sigma])[0, 0] == pytest.approx(
             oracles.quad_density(out, sigma), abs=1e-10
