@@ -246,9 +246,11 @@ def _lattice_coefficients(c2: float, s2: float, multipliers: Sequence[int], coun
 
     Built one factor s^2 + c^2 z^m at a time, in the order of the
     multipliers, in the arithmetic of one kernel step of ``fold_kernels``:
-    c_a becomes s^2 c_a + c^2 c_(a - m). A factor that every row takes is
-    applied in place; otherwise the rows that take it are gathered and
-    written back. Returns shape ``(rows, M)``, where M - 1 is the largest
+    c_a becomes s^2 c_a + c^2 c_(a - m). The t-th factor of a multiplier
+    goes to the rows with more than t of them, gathered and written back;
+    where every row takes it, as in the one row of a protected run, it is
+    applied in place, which saves the gather on each of the run's events.
+    Returns shape ``(rows, M)``, where M - 1 is the largest
     ``counts[r] @ multipliers``.
     """
     size = int((counts @ np.asarray(multipliers, dtype=np.int64)).max()) + 1
@@ -271,7 +273,9 @@ def _lattice_coefficients(c2: float, s2: float, multipliers: Sequence[int], coun
 
 def _lags_in_reach(size: int, h: float, sigma: float):
     """Lags d < ``size`` of a lattice of spacing h with their overlaps
-    exp(-(d h)^2 / (8 sigma^2)), up to the first overlap below 1e-40."""
+    exp(-(d h)^2 / (8 sigma^2)), up to the first overlap below 1e-40.
+    A (d h)^2 or sigma^2 outside the doubles raises; ``fold_kernels``
+    passes the spacing in units of sigma, and sigma = 1."""
     for d in range(size):
         overlap = math.exp(-((d * h) ** 2) / (8.0 * sigma * sigma))
         if overlap < 1e-40:
@@ -301,11 +305,13 @@ def fold_kernels(theta: float, sigma: float, couplings: Iterable[float]) -> tupl
     (s^2 + c^2 z^{n_j}), one factor per event in event order, and copies
     whose coefficient is zero are left out. The squared norm is
 
-        sum_d (2 - [d = 0]) exp(-(d h)^2 / (8 sigma^2)) sum_k c_k c_(k+d)
+        sum_d (2 - [d = 0]) exp(-(d h / sigma)^2 / 8) sum_k c_k c_(k+d)
 
     over the lags d whose overlap is at least 1e-40, the cut of
     ``lattice_weights``; the coefficients are non-negative and sum to 1, so
-    the lags left out carry less than 2e-40.
+    the lags left out carry less than 2e-40. The spacing is taken in units
+    of sigma; the rule keeps it between 1e-9 (tol <= h) and 1 / (2e9 eps)
+    (2 N eps h < tol), so no square of it leaves the doubles.
 
     Merge path, for every other input: continuous couplings, tolerance
     chains, all-zero couplings and lattices whose smallest coupling is not
@@ -338,7 +344,7 @@ def fold_kernels(theta: float, sigma: float, couplings: Iterable[float]) -> tupl
     size = coef.size
     norm_sq = sum(
         (2.0 if d else 1.0) * overlap * float(coef[: size - d] @ coef[d:])
-        for d, overlap in _lags_in_reach(size, h, float(sigma))
+        for d, overlap in _lags_in_reach(size, h / float(sigma), 1.0)
     )
     return GaussianSum(sigma, coef, h * np.arange(size)), norm_sq
 

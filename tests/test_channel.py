@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from zenosense import channel
+from zenosense import channel, wavepacket
 from zenosense.channel import (
     CALIBRATION_THETA,
     CALIBRATION_TOLERANCE,
@@ -119,6 +119,19 @@ class TestRunProtected:
             assert rep.total_survival == pytest.approx(ref.total_survival, abs=1e-12)
             assert rep.final_state.centers == pytest.approx(ref.final_state.centers, abs=1e-12)
             assert np.allclose(rep.final_state.amplitudes, ref.final_state.amplitudes, atol=1e-12)
+
+    @pytest.mark.parametrize("sigma", [1e200, 1e-170])
+    def test_lattice_norm_at_extreme_widths(self, monkeypatch, sigma):
+        # the squared spacing 1e400 overflows and the squared width 1e-340
+        # underflows; the lattice norm takes the spacing in units of sigma
+        unit = run_protected(0.3, 1.0, ChannelRealization((1.0, 1.0, 2.0)))
+        monkeypatch.setattr(wavepacket, "_kernel_step", None)
+        # at 1e-170 the momentum moments, about 1 / (4 sigma^2), leave the doubles
+        with np.errstate(over="ignore"):
+            report = run_protected(0.3, sigma, ChannelRealization((sigma, sigma, 2.0 * sigma)))
+        assert report.final_state.n_components == unit.final_state.n_components == 5
+        assert report.total_survival == pytest.approx(unit.total_survival, rel=1e-15)
+        assert report.total_survival == pytest.approx(report.final_state.norm_sq, rel=1e-14)
 
     def test_momentum_moments_strictly_decrease(self):
         rng = np.random.default_rng(23)
