@@ -179,6 +179,12 @@ def decay_parameter(
 # Gaussian weight beyond it is below 1e-17.
 _GRID_SPREADS = 8.9
 
+# Most entries (nodes x (events + 1)) one momentum grid may hold: 80 MB per
+# float64 array. The largest grid the benchmark forms is 1443 x 501, the
+# constant N=500 channel at g = 4 sigma; a narrow packet or a long shift
+# asks for nodes without bound (sigma = 1e-3 and one 1e6 shift for 7e8).
+_GRID_MAX_ENTRIES = 10_000_000
+
 # Grouping repeated couplings costs 12-15 us (a sort, a neighbour test,
 # np.unique and the gather into event order) and saves at most the cosines
 # of repeats, about 10 ns each: it pays only from about 2000 grid entries
@@ -197,7 +203,8 @@ def _filter_products(
     sum(g). The trapezoid rule with spacing h = 2 pi / (sum(g) + 4 T sigma) is
     exact for it up to aliasing below exp(-2 T^2); the integrand is even, so
     nodes p = k h run over [0, T / (2 sigma)] with doubled weights for k >= 1.
-    ``w @ prefix[:, j]`` is the survival after j events.
+    ``w @ prefix[:, j]`` is the survival after j events. A grid of more
+    than ``_GRID_MAX_ENTRIES`` entries raises before anything is allocated.
 
     On a grid of at least ``_GROUPED_GRID_MIN`` entries where a coupling
     repeats, as on a noise alphabet's lattice, the filter is evaluated once
@@ -211,7 +218,16 @@ def _filter_products(
     if not np.all(np.isfinite(g) & (g >= 0.0)):
         raise ValueError("couplings must be finite and non-negative")
     sp = 1.0 / (2.0 * sigma)
-    h = 2.0 * math.pi / (float(g.sum()) + 4.0 * _GRID_SPREADS * sigma)
+    total = float(g.sum())
+    span = total + 4.0 * _GRID_SPREADS * sigma
+    # the node count as a product, which overflows to inf rather than raising
+    nodes = _GRID_SPREADS * sp * span / (2.0 * math.pi) + 1.0
+    if not nodes * (g.size + 1) <= _GRID_MAX_ENTRIES:
+        raise ValueError(
+            f"momentum grid of {nodes:.3g} nodes x {g.size + 1} columns exceeds {_GRID_MAX_ENTRIES} entries, "
+            f"for couplings summing to {total!r} at width {sigma!r}"
+        )
+    h = 2.0 * math.pi / span
     p = h * np.arange(math.ceil(_GRID_SPREADS * sp / h) + 1)
     w = (h / (sp * math.sqrt(2.0 * math.pi))) * np.exp(-0.5 * (p / sp) ** 2)
     w[1:] *= 2.0

@@ -22,15 +22,14 @@ it is linear, so candidate moments are taken through the lattice factors
 without forming a profile row. Repeated trials aggregate into event
 probabilities with equal-tailed Beta posterior credible intervals.
 
-A reconstruction is ``degenerate`` when its chosen candidate has direct
-partners the method cannot tell apart from it, listed in ascending
-candidate order in ``degenerate_with``. For ``"moments"`` they are the
-other candidates whose mean lies within ``DEGENERATE_MEAN_TOL_FACTOR *
-sigma`` and whose variance lies within ``DEGENERATE_VAR_TOL_FACTOR * sigma *
-sigma`` of the chosen one's; for ``"l2"`` they are the other candidates whose
-profile row, formed in one product together with a row of the chosen
-candidate and rounded to ``PROFILE_TOL``, equals that row bit for bit.
-Each trial finds the partners of its own chosen candidate only.
+A reconstruction is ``degenerate`` when some other candidate is one the
+method cannot tell apart from the chosen one. For ``"moments"`` that is a
+candidate whose mean lies within ``DEGENERATE_MEAN_TOL_FACTOR * sigma`` and
+whose variance lies within ``DEGENERATE_VAR_TOL_FACTOR * sigma * sigma`` of
+the chosen one's; for ``"l2"`` a candidate whose profile row, formed in one
+product together with a row of the chosen candidate and rounded to
+``PROFILE_TOL``, equals that row bit for bit; that search stops at the
+first block of rows that holds one.
 """
 
 from __future__ import annotations
@@ -73,15 +72,14 @@ PROFILE_TOL = 1e-12
 class TrialEstimate:
     """Reconstruction of a single trial, with diagnostics.
 
-    ``degenerate`` is true when the chosen candidate has direct partners
-    under the method's tolerances (see the module docstring);
-    ``degenerate_with`` lists their configurations in ascending candidate
-    order. ``top`` holds up to five scored candidates with their
-    objectives, smallest first, ties in candidate order: the l2 short list,
-    or the moments window. For ``"moments"``, ``mean_window`` holds the
-    ascending indices of the candidates whose mean lies within the
-    tolerance after its ``widenings`` doublings, the ones the second stage
-    chose among; it is ``()`` for ``"l2"``.
+    ``degenerate`` is true when another candidate matches the chosen one
+    within the method's tolerances (see the module docstring). ``top``
+    holds up to five scored candidates with their objectives, smallest
+    first, ties in candidate order: the l2 short list, or the moments
+    window. For ``"moments"``, ``mean_window`` holds the ascending indices
+    of the candidates whose mean lies within the tolerance after its
+    ``widenings`` doublings, the ones the second stage chose among; it is
+    ``()`` for ``"l2"``.
     """
 
     method: str
@@ -91,7 +89,6 @@ class TrialEstimate:
     top: tuple[tuple[Configuration, float], ...]
     widenings: int = 0
     degenerate: bool = False
-    degenerate_with: tuple[Configuration, ...] = ()
     mean_window: tuple[int, ...] = ()
 
 
@@ -263,13 +260,13 @@ def _top_candidates(
     return tuple((configs[int(ixs[i])], float(objective[i])) for i in order)
 
 
-def _moment_partners(means: np.ndarray, variances: np.ndarray, sigma: float, best: int) -> np.ndarray:
-    """Ascending indices c != best whose mean and variance match best's."""
+def _moment_degenerate(means: np.ndarray, variances: np.ndarray, sigma: float, best: int) -> bool:
+    """Whether a candidate other than best has best's mean and variance within the tolerances."""
     near = (np.abs(means - means[best]) <= DEGENERATE_MEAN_TOL_FACTOR * sigma) & (
         np.abs(variances - variances[best]) <= DEGENERATE_VAR_TOL_FACTOR * sigma * sigma
     )
     near[best] = False
-    return np.flatnonzero(near)
+    return bool(near.any())
 
 
 def _screen_l2(masses: np.ndarray, cand: _CandidateSet) -> tuple[np.ndarray, float]:
@@ -309,24 +306,24 @@ def _exact_distances(cand: _CandidateSet, ixs: np.ndarray, masses: np.ndarray, b
     return distances
 
 
-def _profile_partners(cand: _CandidateSet, best: int, near: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Indices in ``near`` whose profile row rounds to best's bit for bit.
+def _profile_degenerate(cand: _CandidateSet, best: int, near: np.ndarray, buf: np.ndarray) -> bool:
+    """Whether a profile row of ``near`` rounds to best's bit for bit.
 
-    ``near`` are ascending indices other than best. They are taken
-    ``_ROW_BLOCK - 1`` at a time, and each block is formed together with a
-    row of best in one ``_profile_rows`` call; a row of the block is a
-    partner when, rounded to ``PROFILE_TOL``, it equals that row of best.
+    ``near`` are indices other than best. They are taken ``_ROW_BLOCK - 1``
+    at a time, and each block is formed together with a row of best in one
+    ``_profile_rows`` call; a row of the block matches when, rounded to
+    ``PROFILE_TOL``, it equals that row of best. Returns at the first block
+    that holds a match.
     """
-    same = np.empty(near.size, dtype=bool)
     step = _ROW_BLOCK - 1
     for start in range(0, near.size, step):
-        ixs = near[start : start + step]
-        rows = _profile_rows(cand.weights, cand.diffs, np.concatenate(([best], ixs)), buf)
+        rows = _profile_rows(cand.weights, cand.diffs, np.concatenate(([best], near[start : start + step])), buf)
         rows /= PROFILE_TOL
         np.round(rows, out=rows)
         bits = rows.view(np.uint64)
-        np.all(bits[1:] == bits[0], axis=1, out=same[start : start + ixs.size])
-    return near[same]
+        if (bits[1:] == bits[0]).all(axis=1).any():
+            return True
+    return False
 
 
 def _estimate_l2(masses: np.ndarray, cand: _CandidateSet) -> TrialEstimate:
@@ -343,8 +340,8 @@ def _estimate_l2(masses: np.ndarray, cand: _CandidateSet) -> TrialEstimate:
     ``PROFILE_TOL`` per pixel, and d_c - d_best = sum (p_c - p_best)(p_c +
     p_best - 2 m), whose second factor sums to at most 4 in absolute value;
     so only the short-listed rows whose exact distance lies within 5
-    ``PROFILE_TOL`` of the best (room for rounding) are checked as partners
-    (see ``_profile_partners``).
+    ``PROFILE_TOL`` of the best (room for rounding) are checked against it
+    (see ``_profile_degenerate``).
     """
     screened, bound = _screen_l2(masses, cand)
     k = min(5, screened.size)
@@ -357,15 +354,13 @@ def _estimate_l2(masses: np.ndarray, cand: _CandidateSet) -> TrialEstimate:
     objective = float(exact.min())
     near = short[np.abs(exact - objective) <= 5.0 * PROFILE_TOL]
     near = near[near != best]
-    partners = tuple(cand.configs[i] for i in _profile_partners(cand, best, near, buf))
     return TrialEstimate(
         method="l2",
         index=best,
         config=cand.configs[best],
         objective=objective,
         top=_top_candidates(cand.configs, short, exact),
-        degenerate=bool(partners),
-        degenerate_with=partners,
+        degenerate=_profile_degenerate(cand, best, near, buf),
     )
 
 
@@ -384,7 +379,6 @@ def _estimate_moments(m1: float, central2: float, cand: _CandidateSet) -> TrialE
     objective = (central2 - (cand.variances[window] + (cand.means[window] - m1) ** 2)) ** 2
     pick = int(np.argmin(objective))
     best = int(window[pick])
-    partners = tuple(cand.configs[i] for i in _moment_partners(cand.means, cand.variances, cand.sigma, best))
     return TrialEstimate(
         method="moments",
         index=best,
@@ -392,8 +386,7 @@ def _estimate_moments(m1: float, central2: float, cand: _CandidateSet) -> TrialE
         objective=float(objective[pick]),
         top=_top_candidates(cand.configs, window, objective),
         widenings=widenings,
-        degenerate=bool(partners),
-        degenerate_with=partners,
+        degenerate=_moment_degenerate(cand.means, cand.variances, cand.sigma, best),
         mean_window=tuple(window.tolist()),
     )
 

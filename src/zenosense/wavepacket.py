@@ -274,8 +274,9 @@ def _lattice_coefficients(c2: float, s2: float, multipliers: Sequence[int], coun
 def _lags_in_reach(size: int, h: float, sigma: float):
     """Lags d < ``size`` of a lattice of spacing h with their overlaps
     exp(-(d h)^2 / (8 sigma^2)), up to the first overlap below 1e-40.
-    A (d h)^2 or sigma^2 outside the doubles raises; ``fold_kernels``
-    passes the spacing in units of sigma, and sigma = 1."""
+    A (d h)^2 or sigma^2 outside the doubles raises ``OverflowError`` or
+    ``ZeroDivisionError``; ``fold_kernels`` passes the spacing in units of
+    sigma, and sigma = 1."""
     for d in range(size):
         overlap = math.exp(-((d * h) ** 2) / (8.0 * sigma * sigma))
         if overlap < 1e-40:
@@ -386,7 +387,9 @@ def lattice_weights(
     are ``W[r] @ normal_masses(sigma, unit_shift, n, ...)[:2M - 1]`` for
     any n >= 2M - 1. Not normalized: a row summed over the whole line is the
     squared norm of its state, the protected survival probability.
-    Multipliers must be non-negative integers.
+    Multipliers must be non-negative integers. A unit shift and width whose
+    overlaps leave the doubles, such as h = sigma = 1e200 ((d h)^2 overflows)
+    or 1e-170 (sigma^2 underflows), raise ``ValueError``.
     """
     if not all(float(m).is_integer() and m >= 0 for m in multipliers):
         raise ValueError(f"lattice multipliers must be non-negative integers, got {multipliers!r}")
@@ -397,8 +400,14 @@ def lattice_weights(
         raise ValueError("counts must be non-negative, one row per state and one column per multiplier")
     coef = _lattice_coefficients(math.cos(theta) ** 2, math.sin(theta) ** 2, mult, counts)
     size = coef.shape[1]
+    try:
+        lags = list(_lags_in_reach(size, h, sigma))
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(
+            f"lattice overlaps leave the doubles at unit shift {unit_shift!r} and packet width {sigma!r}"
+        ) from None
     weights = np.zeros((counts.shape[0], 2 * size - 1))
-    for d, overlap in _lags_in_reach(size, h, sigma):
+    for d, overlap in lags:
         # pairs (a, a + d) and (a + d, a) sit at s = 2a + d
         weights[:, d : 2 * size - 1 - d : 2] += (2.0 if d else 1.0) * overlap * coef[:, : size - d] * coef[:, d:]
     return weights

@@ -1,6 +1,7 @@
 """Channel protocols, decay parameters and the QZE scaling study."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -132,6 +133,25 @@ class TestRunProtected:
         assert report.final_state.n_components == unit.final_state.n_components == 5
         assert report.total_survival == pytest.approx(unit.total_survival, rel=1e-15)
         assert report.total_survival == pytest.approx(report.final_state.norm_sq, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "sigma,couplings,nodes",
+        [(1e-3, (1e6,), "7.08e+08"), (1e-160, (1.0, 1.0), "1.42e+160")],
+        ids=["narrow-packet-long-shift", "width-1e-160"],
+    )
+    @pytest.mark.parametrize("call", ["run_protected", "protected_survival_spectral", "decay_parameter"])
+    def test_momentum_grid_over_budget_raises(self, call, sigma, couplings, nodes):
+        # both grids pass every width and coupling check; the first would
+        # take gigabytes, the second more nodes than numpy can index
+        functions = {
+            "run_protected": lambda: run_protected(0.3, sigma, ChannelRealization(couplings)),
+            "protected_survival_spectral": lambda: protected_survival_spectral(0.3, sigma, couplings),
+            "decay_parameter": lambda: decay_parameter(0.3, sigma, ChannelRealization(couplings)),
+        }
+        total = repr(float(sum(couplings)))
+        pattern = f"momentum grid of {re.escape(nodes)} nodes .* couplings summing to {re.escape(total)}"
+        with pytest.raises(ValueError, match=pattern):
+            functions[call]()
 
     def test_momentum_moments_strictly_decrease(self):
         rng = np.random.default_rng(23)

@@ -215,13 +215,12 @@ class TestDegeneracyFlags:
             )
             assert est.index == 0  # smallest index wins the tie
             assert est.degenerate
-            assert est.degenerate_with == (TRUTH,)
 
     def test_moment_group_clustering(self):
         means = np.array([0.0, 5.0, 5.0 + 1e-9, 9.0])
         variances = np.array([1.0, 2.0, 2.0 + 1e-9, 1.0])
-        partners = [tuple(estimator._moment_partners(means, variances, 1.0, best)) for best in range(4)]
-        assert partners == [(), (2,), (1,), ()]
+        flags = [estimator._moment_degenerate(means, variances, 1.0, best) for best in range(4)]
+        assert flags == [False, True, True, False]
 
     def test_standard_alphabet_has_no_degeneracies(self):
         # every (mean, variance) pair is unique for the 0..4g alphabet
@@ -367,13 +366,13 @@ def _partners_in(groups):
 
 
 class TestDegeneracyGroups:
-    """Each chosen candidate's partners against the plain pair and row loops."""
+    """Each chosen candidate's flag against the plain pair and row loops."""
 
     @pytest.mark.parametrize("theta", [QUARTER, 0.0, math.pi / 2])
     def test_moment_and_profile_groups_of_a_wide_table(self, theta):
         # at pi/4 a mean depends only on the shift total, so windows hold
         # dozens of candidates; at 0 and pi/2 whole windows are degenerate.
-        # Real tables hold no chains, so direct partners are whole groups.
+        # A candidate is flagged exactly when its group has another member.
         candidates = tuple(enumerate_configurations(5, 10))
         table = candidate_table(ALPHABET.multipliers, G, theta, SIGMA, counts_of(candidates), 13.0, 1024, -6656.0)
         mean_tol, var_tol = DEGENERATE_MEAN_TOL_FACTOR * SIGMA, DEGENERATE_VAR_TOL_FACTOR * SIGMA * SIGMA
@@ -385,64 +384,64 @@ class TestDegeneracyGroups:
         sq = np.sum(profiles**2, axis=1)
         distances = sq[:, None] + sq[None, :] - 2.0 * profiles @ profiles.T
         buf = np.empty((estimator._ROW_BLOCK, profiles.shape[1]))
-        # at pi/2 every row is a partner of every other: each best forms all
-        # 1001 rows, and the bests between them split the others into every
-        # run of blocks, the partial last block included
         flagged = 0
         for best in range(len(candidates)):
-            moment = tuple(estimator._moment_partners(table.means, table.variances, SIGMA, best))
-            assert moment == oracles.moment_neighbours(means, variances, best, mean_tol, var_tol)
-            assert moment == moment_group(best)
+            moment = estimator._moment_degenerate(table.means, table.variances, SIGMA, best)
+            assert moment == bool(oracles.moment_neighbours(means, variances, best, mean_tol, var_tol))
+            assert moment == bool(moment_group(best))
             near = np.flatnonzero(np.abs(distances[best] - distances[best, best]) <= 5.0 * PROFILE_TOL)
             near = near[near != best]
-            assert tuple(estimator._profile_partners(table, best, near, buf)) == profile_group(best)
-            flagged += bool(moment)
+            assert estimator._profile_degenerate(table, best, near, buf) == bool(profile_group(best))
+            flagged += moment
         assert bool(flagged) == (theta != QUARTER)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_synthetic_chained_windows(self, seed):
         # means on a coarse grid with sub-tolerance jitter make overlapping
         # (not nested) windows; variance steps just under the tolerance chain
-        # pairs that are not directly joined, and a candidate's partners are
-        # its direct ones, not the whole chain
+        # pairs that are not directly joined. The flag follows the direct
+        # matches, which exist exactly where the chained group does.
         rng = np.random.default_rng(seed)
         n = 400
         means = rng.integers(0, 12, n) + rng.uniform(0.0, 2.5e-6, n)
         variances = 1.0 + rng.integers(0, 6, n) * 0.9e-6 + rng.choice([0.0, 0.5], n)
         group = _partners_in(oracles.moment_groups(means, variances, 1e-6, 1e-6))
-        chained = 0
-        for best in range(n):
-            partners = tuple(estimator._moment_partners(means, variances, 1.0, best))
-            assert partners == oracles.moment_neighbours(means.tolist(), variances.tolist(), best, 1e-6, 1e-6)
-            assert bool(partners) == bool(group(best))
-            chained += partners != group(best)
-        assert chained
+        neighbours = [oracles.moment_neighbours(means.tolist(), variances.tolist(), b, 1e-6, 1e-6) for b in range(n)]
+        assert any(ixs != group(best) for best, ixs in enumerate(neighbours))
+        flags = [estimator._moment_degenerate(means, variances, 1.0, best) for best in range(n)]
+        assert flags == [bool(ixs) for ixs in neighbours] == [bool(group(best)) for best in range(n)]
+        assert True in flags and False in flags
 
     def test_gaps_equal_to_the_tolerances_join(self):
-        # sigma = 1 makes both tolerances exactly 1e-6, and both gaps below
-        # compute to exactly 1e-6
-        means = np.array([0.0, 1e-6, 5.0, 5.0])
-        variances = np.array([1.0, 1.0, 0.0, 1e-6])
-        partners = [tuple(estimator._moment_partners(means, variances, 1.0, best)) for best in range(4)]
-        oracle = [oracles.moment_neighbours(means, variances, best, 1e-6, 1e-6) for best in range(4)]
-        assert partners == oracle == [(1,), (0,), (3,), (2,)]
+        # sigma = 1 makes both tolerances exactly 1e-6: the mean gap of the
+        # first pair and the variance gap of the second compute to exactly
+        # 1e-6 and join; one ulp past it, neither does
+        past = np.nextafter(1e-6, 1.0)
+        for gap, joined in ((1e-6, True), (past, False)):
+            means = np.array([0.0, gap, 5.0, 5.0])
+            variances = np.array([1.0, 1.0, 0.0, gap])
+            flags = [estimator._moment_degenerate(means, variances, 1.0, best) for best in range(4)]
+            oracle = [bool(oracles.moment_neighbours(means, variances, best, 1e-6, 1e-6)) for best in range(4)]
+            assert flags == oracle == [joined] * 4
 
     def test_profile_partner_near_the_distance_bound_is_found(self):
         # the rows differ by 0.98 tau in both pixels yet round equal; with all
         # measured mass on pixel 1 their distances differ by 3.92 tau, close
-        # to the 4 tau bound
+        # to the 4 tau bound. Rows 1.0 tau apart round one cell apart, and
+        # their distances, 4.0 tau apart, are checked and not flagged.
         tau = PROFILE_TOL
-        profiles = np.array([[1.0 - 1.49 * tau, 1.49 * tau], [1.0 - 0.51 * tau, 0.51 * tau]])
-        assert np.array_equal(np.round(profiles[0] / tau), np.round(profiles[1] / tau))
-        distances = np.sum((profiles - np.array([0.0, 1.0])) ** 2, axis=1)
-        assert abs(distances[0] - distances[1]) > 3.9 * tau
         configs = (Configuration((0, 1)), Configuration((1, 0)))
-        table = factor_table(profiles, configs)
-        # all mass on pixel 1 chooses row 0, all on pixel 0 row 1
-        for masses, best in ((np.array([0.0, 1.0]), 0), (np.array([1.0, 0.0]), 1)):
-            est = estimator._estimate_l2(masses, table)
-            assert est.index == best
-            assert est.degenerate_with == (configs[1 - best],)
+        for shift, joined in ((1.49, True), (1.51, False)):
+            profiles = np.array([[1.0 - shift * tau, shift * tau], [1.0 - 0.51 * tau, 0.51 * tau]])
+            assert np.array_equal(np.round(profiles[0] / tau), np.round(profiles[1] / tau)) == joined
+            distances = np.sum((profiles - np.array([0.0, 1.0])) ** 2, axis=1)
+            assert 3.9 * tau < abs(distances[0] - distances[1]) <= 5.0 * tau
+            table = factor_table(profiles, configs)
+            # all mass on pixel 1 chooses row 0, all on pixel 0 row 1
+            for masses, best in ((np.array([0.0, 1.0]), 0), (np.array([1.0, 0.0]), 1)):
+                est = estimator._estimate_l2(masses, table)
+                assert est.index == best
+                assert est.degenerate == joined
 
     def test_profile_one_rounding_cell_apart_is_not_a_partner(self):
         # the rows round one cell apart in pixel 0 and equal elsewhere, and
@@ -459,7 +458,26 @@ class TestDegeneracyGroups:
         assert abs(distances[1] - distances[0]) <= tau
         est = estimator._estimate_l2(profiles[0], factor_table(profiles, (Configuration((0, 1)), Configuration((1, 0)))))
         assert est.index == 0
-        assert not est.degenerate and est.degenerate_with == ()
+        assert not est.degenerate
+
+    @pytest.mark.parametrize("partner", [True, False])
+    def test_profile_search_reads_every_block(self, partner):
+        # every other row is one rounding cell off row 0 in one pixel, so all
+        # of them lie in the 5 tau window and span four blocks of
+        # ``_ROW_BLOCK - 1``; only the last row, when present, equals row 0
+        tau = PROFILE_TOL
+        n = 3 * (estimator._ROW_BLOCK - 1) + 5
+        profiles = np.full((n, 4), 0.25)
+        for i in range(1, n - 1):
+            profiles[i, i % 4] += tau
+        if not partner:
+            profiles[-1, 0] -= tau
+        configs = tuple(Configuration((i, n - i)) for i in range(n))
+        est = estimator._estimate_l2(profiles[0], factor_table(profiles, configs))
+        _, _, partners, _ = oracles.l2_estimate(profiles, profiles[0], tau)
+        assert est.index == 0
+        assert est.degenerate == bool(partners) == partner
+        assert partners == ((n - 1,) if partner else ())
 
 
 def l2_cases():
@@ -524,7 +542,7 @@ class TestL2RowBlocks:
             est = estimate_from_masses(masses, 13.0, -6656.0, candidates, theta, sigma, alphabet, method="l2")
             index, objective, partners, top = oracles.l2_estimate(dense, masses / masses.sum(), PROFILE_TOL)
             assert est.index == index
-            assert est.degenerate_with == tuple(candidates[i] for i in partners)
+            assert est.degenerate == bool(partners)
             assert tuple(c for c, _ in est.top) == tuple(candidates[i] for i in top)
             assert abs(est.objective - objective) <= 1e-16
             flagged += est.degenerate
@@ -550,8 +568,7 @@ class TestL2RowBlocks:
             tracemalloc.stop()
         assert peak < 4_000_000
         group = _partners_in(oracles.profile_groups(profiles, PROFILE_TOL))
-        assert est.degenerate_with == tuple(candidates[i] for i in group(est.index))
-        assert len(est.degenerate_with) == (1000 if theta != QUARTER else 0)
+        assert est.degenerate == bool(group(est.index)) == (theta != QUARTER)
 
     def test_cold_n10_table_memory(self):
         # the dense profile matrix alone took 8 MB, 11.3 MB at the build's peak

@@ -3,6 +3,7 @@ adaptive-quadrature oracles, and the lattice weights and the normal masses
 cut at 9 sigma against the clip-everything formula."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -668,6 +669,13 @@ class TestLatticeWeightCut:
         mass = (dropped @ diffs).sum(axis=1)
         assert mass.max() > 0.0
         assert mass.max() <= dropped.sum(axis=1).max() <= 2e-40
+
+    @pytest.mark.parametrize("width", [1e200, 1e-170])
+    def test_overlaps_outside_the_doubles_raise(self, width):
+        # (d h)^2 = 1e400 overflows at 1e200 and sigma^2 = 1e-340 underflows
+        # at 1e-170; both widths pass the spacing checks
+        with pytest.raises(ValueError, match=re.escape(f"unit shift {width!r} and packet width {width!r}")):
+            lattice_weights(0.3, width, width, (1,), [[2]])
 
     @pytest.mark.parametrize("theta", [math.pi / 4, 0.3, 0.0, math.pi / 2])
     def test_default_weights_unchanged(self, theta):
