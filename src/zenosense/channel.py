@@ -8,6 +8,11 @@ to a product of commuting bath kernels; the running squared norm of the
 bath state is the exact survival probability. The unprotected protocol
 applies all events unitarily and measures once at the end.
 
+The per-step record and ``protected_survival_spectral`` average the
+product of one momentum filter per measurement over an exact momentum grid,
+streamed a block of events at a time: a grid holds one block of running
+products, not a nodes x events array.
+
 The approximate decay parameters J (survival ~ exp(-J)) from the
 short-interval expansion are provided for analysis only: survival itself is
 always computed exactly from norms.
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -114,8 +119,10 @@ def run_protected(theta: float, sigma: float, realization: ChannelRealization) -
     the coefficients of prod_j (s^2 + c^2 z^{n_j}), and the norm is their
     autocorrelation over the lags in the 1e-40 overlap reach. Every other
     channel takes the merge fold and the all-pairs ``inner_product``. The
-    survival S_j after j events and the moments come from the momentum grid
-    of ``_filter_products``: step j survives with S_(j+1) / S_j.
+    survival S_j after j events and the moments come from the momentum grid,
+    whose running products ``_running_products`` streams a block of events
+    at a time: step j survives with S_(j+1) / S_j. The grid takes one block,
+    about 256 KiB, and arrays of one entry per node or event.
     """
     ProbeState(theta)
     survivals, moments = _grid_survivals_and_moments(theta, sigma, realization.couplings)
@@ -137,9 +144,13 @@ def run_unprotected(theta: float, sigma: float, realization: ChannelRealization)
     """
     ProbeState(theta)
     _check_sigma(sigma)
+    return _unprotected_survival(theta, sigma, realization.total)
+
+
+def _unprotected_survival(theta: float, sigma: float, total: float) -> float:
+    """cos^4 + sin^4 + 2 sin^2 cos^2 exp(-G^2 / (8 sigma^2)) for the total shift G."""
     c2 = math.cos(theta) ** 2
     s2 = math.sin(theta) ** 2
-    total = realization.total
     overlap = math.exp(-(total * total) / (8.0 * sigma * sigma))
     return _clip01(c2 * c2 + s2 * s2 + 2.0 * c2 * s2 * overlap)
 
@@ -179,11 +190,18 @@ def decay_parameter(
 # Gaussian weight beyond it is below 1e-17.
 _GRID_SPREADS = 8.9
 
-# Most entries (nodes x (events + 1)) one momentum grid may hold: 80 MB per
-# float64 array. The largest grid the benchmark forms is 1443 x 501, the
-# constant N=500 channel at g = 4 sigma; a narrow packet or a long shift
-# asks for nodes without bound (sigma = 1e-3 and one 1e6 shift for 7e8).
+# Most entries (nodes x (events + 1)) one momentum grid may take. Each entry
+# costs a cosine or a gather and a product, so this bounds the grid's work
+# (0.07-0.2 s at the budget on a 2-vCPU VM), not its memory, which is one
+# block and O(nodes + events). The largest grid the benchmark takes is
+# 1443 x 501, the constant N=500 channel at g = 4 sigma; a narrow packet or
+# a long shift asks for nodes without bound (sigma = 1e-3 and one 1e6 shift
+# for 7e8).
 _GRID_MAX_ENTRIES = 10_000_000
+
+# Entries (events x nodes) in one block of running filter products, 256 KiB,
+# so a block stays in cache from its filters through its products and sums.
+_BLOCK_ENTRIES = 2**15
 
 # Grouping repeated couplings costs 12-15 us (a sort, a neighbour test,
 # np.unique and the gather into event order) and saves at most the cosines
@@ -192,10 +210,8 @@ _GRID_MAX_ENTRIES = 10_000_000
 _GROUPED_GRID_MIN = 2048
 
 
-def _filter_products(
-    theta: float, sigma: float, couplings: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Momentum nodes p, trapezoid weights w and running filter products.
+def _momentum_grid(sigma: float, couplings: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Momentum nodes p, trapezoid weights w and the couplings as an array.
 
     Each measurement multiplies the momentum density N(p; 0, 1/(4 sigma^2)) by
     |beta_j(p)|^2 = c^4 + s^4 + 2 c^2 s^2 cos(p g_j): the survival after j
@@ -203,15 +219,8 @@ def _filter_products(
     sum(g). The trapezoid rule with spacing h = 2 pi / (sum(g) + 4 T sigma) is
     exact for it up to aliasing below exp(-2 T^2); the integrand is even, so
     nodes p = k h run over [0, T / (2 sigma)] with doubled weights for k >= 1.
-    ``w @ prefix[:, j]`` is the survival after j events. A grid of more
-    than ``_GRID_MAX_ENTRIES`` entries raises before anything is allocated.
-
-    On a grid of at least ``_GROUPED_GRID_MIN`` entries where a coupling
-    repeats, as on a noise alphabet's lattice, the filter is evaluated once
-    per node and distinct coupling and gathered into event order; each
-    cosine still takes the product p_i g_j, so the prefix is the same bit
-    for bit. On such a grid, distinct couplings cost one sort to find that
-    none repeats.
+    A grid of more than ``_GRID_MAX_ENTRIES`` entries raises before anything
+    is allocated.
     """
     _check_sigma(sigma)
     g = np.asarray(couplings, dtype=np.float64)
@@ -231,23 +240,57 @@ def _filter_products(
     p = h * np.arange(math.ceil(_GRID_SPREADS * sp / h) + 1)
     w = (h / (sp * math.sqrt(2.0 * math.pi))) * np.exp(-0.5 * (p / sp) ** 2)
     w[1:] *= 2.0
+    return p, w, g
+
+
+def _running_products(theta: float, p: np.ndarray, g: np.ndarray) -> Iterator[np.ndarray]:
+    """Running filter products P_j(p) = prod_(i <= j) |beta_i(p)|^2, a block of events at a time.
+
+    Each block holds one row per event, about ``_BLOCK_ENTRIES`` entries in
+    all: its first row is the last product of the block before (P_0 = 1 in
+    the first block), the rows after it the products of its events. Every
+    block is a view of one buffer that the next block overwrites, so the
+    grid takes one block of memory and ``w @ P_j`` is the survival after j
+    events. Each product is a sequential product along the events.
+
+    On a grid of at least ``_GROUPED_GRID_MIN`` entries where a coupling
+    repeats, as on a noise alphabet's lattice, the filter is evaluated once
+    per node and distinct coupling and gathered into each block in event
+    order; each cosine still takes the product g_j p_i, so the products are
+    the same bit for bit. On such a grid, distinct couplings cost one sort to
+    find that none repeats.
+    """
     c2 = math.cos(theta) ** 2
     s2 = math.sin(theta) ** 2
-    distinct, inverse = g, None
+    table, inverse = None, None
     if p.size * g.size >= _GROUPED_GRID_MIN:
         ordered = np.sort(g)
         if (ordered[1:] == ordered[:-1]).any():
             distinct, inverse = np.unique(g, return_inverse=True)
-    filt = np.outer(p, distinct)
-    np.cos(filt, out=filt)
-    filt *= 2.0 * c2 * s2
-    filt += c2 * c2 + s2 * s2
-    if inverse is not None:
-        filt = filt[:, inverse]
-    prefix = np.empty((p.size, g.size + 1))
-    prefix[:, 0] = 1.0
-    np.cumprod(filt, axis=1, out=prefix[:, 1:])
-    return p, w, prefix
+            table = _filters(np.outer(distinct, p), c2, s2)
+    rows = max(1, _BLOCK_ENTRIES // p.size)
+    buffer = np.empty((min(rows, g.size) + 1, p.size))
+    buffer[0] = 1.0
+    for start in range(0, g.size, rows):
+        events = min(rows, g.size - start)
+        block = buffer[: events + 1]
+        if start:
+            block[0] = buffer[-1]
+        if table is None:
+            _filters(np.multiply.outer(g[start : start + events], p, out=block[1:]), c2, s2)
+        else:
+            # the indices are in range; "raise" would gather into a temporary
+            np.take(table, inverse[start : start + events], axis=0, out=block[1:], mode="clip")
+        np.multiply.accumulate(block, axis=0, out=block)
+        yield block
+
+
+def _filters(phases: np.ndarray, c2: float, s2: float) -> np.ndarray:
+    """|beta(p)|^2 = c^4 + s^4 + 2 c^2 s^2 cos(p g) in place of the phases p g."""
+    np.cos(phases, out=phases)
+    phases *= 2.0 * c2 * s2
+    phases += c2 * c2 + s2 * s2
+    return phases
 
 
 def _grid_survivals_and_moments(
@@ -256,27 +299,41 @@ def _grid_survivals_and_moments(
     """Survivals S_0..S_N and the bath momentum second moments before each event.
 
     ``moments[j]`` is <P^2> after j surviving measurements,
-    ``(w p^2) @ prefix[:, j] / S_j`` on the momentum grid, for j < N.
+    ``(w p^2) @ P_j / S_j`` on the momentum grid, for j < N; both sums of
+    each row are taken as its block passes.
     """
-    p, w, prefix = _filter_products(theta, sigma, couplings)
-    survivals = w @ prefix
-    moments = (w * p * p) @ prefix[:, :-1] / survivals[:-1]
+    p, w, g = _momentum_grid(sigma, couplings)
+    wp2 = w * p * p
+    survivals = np.empty(g.size + 1)
+    moments = np.empty(g.size)
+    j = 0
+    for block in _running_products(theta, p, g):
+        rows = block[:-1]
+        np.matmul(rows, w, out=survivals[j : j + rows.shape[0]])
+        np.matmul(rows, wp2, out=moments[j : j + rows.shape[0]])
+        j += rows.shape[0]
+    survivals[-1] = w @ block[-1]
+    moments /= survivals[:-1]
     return survivals, moments
 
 
 def protected_survival_spectral(theta: float, sigma: float, couplings: Sequence[float]) -> float:
     """Protected survival as a momentum-space average of per-event filters.
 
-    Exact to rounding on the grid of ``_filter_products`` for any non-negative
+    Exact to rounding on the grid of ``_momentum_grid`` for any non-negative
     couplings: within 1e-13 of the lattice sum up to lambda = sum(g) / (2 sigma)
     = 2000. The cost, about 1.4 (lambda + 18) N operations, stays linear in N
-    where the component-resolved run blows up (continuous couplings, N >> 10).
+    where the component-resolved run blows up (continuous couplings, N >> 10);
+    the memory is one block of ``_running_products``, about 256 KiB, plus a
+    few arrays of one entry per node or event.
     """
     ProbeState(theta)
     if len(couplings) == 0:
         raise ValueError("couplings must be non-empty")
-    _, w, prefix = _filter_products(theta, sigma, couplings)
-    return _clip01(float(w @ prefix[:, -1]))
+    p, w, g = _momentum_grid(sigma, couplings)
+    for block in _running_products(theta, p, g):
+        pass
+    return _clip01(float(w @ block[-1]))
 
 
 # --- ensemble scaling study -------------------------------------------------
@@ -365,7 +422,8 @@ def qze_scaling_report(
             j_ratios[m] = np.sum(g * g) / (total * total)
             if m < k_surv:
                 p = protected_survival_spectral(theta, sigma, g)
-                u = run_unprotected(theta, sigma, ChannelRealization(tuple(g)))
+                # the sequential sum of ChannelRealization.total, as run_unprotected takes
+                u = _unprotected_survival(theta, sigma, sum(g.tolist()))
                 protected[m] = p
                 unprotected[m] = u
                 ratios[m] = p / u

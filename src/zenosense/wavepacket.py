@@ -474,7 +474,10 @@ def normal_masses(
         raise ValueError(f"pixel edges must be strictly increasing, got pitch {pitch!r} at offset {offset!r}")
     edges = np.concatenate(([-np.inf], pixel_edges, [np.inf]))
     z = (edges[None, :] - 0.5 * h * np.arange(n_normals)[:, None]) / sigma
-    cdf = 0.5 * _erfc(-np.clip(z, -9.0, 9.0) / math.sqrt(2.0)).astype(np.float64)
+    # math.erfc only inside the band, about a fifth of the entries
+    cdf = np.where(z < 0.0, 0.5 * math.erfc(9.0 / math.sqrt(2.0)), 0.5 * math.erfc(-9.0 / math.sqrt(2.0)))
+    band = np.abs(z) < 9.0
+    cdf[band] = 0.5 * _erfc(-z[band] / math.sqrt(2.0)).astype(np.float64)
     masses = np.diff(cdf, axis=1)
     masses.setflags(write=False)
     return masses

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -359,6 +360,40 @@ class TestBenchmarkShapedChannels:
             assert abs(run.total_survival - protected_survival_spectral(theta, sigma, couplings)) <= 1e-13
 
 
+class TestGridMemory:
+    """The momentum grid holds one block of running products, not a
+    nodes x events array: on the constant N=500, g=4 sigma channel of the
+    benchmark such an array takes 1443 x 501 entries, 5.8 MB."""
+
+    @pytest.mark.parametrize("call", ["protected_survival_spectral", "run_protected"])
+    def test_constant_500_channel_peaks_under_one_megabyte(self, call):
+        cfg = ExperimentConfig()
+        theta, sigma = cfg.theta_rad, cfg.sigma_um
+        couplings = (4.0 * sigma,) * 500
+        functions = {
+            "protected_survival_spectral": lambda: protected_survival_spectral(theta, sigma, couplings),
+            "run_protected": lambda: run_protected(theta, sigma, ChannelRealization(couplings)),
+        }
+        functions[call]()
+        tracemalloc.start()
+        try:
+            functions[call]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_over_budget_grid_raises_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"exceeds {channel._GRID_MAX_ENTRIES} entries"):
+                protected_survival_spectral(0.3, 1e-3, (1e6,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+
 def grid_cases() -> dict[str, tuple[float, ...]]:
     """Couplings with and without repeats, on grids above and below the size
     from which the momentum grid groups repeated couplings."""
@@ -378,22 +413,37 @@ GRID_ANGLES = [0.0, 0.3, QUARTER, 1.2, math.pi / 2]
 
 
 class TestGridBitIdentity:
-    """The momentum grid groups repeated couplings and run_protected builds
-    its tuples from whole arrays; both against one cosine per coupling and a
-    conversion per element."""
+    """The momentum grid groups repeated couplings and streams its running
+    products in blocks, and run_protected builds its tuples from whole
+    arrays; against one cosine per coupling, a sequential product, the full
+    products matrix and a conversion per element."""
 
     @pytest.mark.parametrize("theta", GRID_ANGLES)
     @pytest.mark.parametrize("case", sorted(GRID_CASES))
-    def test_prefix_equals_one_cosine_per_coupling(self, theta, case):
+    def test_prefix_equals_one_cosine_per_coupling(self, monkeypatch, theta, case):
+        # 4096 entries a block: D5-100 spans 4 blocks, constant-500 250
+        monkeypatch.setattr(channel, "_BLOCK_ENTRIES", 2**12)
         couplings = GRID_CASES[case]
-        p, _, prefix = channel._filter_products(theta, 150.0, couplings)
+        p, w, _ = channel._momentum_grid(150.0, couplings)
         c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
-        filt = np.empty((p.size, len(couplings)))
+        prefix = np.ones((len(couplings) + 1, p.size))
         for j, g in enumerate(couplings):
-            filt[:, j] = np.cos(p * g) * (2.0 * c2 * s2) + (c2 * c2 + s2 * s2)
-        expected = np.ones((p.size, len(couplings) + 1))
-        np.cumprod(filt, axis=1, out=expected[:, 1:])
-        assert np.array_equal(prefix.view(np.uint64), expected.view(np.uint64))
+            prefix[j + 1] = prefix[j] * (np.cos(p * g) * (2.0 * c2 * s2) + (c2 * c2 + s2 * s2))
+        j, blocks = 0, 0
+        for block in channel._running_products(theta, p, np.asarray(couplings)):
+            rows = block.shape[0] - 1
+            assert np.array_equal(block.view(np.uint64), prefix[j : j + rows + 1].view(np.uint64))
+            j, blocks = j + rows, blocks + 1
+        assert j == len(couplings)
+        if case in ("D5-100", "constant-500"):
+            assert blocks >= 3
+        # block-wise matrix products may move the sums' last bits
+        survivals, moments = channel._grid_survivals_and_moments(theta, 150.0, couplings)
+        full = prefix @ w
+        assert np.allclose(survivals, full, rtol=1e-14, atol=0.0)
+        assert np.allclose(moments, prefix[:-1] @ (w * p * p) / full[:-1], rtol=1e-14, atol=0.0)
+        spectral = protected_survival_spectral(theta, 150.0, couplings)
+        assert spectral == pytest.approx(full[-1], rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("theta", GRID_ANGLES)
     @pytest.mark.parametrize("case", ["D5-100", "D5-200", "constant-500", "continuous-1", "zero", "single"])

@@ -652,6 +652,18 @@ class TestNormalMasses:
             assert np.max(np.abs(masses - expected)) <= 2.0**-51
             assert np.array_equal(masses == 0.0, expected == 0.0)
 
+    @pytest.mark.parametrize("rows", [49, 81, 161])
+    def test_erfc_on_every_clipped_entry_gives_the_same_bits(self, rows):
+        # the masses take math.erfc inside the 9 sigma band only and fill
+        # the entries beyond it with the erfc of the clip
+        geometry = (13.0, 1024, -6656.0)
+        edges = oracles.slot_edges(*geometry)
+        for sigma, g in ((150.0, resolve_unit_shift(ExperimentConfig())), (2.0, 2.3), (1500.0, 114.05)):
+            z = (edges[None, :] - 0.5 * g * np.arange(rows)[:, None]) / sigma
+            cdf = 0.5 * wavepacket._erfc(-np.clip(z, -9.0, 9.0) / math.sqrt(2.0)).astype(np.float64)
+            masses = normal_masses.__wrapped__(sigma, g, rows, *geometry)
+            assert np.array_equal(masses.view(np.uint64), np.diff(cdf, axis=1).view(np.uint64))
+
 
 class TestLatticeWeightCut:
     """The diagonal weight loop stops once the overlap falls below 1e-40."""
