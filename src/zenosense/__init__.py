@@ -36,7 +36,6 @@ from zenosense.estimator import (
     pixel_moments,
 )
 from zenosense.noise_model import (
-    Configuration,
     NoiseAlphabet,
     config_realization,
     enumerate_configurations,

@@ -28,8 +28,8 @@ from zenosense.channel import (
 )
 from zenosense.config import ConfigError, ExperimentConfig, load_config, serialize_config
 from zenosense.detector import read_histogram_csv, write_histogram_csv
-from zenosense.estimator import EstimateReport, beta_ci
-from zenosense.noise_model import Configuration, config_realization, enumerate_configurations
+from zenosense.estimator import EstimateReport, build_report
+from zenosense.noise_model import config_realization, enumerate_configurations
 from zenosense.pipeline import (
     REFERENCE_CONFIG,
     check_geometry,
@@ -92,7 +92,7 @@ def cmd_simulate(args) -> int:
             {
                 "trial": rec.index,
                 "seed": rec.seed,
-                "configuration": list(rec.truth.counts),
+                "configuration": list(rec.truth),
                 "couplings_um": list(rec.realization.couplings),
                 "total_survival": rec.run.total_survival,
                 "step_survivals": list(rec.run.step_survivals),
@@ -104,7 +104,7 @@ def cmd_simulate(args) -> int:
             {
                 "index": rec.index,
                 "seed": rec.seed,
-                "configuration": list(rec.truth.counts),
+                "configuration": list(rec.truth),
                 "total_survival": rec.run.total_survival,
                 "histogram": name,
                 "run_report": report_name,
@@ -170,9 +170,8 @@ def cmd_calibrate(args) -> int:
     target = args.target if args.target is not None else config.calibration_target
     g = calibrate_unit_shift(config.sigma_um, target, reference_shift_multiples(config))
     sigma = config.sigma_um
-    reference = Configuration(REFERENCE_CONFIG)
-    alphabet = config.alphabet(g)
-    unprotected = run_unprotected(CALIBRATION_THETA, sigma, config_realization(reference, alphabet))
+    reference = config_realization(REFERENCE_CONFIG, config.alphabet(g))
+    unprotected = run_unprotected(CALIBRATION_THETA, sigma, reference)
     payload = {
         "target_survival": target,
         "unit_shift_um": g,
@@ -208,7 +207,7 @@ def _reproduce_fig2(out: Path, seed: int, photons: int) -> None:
     sigma = config.sigma_um
     grid = np.linspace(-3.0 * sigma, 10.0 * unit_shift + 3.0 * sigma, 600)
 
-    weights = lattice_weights(config.theta_rad, sigma, unit_shift, alphabet.multipliers, [c.counts for c in candidates])
+    weights = lattice_weights(config.theta_rad, sigma, unit_shift, alphabet.multipliers, candidates)
     densities = lattice_density(weights, sigma, unit_shift, grid)
     hist = rec.histogram
     centers = hist.centers()
@@ -240,7 +239,7 @@ def _reproduce_fig2(out: Path, seed: int, photons: int) -> None:
     _write_json(
         out / "fig2_report.json",
         {
-            "true_configuration": list(rec.truth.counts),
+            "true_configuration": list(rec.truth),
             "reconstructed_moments": report_m.to_dict(),
             "reconstructed_l2": report_l.to_dict(),
             "protected_survival": rec.run.total_survival,
@@ -248,7 +247,7 @@ def _reproduce_fig2(out: Path, seed: int, photons: int) -> None:
                 config.theta_rad, sigma, rec.realization
             ),
             "unit_shift_um": unit_shift,
-            "mean_matched_subset": [list(candidates[i].counts) for i in est_m.mean_window],
+            "mean_matched_subset": [list(candidates[i]) for i in est_m.mean_window],
         },
     )
 
@@ -268,14 +267,11 @@ def _reproduce_fig3(name: str, out: Path, seed: int, photons: int) -> None:
     (out / f"{name}_table.txt").write_text(_format_table(report, targets))
 
     k = FIG3_HIGHLIGHT[name]
-    n = config.n_events
+    alphabet = config.alphabet(unit_shift)
     rows = []
     for ell in range(1, len(estimates) + 1):
-        s_k = sum(e.config.counts[k] for e in estimates[:ell])
-        total = n * ell
-        lo68, hi68 = beta_ci(s_k, total, 0.68)
-        lo95, hi95 = beta_ci(s_k, total, 0.95)
-        rows.append([ell, s_k / total, lo68, hi68, lo95, hi95])
+        prefix = build_report(estimates[:ell], alphabet, config.n_events, ell)
+        rows.append([ell, prefix.probabilities[k], *prefix.ci68[k], *prefix.ci95[k]])
     rows = np.asarray(rows)
     fig = Figure(
         title=f"Convergence of p_{k + 1} (target {targets[k]:.1f})",

@@ -3,7 +3,8 @@
 Grammar: blank lines and `#` comments are ignored; values are scalars or
 comma-separated lists; `none` clears an optional key. Each key's parser
 follows from its field's annotation. Unknown keys, duplicate keys and
-malformed values raise ``ConfigError`` naming the source and line.
+malformed values raise ``ConfigError`` naming the source and line, as do
+the checks of ``forced_config``.
 Serialization is canonical, so parse -> serialize -> parse is the identity;
 string values therefore hold no `#`, no line break and no outer whitespace.
 """
@@ -13,13 +14,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from zenosense.noise_model import Configuration, NoiseAlphabet
+from zenosense.detector import _whole_numbers
+from zenosense.noise_model import NoiseAlphabet
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "serialize_config", "load_config"]
 
 
 class ConfigError(ValueError):
-    """Malformed experiment configuration."""
+    """Malformed experiment configuration; ``key`` names the field at fault, if one does."""
+
+    def __init__(self, message: str, key: str | None = None) -> None:
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass(frozen=True)
@@ -87,16 +93,18 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"alphabet_multipliers, event_probabilities: {exc}") from exc
         if self.forced_config is not None:
+            # stored as a tuple of Python ints, the form of every configuration
             try:
-                cfg = Configuration(self.forced_config)
+                counts = _whole_numbers(self.forced_config, "forced_config")
+                if counts.shape != (len(self.alphabet_multipliers),):
+                    raise ValueError("forced_config length must match the alphabet size")
+                if (counts < 0).any():
+                    raise ValueError(f"forced_config: counts must be non-negative, got {self.forced_config!r}")
+                if counts.sum() != self.n_events:
+                    raise ValueError(f"forced_config sums to {counts.sum()}, expected n_events = {self.n_events}")
             except ValueError as exc:
-                raise ConfigError(f"forced_config: {exc}") from exc
-            if len(cfg.counts) != len(self.alphabet_multipliers):
-                raise ConfigError("forced_config length must match the alphabet size")
-            if cfg.total != self.n_events:
-                raise ConfigError(
-                    f"forced_config sums to {cfg.total}, expected n_events = {self.n_events}"
-                )
+                raise ConfigError(str(exc), key="forced_config") from exc
+            object.__setattr__(self, "forced_config", tuple(counts.tolist()))
 
     def alphabet(self, unit_shift: float | None = None) -> NoiseAlphabet:
         """Materialize the noise alphabet at the given (or configured) g."""
@@ -130,6 +138,7 @@ _PARSERS = {f.name: _PARSERS_BY_TYPE[f.type] for f in fields(ExperimentConfig)}
 
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     values: dict[str, object] = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         where = f"{source}:{lineno}"
         stripped = line.split("#", 1)[0].strip()
@@ -146,10 +155,12 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
             values[key] = _PARSERS[key](raw)
         except ValueError as exc:
             raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
+        lines[key] = lineno
     try:
         return ExperimentConfig(**values)
     except ConfigError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
+        where = f"{source}:{lines[exc.key]}" if exc.key in lines else source
+        raise ConfigError(f"{where}: {exc}", key=exc.key) from exc
 
 
 def _format_value(value) -> str:

@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from zenosense.detector import SpatialHistogram, pixel_centers
-from zenosense.noise_model import Configuration, NoiseAlphabet
+from zenosense.noise_model import NoiseAlphabet
 from zenosense.wavepacket import lattice_weights, normal_masses
 
 __all__ = [
@@ -84,9 +84,9 @@ class TrialEstimate:
 
     method: str
     index: int
-    config: Configuration
+    config: tuple[int, ...]
     objective: float
-    top: tuple[tuple[Configuration, float], ...]
+    top: tuple[tuple[tuple[int, ...], float], ...]
     widenings: int = 0
     degenerate: bool = False
     mean_window: tuple[int, ...] = ()
@@ -96,7 +96,7 @@ class TrialEstimate:
 class _CandidateSet:
     """Candidate profiles kept as lattice factors, with their pixel moments.
 
-    ``configs[c]`` is the configuration of candidate c. Profile c, its
+    ``configs[c]`` is the count tuple of candidate c. Profile c, its
     pixel masses normalized to its mass on the detector, is
     ``weights[c] @ diffs``: ``weights`` holds the candidates' lattice
     weights (``wavepacket.lattice_weights``) divided by those masses,
@@ -111,7 +111,7 @@ class _CandidateSet:
     ``_profile_rows`` forms rows on demand.
     """
 
-    configs: tuple[Configuration, ...]
+    configs: tuple[tuple[int, ...], ...]
     weights: np.ndarray  # (n_candidates, 2M - 1)
     diffs: np.ndarray  # (2M - 1, n_pixels)
     sq_norms: np.ndarray  # (n_candidates,)
@@ -137,10 +137,8 @@ def candidate_table(
     Keyed on what the profiles depend on: the alphabet's integer-valued
     multipliers and unit shift (not its event probabilities), the probe
     angle, the packet width, the candidates' count tuples (in order,
-    duplicates allowed) and the detector geometry. Plain count tuples hash
-    and compare several times faster than ``Configuration`` objects, which
-    matters when each batch enumerates its candidates afresh; the table
-    builds its own ``Configuration`` of each once. The weights of all
+    duplicates allowed) and the detector geometry; that tuple of count
+    tuples is kept as the table's candidate list. The weights of all
     candidates come from one ``wavepacket.lattice_weights`` call; the
     normals' pixel masses are the pixel columns of the read-only
     ``wavepacket.normal_masses`` entry for as many normals as the weights
@@ -168,8 +166,7 @@ def candidate_table(
     gaps = np.diff(np.sort(means))
     gaps = gaps[gaps > DEGENERATE_MEAN_TOL_FACTOR * sigma]
     mean_tol = float(gaps.min() / 2.0) if gaps.size else math.inf
-    configs = tuple(Configuration(c) for c in counts)
-    return _CandidateSet(configs, weights, diffs, sq_norms, means, variances, sigma, mean_tol)
+    return _CandidateSet(counts, weights, diffs, sq_norms, means, variances, sigma, mean_tol)
 
 
 # Rows of the l2 short list formed at a time by ``_profile_rows``, so their
@@ -211,7 +208,7 @@ def estimate_from_masses(
     masses: np.ndarray,
     pitch: float,
     offset: float,
-    candidates: Sequence[Configuration],
+    candidates: Sequence[tuple[int, ...]],
     theta: float,
     sigma: float,
     alphabet: NoiseAlphabet,
@@ -239,7 +236,7 @@ def estimate_from_masses(
         alphabet.unit_shift,
         float(theta),
         float(sigma),
-        tuple(config.counts for config in candidates),
+        tuple(candidates),
         float(pitch),
         masses.size,
         float(offset),
@@ -253,8 +250,8 @@ def estimate_from_masses(
 
 
 def _top_candidates(
-    configs: Sequence[Configuration], ixs: np.ndarray, objective: np.ndarray
-) -> tuple[tuple[Configuration, float], ...]:
+    configs: Sequence[tuple[int, ...]], ixs: np.ndarray, objective: np.ndarray
+) -> tuple[tuple[tuple[int, ...], float], ...]:
     """The five smallest objectives of the ascending candidates ``ixs``, ties in candidate order."""
     order = np.argsort(objective, kind="stable")[:5]
     return tuple((configs[int(ixs[i])], float(objective[i])) for i in order)
@@ -393,7 +390,7 @@ def _estimate_moments(m1: float, central2: float, cand: _CandidateSet) -> TrialE
 
 def estimate_histogram(
     histogram: SpatialHistogram,
-    candidates: Sequence[Configuration],
+    candidates: Sequence[tuple[int, ...]],
     theta: float,
     sigma: float,
     alphabet: NoiseAlphabet,
@@ -552,7 +549,7 @@ def _deviance(k: int, mean: float) -> float:
 class EstimateReport:
     """Aggregated reconstruction of L trials with per-category intervals."""
 
-    modal_config: Configuration
+    modal_config: tuple[int, ...]
     probabilities: tuple[float, ...]
     event_counts: tuple[int, ...]
     ci68: tuple[tuple[float, float], ...]
@@ -561,7 +558,7 @@ class EstimateReport:
 
     def to_dict(self) -> dict:
         return {
-            "n_R": list(self.modal_config.counts),
+            "n_R": list(self.modal_config),
             "p_R": list(self.probabilities),
             "ci68": [list(pair) for pair in self.ci68],
             "ci95": [list(pair) for pair in self.ci95],
@@ -588,30 +585,28 @@ def build_report(
         raise ValueError(f"expected {n_trials} trials, got {len(trials)}")
     configs = [t.config for t in trials]
     for config in configs:
-        if len(config.counts) != alphabet.size:
+        if len(config) != alphabet.size:
             raise ValueError("trial configuration does not match the alphabet size")
-        if config.total != n_events:
-            raise ValueError(
-                f"trial configuration {config.counts} sums to {config.total}, expected {n_events}"
-            )
+        if sum(config) != n_events:
+            raise ValueError(f"trial configuration {config} sums to {sum(config)}, expected {n_events}")
     total = n_events * n_trials
-    counts = tuple(sum(column) for column in zip(*(config.counts for config in configs)))
+    counts = tuple(sum(column) for column in zip(*configs))
     probs = tuple(s / total for s in counts)
     tally: dict[tuple[int, ...], int] = {}
     for config in configs:
-        tally[config.counts] = tally.get(config.counts, 0) + 1
-    modal = Configuration(min(tally, key=lambda c: (-tally[c], c)))
+        tally[config] = tally.get(config, 0) + 1
+    modal = min(tally, key=lambda c: (-tally[c], c))
     posterior = tuple((s + 1.0) / (total + 2.0) for s in counts)
     ci68 = tuple(beta_ci(s, total, 0.68) for s in counts)
     ci95 = tuple(beta_ci(s, total, 0.95) for s in counts)
     diagnostics = {
         "method": trials[0].method,
-        "per_trial": [list(c.counts) for c in configs],
+        "per_trial": [list(c) for c in configs],
         "event_counts": list(counts),
         "n_total": total,
         "posterior_mean": list(posterior),
         "top_candidates": [
-            [{"counts": list(c.counts), "objective": obj} for c, obj in t.top]
+            [{"counts": list(c), "objective": obj} for c, obj in t.top]
             for t in trials
         ],
         "widenings": [t.widenings for t in trials],

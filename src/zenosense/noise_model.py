@@ -1,4 +1,8 @@
-"""Discrete noise alphabet, multinomial sampling and candidate enumeration."""
+"""Discrete noise alphabet, multinomial sampling and candidate enumeration.
+
+A noise configuration, the multiset of event multiplicities n_1..n_D over
+the alphabet, is its count tuple: a tuple of D non-negative Python ints.
+"""
 
 from __future__ import annotations
 
@@ -12,7 +16,6 @@ from zenosense.seeds import as_rng
 
 __all__ = [
     "NoiseAlphabet",
-    "Configuration",
     "sample_realization",
     "enumerate_configurations",
     "config_realization",
@@ -69,28 +72,9 @@ class NoiseAlphabet:
         return tuple(m * self.unit_shift for m in self.multipliers)
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """Multiset of event multiplicities n_1..n_D over the alphabet."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        cs = tuple(int(n) for n in self.counts)
-        if len(cs) < 1:
-            raise ValueError("configuration needs at least one count")
-        if any(n < 0 for n in cs) or any(n != c for n, c in zip(cs, self.counts)):
-            raise ValueError("counts must be non-negative integers")
-        object.__setattr__(self, "counts", cs)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-
 def sample_realization(
     alphabet: NoiseAlphabet, n_events: int, seed: int | np.random.Generator
-) -> tuple[Configuration, ChannelRealization]:
+) -> tuple[tuple[int, ...], ChannelRealization]:
     """Draw N i.i.d. couplings from the alphabet; counts are multinomial.
 
     Returns the drawn configuration and the couplings in draw order.
@@ -100,11 +84,11 @@ def sample_realization(
     rng = as_rng(seed)
     values = np.asarray(alphabet.values)
     idx = rng.choice(alphabet.size, size=int(n_events), p=alphabet.probabilities)
-    config = Configuration(tuple(np.bincount(idx, minlength=alphabet.size)))
+    config = tuple(np.bincount(idx, minlength=alphabet.size).tolist())
     return config, ChannelRealization(tuple(values[idx]))
 
 
-def enumerate_configurations(n_values: int, n_events: int) -> list[Configuration]:
+def enumerate_configurations(n_values: int, n_events: int) -> list[tuple[int, ...]]:
     """All count vectors with sum n_events, lexicographically ascending.
 
     The list index is the canonical candidate label used by the estimators;
@@ -114,13 +98,13 @@ def enumerate_configurations(n_values: int, n_events: int) -> list[Configuration
         raise ValueError(f"alphabet size must be >= 1, got {n_values}")
     if n_events < 0:
         raise ValueError(f"event count must be >= 0, got {n_events}")
-    out: list[Configuration] = []
+    out: list[tuple[int, ...]] = []
     counts = [0] * n_values
 
     def fill(k: int, remaining: int) -> None:
         if k == n_values - 1:
             counts[k] = remaining
-            out.append(Configuration(tuple(counts)))
+            out.append(tuple(counts))
             return
         for v in range(remaining + 1):
             counts[k] = v
@@ -130,14 +114,16 @@ def enumerate_configurations(n_values: int, n_events: int) -> list[Configuration
     return out
 
 
-def config_realization(config: Configuration, alphabet: NoiseAlphabet) -> ChannelRealization:
+def config_realization(config: tuple[int, ...], alphabet: NoiseAlphabet) -> ChannelRealization:
     """Expand a configuration into a realization (ascending value order)."""
-    if len(config.counts) != alphabet.size:
+    if len(config) != alphabet.size:
         raise ValueError("configuration and alphabet sizes differ")
-    if config.total < 1:
+    if min(config) < 0:
+        raise ValueError(f"configuration counts must be non-negative, got {config!r}")
+    if sum(config) < 1:
         raise ValueError("cannot realize a configuration with zero events")
     couplings: list[float] = []
-    for nk, value in zip(config.counts, alphabet.values):
+    for nk, value in zip(config, alphabet.values):
         couplings.extend([value] * nk)
     return ChannelRealization(tuple(couplings))
 

@@ -17,12 +17,7 @@ from zenosense.channel import ChannelRealization, RunReport, calibrate_unit_shif
 from zenosense.config import ConfigError, ExperimentConfig
 from zenosense.detector import SpatialHistogram, sample_histogram
 from zenosense.estimator import EstimateReport, TrialEstimate, build_report, estimate_histogram
-from zenosense.noise_model import (
-    Configuration,
-    config_realization,
-    enumerate_configurations,
-    sample_realization,
-)
+from zenosense.noise_model import config_realization, enumerate_configurations, sample_realization
 from zenosense.seeds import derive_seed, make_rng
 from zenosense.wavepacket import lattice_weights, normal_masses
 
@@ -46,7 +41,7 @@ class TrialRecord:
 
     index: int
     seed: int
-    truth: Configuration
+    truth: tuple[int, ...]
     realization: ChannelRealization
     run: RunReport
     histogram: SpatialHistogram
@@ -59,7 +54,7 @@ def reference_shift_multiples(config: ExperimentConfig) -> tuple[float, ...]:
             "automatic calibration requires a 5-value alphabet matching the "
             f"reference set {REFERENCE_CONFIG}; set unit_shift_um explicitly"
         )
-    return config_realization(Configuration(REFERENCE_CONFIG), config.alphabet(1.0)).couplings
+    return config_realization(REFERENCE_CONFIG, config.alphabet(1.0)).couplings
 
 
 def resolve_unit_shift(config: ExperimentConfig) -> float:
@@ -91,9 +86,6 @@ def simulate_trials(
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     seed = config.master_seed if master_seed is None else master_seed
-    forced = (
-        Configuration(config.forced_config) if config.forced_config is not None else None
-    )
     diffs = normal_masses(
         config.sigma_um,
         unit_shift,
@@ -104,12 +96,12 @@ def simulate_trials(
     )
     records: list[TrialRecord] = []
     for i in range(n_trials):
-        if forced is not None:
-            truth, realization = forced, config_realization(forced, alphabet)
+        if config.forced_config is not None:
+            truth, realization = config.forced_config, config_realization(config.forced_config, alphabet)
         else:
             truth, realization = sample_realization(alphabet, config.n_events, make_rng(seed, i, 0))
         run = run_protected(config.theta_rad, config.sigma_um, realization)
-        weights = lattice_weights(config.theta_rad, config.sigma_um, unit_shift, alphabet.multipliers, [truth.counts])
+        weights = lattice_weights(config.theta_rad, config.sigma_um, unit_shift, alphabet.multipliers, [truth])
         masses = weights @ diffs[: weights.shape[1]]
         histogram = sample_histogram(
             masses[0],

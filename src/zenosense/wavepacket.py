@@ -47,6 +47,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from zenosense.detector import _whole_numbers
+
 __all__ = [
     "GaussianSum",
     "make_gaussian",
@@ -387,7 +389,8 @@ def lattice_weights(
     are ``W[r] @ normal_masses(sigma, unit_shift, n, ...)[:2M - 1]`` for
     any n >= 2M - 1. Not normalized: a row summed over the whole line is the
     squared norm of its state, the protected survival probability.
-    Multipliers must be non-negative integers. A unit shift and width whose
+    Multipliers and counts must be non-negative whole numbers; a count of
+    2.5, NaN or 1e20 raises ``ValueError``. A unit shift and width whose
     overlaps leave the doubles, such as h = sigma = 1e200 ((d h)^2 overflows)
     or 1e-170 (sigma^2 underflows), raise ``ValueError``.
     """
@@ -395,7 +398,7 @@ def lattice_weights(
         raise ValueError(f"lattice multipliers must be non-negative integers, got {multipliers!r}")
     mult = tuple(int(m) for m in multipliers)
     h = _lattice_spacing(sigma, unit_shift)
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = _whole_numbers(counts, "lattice counts")
     if counts.ndim != 2 or counts.shape[1] != len(mult) or np.any(counts < 0):
         raise ValueError("counts must be non-negative, one row per state and one column per multiplier")
     coef = _lattice_coefficients(math.cos(theta) ** 2, math.sin(theta) ** 2, mult, counts)

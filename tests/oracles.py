@@ -395,16 +395,16 @@ def slot_counts(cdf, u):
 
 
 def theoretical_state(config, theta, sigma, values):
-    """Non-normalized output wavepacket for a noise configuration.
+    """Non-normalized output wavepacket for a noise configuration, its count tuple.
 
     ``values`` are the alphabet's coupling shifts, one per count. Applies one
     kernel per event; the kernels commute, so the result depends only on the
     multiset of couplings, and its squared norm is the protected survival
     probability of that configuration.
     """
-    if len(config.counts) != len(values):
+    if len(config) != len(values):
         raise ValueError("configuration and alphabet sizes differ")
-    couplings = [value for nk, value in zip(config.counts, values) for _ in range(nk)]
+    couplings = [value for nk, value in zip(config, values) for _ in range(nk)]
     return folded_state(theta, sigma, couplings)
 
 
@@ -454,16 +454,13 @@ def fold_by_events(theta, sigma, couplings):
 
 def multinomial_pmf(config, alphabet) -> float:
     """Probability N!/(prod n_k!) * prod p_k^n_k of the count vector."""
-    if len(config.counts) != alphabet.size:
-        raise ValueError(
-            f"configuration has {len(config.counts)} entries, alphabet has {alphabet.size}"
-        )
-    n = config.total
-    coef = math.factorial(n)
-    for nk in config.counts:
+    if len(config) != alphabet.size:
+        raise ValueError(f"configuration has {len(config)} entries, alphabet has {alphabet.size}")
+    coef = math.factorial(sum(config))
+    for nk in config:
         coef //= math.factorial(nk)
     prob = float(coef)
-    for nk, pk in zip(config.counts, alphabet.probabilities):
+    for nk, pk in zip(config, alphabet.probabilities):
         prob *= pk**nk
     return prob
 
@@ -475,7 +472,7 @@ def candidate_profiles(candidates, theta, sigma, values, pitch, n_pixels, offset
         masses = pixel_masses(theoretical_state(config, theta, sigma, values), pitch, n_pixels, offset)
         total = masses.sum()
         if not (total > 0.0):
-            raise ValueError(f"candidate {config.counts} carries no mass on the detector")
+            raise ValueError(f"candidate {config} carries no mass on the detector")
         profiles[i] = masses / total
     return profiles
 

@@ -30,7 +30,7 @@ from zenosense.estimator import (
     estimate_from_masses,
     estimate_histogram,
 )
-from zenosense.noise_model import Configuration, NoiseAlphabet, enumerate_configurations
+from zenosense.noise_model import NoiseAlphabet, enumerate_configurations
 from zenosense.pipeline import estimate_trials, simulate_trials
 from zenosense.seeds import derive_seed, make_rng
 
@@ -78,7 +78,7 @@ def test_criterion_2_configuration_recovery():
     t0 = time.time()
     g = _calibrated_unit_shift()
     alphabet = NoiseAlphabet(g, (0.0, 1.0, 2.0, 3.0, 4.0), (0.2,) * 5)
-    truth = Configuration((2, 0, 2, 2, 0))
+    truth = (2, 0, 2, 2, 0)
     candidates = tuple(enumerate_configurations(5, 6))
     state = theoretical_state(truth, QUARTER, SIGMA, alphabet.values)
     masses = oracles.slot_masses(state, **GEOMETRY)
@@ -315,7 +315,7 @@ def test_criterion_7_exhaustive_oracle_equivalence():
             flagged.add(t)
         if t not in oracle_degenerate:
             if est.config != candidates[l2_oracle_pick] or est.config != truth:
-                mismatches.append(truth.counts)
+                mismatches.append(truth)
     flags_match = flagged == oracle_degenerate
     elapsed = time.time() - t0
     ok = not mismatches and flags_match and elapsed < 300.0

@@ -286,14 +286,14 @@ class TestZenoAdvantage:
         alphabet = NoiseAlphabet(g_over_sigma, (0.0, 1.0, 2.0, 3.0, 4.0), (0.2,) * 5)
         checked = 0
         for config in enumerate_configurations(5, 6):
-            if config.counts[0] == 6:
+            if config[0] == 6:
                 continue  # all-zero couplings: both survivals are 1
             real = config_realization(config, alphabet)
             if real.total < 2.0 * max(real.couplings):
                 continue
             protected = run_protected(QUARTER, 1.0, real).total_survival
             unprotected = run_unprotected(QUARTER, 1.0, real)
-            assert protected >= unprotected, config.counts
+            assert protected >= unprotected, config
             checked += 1
         assert checked > 150
 

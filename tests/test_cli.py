@@ -11,7 +11,6 @@ from zenosense import cli
 from zenosense.cli import main
 from zenosense.config import ExperimentConfig, serialize_config
 from zenosense.detector import read_histogram_csv
-from zenosense.noise_model import Configuration
 
 import oracles
 
@@ -67,6 +66,22 @@ class TestSimulate:
         for name in names:
             if name != "config.txt":
                 assert (out_b / name).read_bytes() == snapshot[name], name
+
+    def test_reports_hold_int_counts(self, tmp_path):
+        # the run reports and the estimate report are written as strict JSON,
+        # which a numpy integer in a count tuple would break
+        cfg = write_config(tmp_path / "cfg.txt", **SMALL)
+        out = tmp_path / "out"
+        assert run("simulate", "--config", cfg, "--out", out) == 0
+        for path in sorted(out.glob("run_report_*.json")):
+            counts = strict_json(path)["configuration"]
+            assert len(counts) == 5 and sum(counts) == 6
+        histograms = sorted(out.glob("trial_*.csv"))
+        for method in ("moments", "l2"):
+            est = tmp_path / method
+            assert run("estimate", *histograms, "--config", cfg, "--estimator", method, "--out", est) == 0
+            report = strict_json(est / "report.json")
+            assert all(sum(counts) == 6 for counts in [report["n_R"], *report["diagnostics"]["per_trial"]])
 
     def test_manifest_hashes_match_files(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.txt", **SMALL)
@@ -223,7 +238,7 @@ class TestReproduce:
         cfg = ExperimentConfig()
         alphabet = cfg.alphabet(report["unit_shift_um"])
         state = oracles.theoretical_state(
-            Configuration(tuple(report["true_configuration"])), cfg.theta_rad, cfg.sigma_um, alphabet.values
+            tuple(report["true_configuration"]), cfg.theta_rad, cfg.sigma_um, alphabet.values
         )
         assert curve[:, 1] == pytest.approx(oracles.density_at(state, curve[:, 0]), rel=1e-13, abs=0.0)
 

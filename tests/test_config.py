@@ -3,6 +3,7 @@
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from zenosense.config import ConfigError, ExperimentConfig, parse_config, serialize_config
@@ -106,12 +107,48 @@ class TestValidation:
         assert parse_config("alphabet_multipliers = 0.0, 1.0, 2.0, 3.0, 4.0\n") == ExperimentConfig()
 
     def test_negative_forced_config_names_key(self):
-        with pytest.raises(ConfigError, match=r"cfg\.txt: forced_config: .*non-negative"):
+        with pytest.raises(ConfigError, match=r"cfg\.txt:1: forced_config: .*non-negative"):
             parse_config("forced_config = -1, 7, 0, 0, 0\n", source="cfg.txt")
+
+    @pytest.mark.parametrize(
+        "forced, match",
+        [
+            ((-1, 7, 0, 0, 0), "non-negative"),
+            ((1.5, 4.5, 0, 0, 0), "whole numbers"),
+            ((math.nan, 6, 0, 0, 0), "whole numbers"),
+            ((1e20, 0, 0, 0, 0), "whole numbers"),
+            ((2, 2, 2), "length must match"),
+            ((1, 1, 1, 1, 1), "sums to 5, expected n_events = 6"),
+        ],
+        ids=["negative", "non-integer", "nan", "huge", "wrong-length", "wrong-total"],
+    )
+    def test_forced_config_rejected(self, forced, match):
+        with pytest.raises(ConfigError, match=match) as info:
+            ExperimentConfig(forced_config=forced)
+        assert info.value.key == "forced_config"
+
+    @pytest.mark.parametrize(
+        "value, match",
+        [
+            ("-1, 7, 0, 0, 0", "forced_config: counts must be non-negative"),
+            ("1.5, 4.5, 0, 0, 0", "bad value for 'forced_config'"),
+            ("2, 2, 2", "forced_config length must match"),
+            ("1, 1, 1, 1, 1", "forced_config sums to 5"),
+        ],
+        ids=["negative", "non-integer", "wrong-length", "wrong-total"],
+    )
+    def test_forced_config_rejection_names_its_line(self, value, match):
+        text = f"# header\nforced_config = {value}\nn_events = 6\n"
+        with pytest.raises(ConfigError, match=rf"^cfg\.txt:2: {match}"):
+            parse_config(text, source="cfg.txt")
 
     def test_forced_config_accepted(self):
         config = ExperimentConfig(forced_config=(2, 0, 2, 2, 0))
         assert config.forced_config == (2, 0, 2, 2, 0)
+        # whole floats and numpy integers are stored as Python ints
+        for forced in ((2.0, 0.0, 2.0, 2.0, 0.0), tuple(np.array([2, 0, 2, 2, 0]))):
+            stored = ExperimentConfig(forced_config=forced).forced_config
+            assert stored == (2, 0, 2, 2, 0) and all(type(n) is int for n in stored)
 
 
 class TestRoundTrip:

@@ -21,7 +21,7 @@ from zenosense.detector import (
     write_histogram_csv,
 )
 from zenosense.estimator import pixel_moments
-from zenosense.noise_model import Configuration, NoiseAlphabet, enumerate_configurations
+from zenosense.noise_model import NoiseAlphabet, enumerate_configurations
 from zenosense.pipeline import resolve_unit_shift, simulate_trials
 from zenosense.seeds import make_rng
 from zenosense.wavepacket import GaussianSum, lattice_density, lattice_weights, make_gaussian, normal_masses
@@ -65,7 +65,7 @@ def support_grid(state, points_per_sigma=200):
 
 def config_density(config, sigma, alphabet, xs):
     """Normalized density of a configuration's lattice state at ``QUARTER``, from its ``lattice_weights`` row."""
-    weights = lattice_weights(QUARTER, sigma, alphabet.unit_shift, alphabet.multipliers, [config.counts])
+    weights = lattice_weights(QUARTER, sigma, alphabet.unit_shift, alphabet.multipliers, [config])
     return lattice_density(weights, sigma, alphabet.unit_shift, xs)[0]
 
 
@@ -74,12 +74,12 @@ class TestTheoreticalDensity:
         # all events have zero shift: the output is the input Gaussian
         xs = np.linspace(-4, 4, 101)
         ref = np.exp(-0.5 * xs * xs) / math.sqrt(2.0 * math.pi)
-        assert config_density(Configuration((6, 0, 0, 0, 0)), 1.0, ALPHABET, xs) == pytest.approx(ref, abs=1e-14)
+        assert config_density((6, 0, 0, 0, 0), 1.0, ALPHABET, xs) == pytest.approx(ref, abs=1e-14)
 
     def test_reference_set_support_at_calibration(self):
         sigma, g = 150.0, 114.0
         alph = NoiseAlphabet(g, (0.0, 1.0, 2.0, 3.0, 4.0), (0.2,) * 5)
-        config = Configuration((2, 0, 2, 2, 0))
+        config = (2, 0, 2, 2, 0)
         xs = support_grid(theoretical_state(config, QUARTER, sigma, alph.values))
         rho = config_density(config, sigma, alph, xs)
         # integrates to 1 on the sampling grid
@@ -93,7 +93,7 @@ class TestTheoreticalDensity:
         # width (g >= ~2 sigma); at the calibrated g/sigma ~ 0.76 the
         # sub-packets blend into a single smooth bump
         alph = NoiseAlphabet(3.0, (0.0, 1.0, 2.0, 3.0, 4.0), (0.2,) * 5)
-        config = Configuration((2, 0, 2, 2, 0))
+        config = (2, 0, 2, 2, 0)
         xs = support_grid(theoretical_state(config, QUARTER, 1.0, alph.values))
         rho = config_density(config, 1.0, alph, xs)
         peaks = np.flatnonzero((rho[1:-1] > rho[:-2]) & (rho[1:-1] > rho[2:])) + 1
@@ -115,7 +115,7 @@ class TestSamplePositions:
         assert abs(mean) < 4.0 / math.sqrt(1_000_000)
 
     def test_deterministic(self):
-        state = theoretical_state(Configuration((2, 0, 2, 2, 0)), QUARTER, 1.0, ALPHABET.values)
+        state = theoretical_state((2, 0, 2, 2, 0), QUARTER, 1.0, ALPHABET.values)
         a = detect(state, 1000, pitch=0.1, n_pixels=200, offset=-8.0, seed=11)
         b = detect(state, 1000, pitch=0.1, n_pixels=200, offset=-8.0, seed=11)
         assert np.array_equal(a.counts, b.counts)
@@ -160,7 +160,7 @@ class TestBinToPixels:
     """Counting photons into pixels: frequencies, overflow and conservation."""
 
     def test_frequencies_within_binomial_bound_of_masses(self):
-        state = theoretical_state(Configuration((2, 0, 2, 2, 0)), QUARTER, 1.0, ALPHABET.values)
+        state = theoretical_state((2, 0, 2, 2, 0), QUARTER, 1.0, ALPHABET.values)
         photons = 1_000_000
         masses = oracles.pixel_masses(state, 0.05, 400, -6.0)
         hist = detect(state, photons, pitch=0.05, n_pixels=400, offset=-6.0, seed=8)
@@ -202,7 +202,7 @@ def lattice_cdfs(theta, unit_shift, multipliers, n_events, config):
     """Edge CDF of every candidate, one slot row each as in the pipeline."""
     geometry = (config.pixel_pitch_um, config.pixel_count, config.detector_offset_um)
     candidates = enumerate_configurations(len(multipliers), n_events)
-    rows = [trial_slots(theta, config.sigma_um, unit_shift, multipliers, c.counts, *geometry) for c in candidates]
+    rows = [trial_slots(theta, config.sigma_um, unit_shift, multipliers, c, *geometry) for c in candidates]
     return candidates, [edge_cdf(row) for row in rows]
 
 
@@ -419,7 +419,7 @@ class TestPipelineDetection:
         config = ExperimentConfig(n_events=n_events, forced_config=forced, n_trials=3, **geometry)
         unit_shift = resolve_unit_shift(config)
         values = config.alphabet(unit_shift).values
-        state = theoretical_state(Configuration(forced), config.theta_rad, config.sigma_um, values)
+        state = theoretical_state(forced, config.theta_rad, config.sigma_um, values)
         masses = oracles.slot_masses(state, config.pixel_pitch_um, config.pixel_count, config.detector_offset_um)
         for record in simulate_trials(config, unit_shift):
             ref = sample_histogram(
@@ -474,7 +474,7 @@ class TestEmpiricalMoment:
         assert var + mean**2 == pytest.approx(1.5**2, rel=1e-12)
 
     def test_monte_carlo_matches_closed_form(self):
-        config = Configuration((2, 0, 2, 2, 0))
+        config = (2, 0, 2, 2, 0)
         sigma, photons = 1.0, 1_000_000
         state = theoretical_state(config, QUARTER, sigma, ALPHABET.values)
         hist = detect(state, photons, pitch=0.05, n_pixels=600, offset=-10.0, seed=31)
@@ -491,23 +491,23 @@ class TestEmpiricalMoment:
 
 class TestPixelation:
     def test_masses_sum_to_one(self):
-        config = Configuration((1, 1, 2, 1, 1))
+        config = (1, 1, 2, 1, 1)
         state = theoretical_state(config, QUARTER, 1.0, ALPHABET.values)
-        slots = lattice_slots(config.counts, 0.1, 400, -10.0)
+        slots = lattice_slots(config, 0.1, 400, -10.0)
         # the slots carry the state's squared norm, the pixels all of it
         assert slots.sum() == pytest.approx(state.norm_sq, rel=1e-12)
         assert slots[1:-1].sum() / slots.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_second_moment_bias_quadratic_in_pitch(self):
         # bias ~ pitch^2/12; refining the pitch 4x shrinks it ~16x
-        config = Configuration((2, 0, 2, 2, 0))
+        config = (2, 0, 2, 2, 0)
         state = theoretical_state(config, QUARTER, 1.0, ALPHABET.values)
         m1 = oracles.moment(state, 1)
         var_exact = oracles.moment(state, 2) - m1 * m1
         pitch = 0.4
 
         def pixel_variance(pitch, n_pixels):
-            masses = lattice_slots(config.counts, pitch, n_pixels, -6.0)[1:-1]
+            masses = lattice_slots(config, pitch, n_pixels, -6.0)[1:-1]
             return pixel_moments(masses / masses.sum(), pitch, -6.0)[1]
 
         var_coarse = pixel_variance(pitch, 80)

@@ -25,7 +25,7 @@ from zenosense.estimator import (
     estimate_histogram,
     pixel_moments,
 )
-from zenosense.noise_model import Configuration, NoiseAlphabet, enumerate_configurations
+from zenosense.noise_model import NoiseAlphabet, enumerate_configurations
 from zenosense.seeds import make_rng
 
 import oracles
@@ -37,12 +37,7 @@ G = 114.051797  # calibrated to 0.58 protected survival of (2,0,2,2,0)
 ALPHABET = NoiseAlphabet(G, (0.0, 1.0, 2.0, 3.0, 4.0), (0.2,) * 5)
 CANDIDATES = tuple(enumerate_configurations(5, 6))
 GEOMETRY = dict(pitch=13.0, n_pixels=1024, offset=-6656.0)
-TRUTH = Configuration((2, 0, 2, 2, 0))
-
-
-def counts_of(candidates):
-    """The candidate table's key: the candidates' count tuples."""
-    return tuple(config.counts for config in candidates)
+TRUTH = (2, 0, 2, 2, 0)
 
 
 def table_profiles(table):
@@ -67,14 +62,13 @@ def sampled_histogram(config, photons, seed):
 class TestNoiselessRecovery:
     @pytest.mark.parametrize("counts", [(2, 0, 2, 2, 0), (6, 0, 0, 0, 0), (0, 0, 0, 0, 6), (1, 1, 1, 1, 2)])
     def test_both_estimators_exact_at_infinite_statistics(self, counts):
-        truth = Configuration(counts)
-        masses = noiseless_masses(truth)
+        masses = noiseless_masses(counts)
         for method in ("l2", "moments"):
             est = estimate_from_masses(
                 masses, GEOMETRY["pitch"], GEOMETRY["offset"],
                 CANDIDATES, QUARTER, SIGMA, ALPHABET, method=method,
             )
-            assert est.config == truth
+            assert est.config == counts
             assert est.objective == pytest.approx(0.0, abs=1e-18)
             assert not est.degenerate
 
@@ -168,7 +162,7 @@ class TestMomentEstimatorStages:
         for n_events, theta, expected in [(6, QUARTER, 8), (10, 0.3, 24)]:
             candidates = tuple(enumerate_configurations(5, n_events))
             est = estimate_histogram(hist, candidates, theta, SIGMA, ALPHABET, method="moments")
-            table = candidate_table(ALPHABET.multipliers, G, theta, SIGMA, counts_of(candidates), 13.0, 1024, -6656.0)
+            table = candidate_table(ALPHABET.multipliers, G, theta, SIGMA, tuple(candidates), 13.0, 1024, -6656.0)
             tol = table.mean_tol
             mean_dist = np.abs(table.means - m1)
             widenings = 0
@@ -180,19 +174,19 @@ class TestMomentEstimatorStages:
             assert est.index in est.mean_window
 
     def test_default_tolerance_is_half_min_gap(self):
-        table = candidate_table(ALPHABET.multipliers, G, QUARTER, SIGMA, counts_of(CANDIDATES), 13.0, 1024, -6656.0)
+        table = candidate_table(ALPHABET.multipliers, G, QUARTER, SIGMA, CANDIDATES, 13.0, 1024, -6656.0)
         gaps = np.diff(np.sort(table.means))
         assert table.mean_tol == gaps[gaps > DEGENERATE_MEAN_TOL_FACTOR * SIGMA].min() / 2.0
         # at theta = pi/2 every candidate's profile, so its mean, coincides
         wide = tuple(enumerate_configurations(5, 10))
-        table = candidate_table(ALPHABET.multipliers, G, math.pi / 2, SIGMA, counts_of(wide), 13.0, 1024, -6656.0)
+        table = candidate_table(ALPHABET.multipliers, G, math.pi / 2, SIGMA, tuple(wide), 13.0, 1024, -6656.0)
         assert table.mean_tol == math.inf
 
     def test_window_scores_only_its_own_candidates(self):
         # at N=10, theta=0.3 and 1e5 photons this seed's window holds fewer
         # than five candidates, so ``top`` is shorter than five, all finite
         candidates = tuple(enumerate_configurations(5, 10))
-        truth = Configuration((2, 2, 2, 2, 2))
+        truth = (2, 2, 2, 2, 2)
         state = theoretical_state(truth, 0.3, SIGMA, ALPHABET.values)
         hist = sample_histogram(oracles.slot_masses(state, **GEOMETRY), 100_000, 13.0, -6656.0, seed=3)
         est = estimate_histogram(hist, candidates, 0.3, SIGMA, ALPHABET, method="moments")
@@ -206,7 +200,7 @@ class TestMomentEstimatorStages:
 class TestDegeneracyFlags:
     def test_duplicate_candidates_tie_break_and_flag(self):
         # duplicated candidate entries stand in for identical densities
-        candidates = (TRUTH, TRUTH, Configuration((6, 0, 0, 0, 0)))
+        candidates = (TRUTH, TRUTH, (6, 0, 0, 0, 0))
         masses = noiseless_masses(TRUTH)
         for method in ("l2", "moments"):
             est = estimate_from_masses(
@@ -244,8 +238,8 @@ class TestCandidateTable:
         assert candidate_table.cache_info().misses == misses
 
     def test_freshly_enumerated_candidates_hit_the_cache(self):
-        # the table is keyed on the count tuples, so an equal candidate tuple
-        # of new Configuration objects finds it
+        # the table is keyed on the count tuples, so an equal tuple of freshly
+        # built count tuples finds it
         geometry = (GEOMETRY["pitch"], GEOMETRY["offset"])
         masses = noiseless_masses(TRUTH)
         estimate_from_masses(masses, *geometry, CANDIDATES, QUARTER, SIGMA, ALPHABET)
@@ -279,7 +273,7 @@ class TestCandidateTable:
         # factors; on every default candidate it agrees with the functional of
         # the formed rows a measured trial's moments go through
         pitch, offset = GEOMETRY["pitch"], GEOMETRY["offset"]
-        counts = counts_of(enumerate_configurations(5, n_events))
+        counts = tuple(enumerate_configurations(5, n_events))
         table = candidate_table.__wrapped__(
             ALPHABET.multipliers, G, theta, SIGMA, counts, pitch, GEOMETRY["n_pixels"], offset
         )
@@ -293,7 +287,7 @@ class TestCandidateTable:
 
         monkeypatch.setattr(estimator, "_profile_rows", form)
         monkeypatch.setattr(estimator, "pixel_moments", form)
-        table = candidate_table.__wrapped__(ALPHABET.multipliers, G, QUARTER, SIGMA, counts_of(CANDIDATES), **GEOMETRY)
+        table = candidate_table.__wrapped__(ALPHABET.multipliers, G, QUARTER, SIGMA, CANDIDATES, **GEOMETRY)
         assert table.means.shape == table.variances.shape == (len(CANDIDATES),)
 
 
@@ -318,7 +312,7 @@ class TestLatticeTable:
         candidates = tuple(enumerate_configurations(len(multipliers), n_events))
         values = tuple(m * unit_shift for m in multipliers)
         table = candidate_table(
-            tuple(float(m) for m in multipliers), unit_shift, theta, sigma, counts_of(candidates), pitch, n_pixels, offset
+            tuple(float(m) for m in multipliers), unit_shift, theta, sigma, tuple(candidates), pitch, n_pixels, offset
         )
         profiles = oracles.candidate_profiles(candidates, theta, sigma, values, pitch, n_pixels, offset)
         means, variances = pixel_moments(profiles, pitch, offset)
@@ -343,7 +337,7 @@ class TestLatticeTable:
         with pytest.raises(ValueError, match="carries no mass on the detector"):
             oracles.candidate_profiles(CANDIDATES[:1], QUARTER, SIGMA, ALPHABET.values, *geometry)
         with pytest.raises(ValueError, match=r"candidate \(0, 0, 0, 0, 6\) carries no mass on the detector"):
-            candidate_table(ALPHABET.multipliers, G, QUARTER, SIGMA, counts_of(CANDIDATES[:1]), *geometry)
+            candidate_table(ALPHABET.multipliers, G, QUARTER, SIGMA, CANDIDATES[:1], *geometry)
 
     def test_non_integer_multipliers_rejected(self):
         with pytest.raises(ValueError, match="integers"):
@@ -374,7 +368,7 @@ class TestDegeneracyGroups:
         # dozens of candidates; at 0 and pi/2 whole windows are degenerate.
         # A candidate is flagged exactly when its group has another member.
         candidates = tuple(enumerate_configurations(5, 10))
-        table = candidate_table(ALPHABET.multipliers, G, theta, SIGMA, counts_of(candidates), 13.0, 1024, -6656.0)
+        table = candidate_table(ALPHABET.multipliers, G, theta, SIGMA, tuple(candidates), 13.0, 1024, -6656.0)
         mean_tol, var_tol = DEGENERATE_MEAN_TOL_FACTOR * SIGMA, DEGENERATE_VAR_TOL_FACTOR * SIGMA * SIGMA
         means, variances = table.means.tolist(), table.variances.tolist()
         moment_group = _partners_in(oracles.moment_groups(means, variances, mean_tol, var_tol))
@@ -430,7 +424,7 @@ class TestDegeneracyGroups:
         # to the 4 tau bound. Rows 1.0 tau apart round one cell apart, and
         # their distances, 4.0 tau apart, are checked and not flagged.
         tau = PROFILE_TOL
-        configs = (Configuration((0, 1)), Configuration((1, 0)))
+        configs = ((0, 1), (1, 0))
         for shift, joined in ((1.49, True), (1.51, False)):
             profiles = np.array([[1.0 - shift * tau, shift * tau], [1.0 - 0.51 * tau, 0.51 * tau]])
             assert np.array_equal(np.round(profiles[0] / tau), np.round(profiles[1] / tau)) == joined
@@ -456,7 +450,7 @@ class TestDegeneracyGroups:
         assert np.array_equal(np.round(profiles[1] / tau) - np.round(profiles[0] / tau), [1.0, 0.0, 0.0])
         distances = np.sum((profiles - profiles[0]) ** 2, axis=1)
         assert abs(distances[1] - distances[0]) <= tau
-        est = estimator._estimate_l2(profiles[0], factor_table(profiles, (Configuration((0, 1)), Configuration((1, 0)))))
+        est = estimator._estimate_l2(profiles[0], factor_table(profiles, ((0, 1), (1, 0))))
         assert est.index == 0
         assert not est.degenerate
 
@@ -472,7 +466,7 @@ class TestDegeneracyGroups:
             profiles[i, i % 4] += tau
         if not partner:
             profiles[-1, 0] -= tau
-        configs = tuple(Configuration((i, n - i)) for i in range(n))
+        configs = tuple((i, n - i) for i in range(n))
         est = estimator._estimate_l2(profiles[0], factor_table(profiles, configs))
         _, _, partners, _ = oracles.l2_estimate(profiles, profiles[0], tau)
         assert est.index == 0
@@ -503,7 +497,7 @@ class TestL2RowBlocks:
     def test_distances_match_the_whole_array_expression(self, n_events):
         # 35 rows: fewer than one block; 210 and 1001 rows: the last block is partial
         candidates = tuple(enumerate_configurations(5, n_events))
-        table = candidate_table(ALPHABET.multipliers, G, QUARTER, SIGMA, counts_of(candidates), 13.0, 1024, -6656.0)
+        table = candidate_table(ALPHABET.multipliers, G, QUARTER, SIGMA, tuple(candidates), 13.0, 1024, -6656.0)
         profiles = table_profiles(table)
         assert (len(candidates) < estimator._ROW_BLOCK) == (n_events == 3)
         assert len(candidates) % estimator._ROW_BLOCK != 0
@@ -518,7 +512,7 @@ class TestL2RowBlocks:
     def test_screen_error_within_its_bound(self, n_events, theta, sigma, unit_shift):
         # the short list keeps 4 bounds of room, and the observed error stays
         # far inside one
-        counts = counts_of(enumerate_configurations(5, n_events))
+        counts = tuple(enumerate_configurations(5, n_events))
         table = candidate_table(ALPHABET.multipliers, unit_shift, theta, sigma, counts, 13.0, 1024, -6656.0)
         profiles = table_profiles(table)
         dense = oracles.lattice_profiles(theta, sigma, unit_shift, ALPHABET.multipliers, counts, 13.0, 1024, -6656.0)
@@ -534,7 +528,7 @@ class TestL2RowBlocks:
         # profile matrix, and partners by rounding its rows; the objectives
         # differ only by the rounding of rows formed in other products
         candidates = tuple(enumerate_configurations(5, n_events))
-        counts = counts_of(candidates)
+        counts = tuple(candidates)
         dense = oracles.lattice_profiles(theta, sigma, unit_shift, ALPHABET.multipliers, counts, 13.0, 1024, -6656.0)
         alphabet = NoiseAlphabet(unit_shift, ALPHABET.multipliers, ALPHABET.probabilities)
         flagged = 0
@@ -555,7 +549,7 @@ class TestL2RowBlocks:
         # whole table again; now the screen rules out rows without forming
         # them, and the partners are rounded in blocks
         candidates = tuple(enumerate_configurations(5, 10))
-        table = candidate_table(ALPHABET.multipliers, G, theta, SIGMA, counts_of(candidates), 13.0, 1024, -6656.0)
+        table = candidate_table(ALPHABET.multipliers, G, theta, SIGMA, tuple(candidates), 13.0, 1024, -6656.0)
         profiles = table_profiles(table)
         masses = profiles[333]
         args = (13.0, -6656.0, candidates, theta, SIGMA, ALPHABET)
@@ -572,7 +566,7 @@ class TestL2RowBlocks:
 
     def test_cold_n10_table_memory(self):
         # the dense profile matrix alone took 8 MB, 11.3 MB at the build's peak
-        counts = counts_of(enumerate_configurations(5, 10))
+        counts = tuple(enumerate_configurations(5, 10))
         args = (ALPHABET.multipliers, G, QUARTER, SIGMA, counts, 13.0, 1024, -6656.0)
         tracemalloc.start()
         try:
@@ -598,7 +592,7 @@ class TestAggregation:
     def test_pooled_fractions_at_reference_precision(self):
         # pooled 7/60 rounds to the three-decimal point estimate 0.117
         assert 7 / 60 == pytest.approx(0.117, abs=5e-4)
-        report = pooled_report([Configuration((1, 1, 1, 1, 2))] * 10)
+        report = pooled_report([(1, 1, 1, 1, 2)] * 10)
         assert sum(report.event_counts) == 60
         assert sum(report.probabilities) == pytest.approx(1.0, abs=1e-12)
 
@@ -607,16 +601,16 @@ class TestAggregation:
         configs = []
         for _ in range(8):
             counts = rng.multinomial(6, (0.3, 0.4, 0.2, 0.1, 0.0))
-            configs.append(Configuration(tuple(int(c) for c in counts)))
+            configs.append(tuple(counts.tolist()))
         report = pooled_report(configs)
-        manual = np.mean([np.asarray(c.counts) / 6 for c in configs], axis=0)
+        manual = np.mean([np.asarray(c) / 6 for c in configs], axis=0)
         assert report.probabilities == pytest.approx(tuple(manual), abs=1e-15)
 
     def test_inconsistent_total_rejected(self):
         with pytest.raises(ValueError, match="sums to"):
-            pooled_report([Configuration((1, 0, 0, 0, 0))])
+            pooled_report([(1, 0, 0, 0, 0)])
         with pytest.raises(ValueError, match="does not match the alphabet size"):
-            pooled_report([Configuration((3, 3))])
+            pooled_report([(3, 3)])
         with pytest.raises(ValueError, match="expected 2 trials"):
             pooled_report([TRUTH], n_trials=2)
         with pytest.raises(ValueError, match="need at least one trial"):
@@ -722,7 +716,7 @@ class TestReport:
         estimates = []
         for i in range(n_trials):
             counts = rng.multinomial(6, (0.2,) * 5)
-            truth = Configuration(tuple(int(c) for c in counts))
+            truth = tuple(counts.tolist())
             hist = sampled_histogram(truth, photons, make_rng(seed, i))
             estimates.append(
                 estimate_histogram(hist, CANDIDATES, QUARTER, SIGMA, ALPHABET, method="moments")
@@ -750,11 +744,11 @@ class TestReport:
         est = estimate_histogram(hist, CANDIDATES, QUARTER, SIGMA, ALPHABET)
         report = build_report([est], ALPHABET, 6, 1)
         assert report.modal_config == est.config
-        assert report.event_counts == est.config.counts
+        assert report.event_counts == est.config
 
     def test_zero_count_category_one_sided(self):
         estimates = []
-        truth = Configuration((3, 3, 0, 0, 0))
+        truth = (3, 3, 0, 0, 0)
         for i in range(3):
             hist = sampled_histogram(truth, 100_000, make_rng(5, i))
             estimates.append(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from zenosense.noise_model import (
-    Configuration,
     NoiseAlphabet,
     config_realization,
     enumerate_configurations,
@@ -48,20 +47,11 @@ class TestNoiseAlphabet:
             NoiseAlphabet(**kwargs)
 
 
-class TestConfiguration:
-    def test_total(self):
-        assert Configuration((2, 0, 2, 2, 0)).total == 6
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
-            Configuration((1, -1))
-
-
 class TestSampleRealization:
     def test_degenerate_distribution(self):
         alph = NoiseAlphabet(1.0, (0.0, 1.0, 2.0, 3.0, 4.0), (1.0, 0.0, 0.0, 0.0, 0.0))
         config, real = sample_realization(alph, 6, seed=0)
-        assert config == Configuration((6, 0, 0, 0, 0))
+        assert config == (6, 0, 0, 0, 0)
         assert real.couplings == (0.0,) * 6
 
     def test_deterministic_under_seed(self):
@@ -69,13 +59,13 @@ class TestSampleRealization:
 
     def test_configuration_counts_the_couplings(self):
         config, real = sample_realization(UNIFORM5, 40, seed=5)
-        assert config == Configuration(tuple(real.couplings.count(v) for v in UNIFORM5.values))
+        assert config == tuple(real.couplings.count(v) for v in UNIFORM5.values)
         # draw order, not the ascending order of config_realization
         assert real.couplings != config_realization(config, UNIFORM5).couplings
 
     def test_law_of_large_numbers(self):
         n = 600_000
-        counts = sample_realization(UNIFORM5, n, seed=99)[0].counts
+        counts = sample_realization(UNIFORM5, n, seed=99)[0]
         bound = 3.0 * math.sqrt(0.2 * 0.8 / n)
         for c in counts:
             assert abs(c / n - 0.2) < bound
@@ -90,19 +80,17 @@ class TestEnumeration:
         assert len(enumerate_configurations(5, 6)) == 210
 
     def test_single_value_alphabet(self):
-        assert enumerate_configurations(1, 7) == [Configuration((7,))]
+        assert enumerate_configurations(1, 7) == [(7,)]
 
     def test_small_case_exact(self):
-        got = [c.counts for c in enumerate_configurations(2, 2)]
-        assert got == [(0, 2), (1, 1), (2, 0)]
+        assert enumerate_configurations(2, 2) == [(0, 2), (1, 1), (2, 0)]
 
     @pytest.mark.parametrize("d,n", [(d, n) for d in range(1, 7) for n in (0, 1, 5, 12)])
     def test_count_and_uniqueness(self, d, n):
         configs = enumerate_configurations(d, n)
         assert len(configs) == math.comb(d + n - 1, n)
-        seen = {c.counts for c in configs}
-        assert len(seen) == len(configs)
-        assert all(c.total == n for c in configs)
+        assert len(set(configs)) == len(configs)
+        assert all(sum(c) == n for c in configs)
 
     def test_matches_recursive_oracle(self):
         # independent reference enumeration by plain recursion over counts
@@ -115,26 +103,26 @@ class TestEnumeration:
             return out
 
         for d, n in ((2, 3), (3, 4), (5, 6)):
-            assert [c.counts for c in enumerate_configurations(d, n)] == oracle(d, n)
+            assert enumerate_configurations(d, n) == oracle(d, n)
 
     @given(st.integers(1, 5), st.integers(0, 8))
     @settings(max_examples=30, deadline=None)
     def test_lexicographic_order(self, d, n):
-        configs = [c.counts for c in enumerate_configurations(d, n)]
+        configs = enumerate_configurations(d, n)
         assert configs == sorted(configs)
 
 
 class TestMultinomialPmf:
     def test_degenerate(self):
         alph = NoiseAlphabet(1.0, (0.0, 1.0), (1.0, 0.0))
-        assert multinomial_pmf(Configuration((4, 0)), alph) == 1.0
-        assert multinomial_pmf(Configuration((3, 1)), alph) == 0.0
+        assert multinomial_pmf((4, 0), alph) == 1.0
+        assert multinomial_pmf((3, 1), alph) == 0.0
 
     def test_two_category_fair_coin(self):
         # oracle: exhaustive outcome counting over the 2^2 sequences
         alph = NoiseAlphabet(1.0, (0.0, 1.0), (0.5, 0.5))
-        assert multinomial_pmf(Configuration((1, 1)), alph) == pytest.approx(0.5)
-        assert multinomial_pmf(Configuration((2, 0)), alph) == pytest.approx(0.25)
+        assert multinomial_pmf((1, 1), alph) == pytest.approx(0.5)
+        assert multinomial_pmf((2, 0), alph) == pytest.approx(0.25)
 
     def test_normalizes_over_enumeration(self):
         rng = np.random.default_rng(3)
@@ -147,7 +135,7 @@ class TestMultinomialPmf:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            multinomial_pmf(Configuration((1, 1)), UNIFORM5)
+            multinomial_pmf((1, 1), UNIFORM5)
 
     def test_sampling_consistency_chi_square(self):
         # 1e5 sampled count vectors against the pmf over all 210 cells
@@ -161,17 +149,29 @@ class TestMultinomialPmf:
             observed[key] = observed.get(key, 0) + 1
         # the batched draws above must match the per-call sampler's model
         single, _ = sample_realization(UNIFORM5, n_events, 1)
-        assert sum(single.counts) == n_events
+        assert sum(single) == n_events
         stat = 0.0
         for config in enumerate_configurations(5, n_events):
             expected = multinomial_pmf(config, UNIFORM5) * n_samples
-            got = observed.get(config.counts, 0)
+            got = observed.get(config, 0)
             stat += (got - expected) ** 2 / expected
         assert stat < chi2.ppf(0.999, 209)
 
 
 class TestRealizationHelpers:
     def test_round_trip(self):
-        config = Configuration((2, 0, 2, 2, 0))
-        real = config_realization(config, UNIFORM5)
+        real = config_realization((2, 0, 2, 2, 0), UNIFORM5)
         assert real.couplings == (0.0, 0.0, 2.0, 2.0, 3.0, 3.0)
+
+    @pytest.mark.parametrize(
+        "config, match",
+        [
+            ((2, 0, 2, 2), "sizes differ"),
+            ((0, 0, 0, 0, 0), "zero events"),
+            ((3, -1, 0, 0, 0), "non-negative"),
+        ],
+        ids=["wrong-size", "zero-events", "negative"],
+    )
+    def test_bad_configuration_rejected(self, config, match):
+        with pytest.raises(ValueError, match=match):
+            config_realization(config, UNIFORM5)

@@ -1,5 +1,6 @@
 """Pipeline orchestration: the calibration reference set and simulated trials."""
 
+import json
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from zenosense.config import ConfigError, ExperimentConfig
 from zenosense.detector import sample_histogram
 from zenosense.estimator import candidate_table, estimate_histogram
-from zenosense.noise_model import enumerate_configurations
-from zenosense.pipeline import reference_shift_multiples, resolve_unit_shift, simulate_trials
+from zenosense.noise_model import enumerate_configurations, sample_realization
+from zenosense.pipeline import estimate_trials, reference_shift_multiples, resolve_unit_shift, simulate_trials
 from zenosense.seeds import make_rng
 from zenosense.wavepacket import normal_masses
 
@@ -56,7 +57,7 @@ class TestSimulateTrials:
                 config.sigma_um,
                 unit_shift,
                 config.alphabet_multipliers,
-                [record.truth.counts],
+                [record.truth],
                 oracles.slot_edges(*geometry),
             )
             ref = sample_histogram(
@@ -84,3 +85,27 @@ class TestSimulateTrials:
         assert candidate_table.cache_info().misses == tables.misses + 1
         after = normal_masses.cache_info()
         assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+
+
+class TestCountsArePythonInts:
+    """A configuration is a tuple of Python ints: a numpy integer left in one
+    (``np.bincount`` gives them) breaks the CLI's JSON."""
+
+    @pytest.mark.parametrize("forced", [None, (2, 0, 2, 2, 0)])
+    @pytest.mark.parametrize("method", ["moments", "l2"])
+    def test_every_count_is_an_int(self, unit_shift, forced, method):
+        config = ExperimentConfig(n_trials=3, photons_per_trial=20_000, forced_config=forced, estimator=method)
+        records = simulate_trials(config, unit_shift)
+        report, estimates = estimate_trials([r.histogram for r in records], config, unit_shift)
+        alphabet = config.alphabet(unit_shift)
+        configs = [
+            *enumerate_configurations(5, 6),
+            sample_realization(alphabet, 6, 3)[0],
+            *(r.truth for r in records),
+            *(e.config for e in estimates),
+            *(c for e in estimates for c, _ in e.top),
+            report.modal_config,
+        ]
+        assert all(type(c) is tuple and all(type(n) is int for n in c) for c in configs)
+        json.dumps([list(r.truth) for r in records], allow_nan=False)
+        json.dumps(report.to_dict(), allow_nan=False)

@@ -549,7 +549,7 @@ class TestLatticeBand:
     def test_default_table_and_trial_rows(self, default, n_events):
         config, unit_shift, geometry = default
         multipliers = config.alphabet_multipliers
-        counts = [c.counts for c in enumerate_configurations(len(multipliers), n_events)]
+        counts = enumerate_configurations(len(multipliers), n_events)
         head = (config.theta_rad, config.sigma_um, unit_shift, multipliers)
         assert same_factors(*head, counts, *geometry)
         # a trial's row, with only the normals its own state reaches
@@ -567,7 +567,7 @@ class TestLatticeBand:
     def test_band_width_extremes(self, default, sigma, unit_shift):
         config, _, geometry = default
         multipliers = config.alphabet_multipliers
-        counts = [c.counts for c in enumerate_configurations(len(multipliers), 6)]
+        counts = enumerate_configurations(len(multipliers), 6)
         edges = oracles.slot_edges(*geometry)[1:-1]
         inside = np.abs(lattice_z(sigma, unit_shift, counts, multipliers, edges)) < 9.0
         if sigma > 1000.0:
@@ -581,7 +581,7 @@ class TestLatticeBand:
         # the integer edges of 33 unit pixels from -12 give z exactly +-9
         # for many of them
         multipliers = (0, 1, 2)
-        counts = [c.counts for c in enumerate_configurations(3, 4)]
+        counts = enumerate_configurations(3, 4)
         geometry = (1.0, 33, -12.0)
         z = lattice_z(1.0, 2.0, counts, multipliers, oracles.slot_edges(*geometry)[1:-1])
         assert np.any(z == 9.0) and np.any(z == -9.0)
@@ -673,7 +673,7 @@ class TestLatticeWeightCut:
         # the default width is 7.5e-51: nonzero, but below the cutoff, and
         # the only term of the weight halfway between them
         head = (math.pi / 4, 150.0, 114.05, (0, 40))
-        counts = [c.counts for c in enumerate_configurations(2, 3)]
+        counts = enumerate_configurations(2, 3)
         weights = lattice_weights(*head, counts)
         diffs = normal_masses(150.0, 114.05, weights.shape[1], 13.0, 1024, -6656.0)
         dropped = oracles.lattice_weights(*head, counts, cutoff=0.0) - weights
@@ -697,6 +697,29 @@ class TestLatticeWeightCut:
         config = ExperimentConfig()
         head = (theta, config.sigma_um, resolve_unit_shift(config), config.alphabet_multipliers)
         for n_events, stride in ((10, 1), (20, 5)):
-            counts = [c.counts for c in enumerate_configurations(5, n_events)][::stride]
+            counts = enumerate_configurations(5, n_events)[::stride]
             weights = lattice_weights(*head, counts)
             assert np.array_equal(weights, oracles.lattice_weights(*head, counts, cutoff=0.0))
+
+
+class TestLatticeCounts:
+    """Counts enter the lattice weights only as non-negative whole numbers."""
+
+    @pytest.mark.parametrize(
+        "count, match",
+        [
+            (2.5, "whole numbers"),
+            (-1, "non-negative"),
+            (math.nan, "whole numbers"),
+            (1e20, "whole numbers"),
+            (2**70, "whole numbers"),
+        ],
+        ids=["fraction", "negative", "nan", "huge-float", "huge-int"],
+    )
+    def test_bad_count_rejected(self, count, match):
+        with pytest.raises(ValueError, match=match):
+            lattice_weights(math.pi / 4, 1.0, 1.0, (0, 1), [[count, 1]])
+
+    def test_whole_floats_read_as_their_integers(self):
+        head = (math.pi / 4, 1.0, 1.0, (0, 1))
+        assert np.array_equal(lattice_weights(*head, [[2.0, 1.0]]), lattice_weights(*head, [(2, 1)]))
