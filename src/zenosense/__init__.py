@@ -42,6 +42,6 @@ from zenosense.noise_model import (
     sample_realization,
 )
 from zenosense.seeds import derive_seed, make_rng
-from zenosense.wavepacket import GaussianSum, inner_product, make_gaussian
+from zenosense.wavepacket import GaussianSum
 
 __version__ = "0.1.0"

@@ -89,13 +89,15 @@ class RunReport:
     """Outcome of one protected run.
 
     ``total_survival`` is the squared norm of the final (non-normalized) bath
-    state. ``step_survivals[j]`` is the conditional survival of measurement j,
+    state. ``final_state`` is that state where the couplings sit on a
+    lattice (the rule is in ``wavepacket.fold_kernels``), and None off it.
+    ``step_survivals[j]`` is the conditional survival of measurement j,
     ``momentum_moments[j]`` the bath momentum second moment just before
     event j (the first entry is 1/(4 sigma^2)); their product equals the
     total survival to rounding.
     """
 
-    final_state: GaussianSum
+    final_state: GaussianSum | None
     total_survival: float
     step_survivals: tuple[float, ...]
     momentum_moments: tuple[float, ...]
@@ -113,24 +115,25 @@ def _check_sigma(sigma: float) -> None:
 def run_protected(theta: float, sigma: float, realization: ChannelRealization) -> RunReport:
     """Run the Zeno-protected protocol: kernel + projection per event.
 
-    ``fold_kernels`` gives the final state and its squared norm, the total
-    survival. Couplings that are multiples of the smallest positive one (the
-    rule is in ``fold_kernels``) take the lattice path: the amplitudes are
-    the coefficients of prod_j (s^2 + c^2 z^{n_j}), and the norm is their
-    autocorrelation over the lags in the 1e-40 overlap reach. Every other
-    channel takes the merge fold and the all-pairs ``inner_product``. The
-    survival S_j after j events and the moments come from the momentum grid,
-    whose running products ``_running_products`` streams a block of events
-    at a time: step j survives with S_(j+1) / S_j. The grid takes one block,
-    about 256 KiB, and arrays of one entry per node or event.
+    The survival S_j after j events and the moments come from the momentum
+    grid, whose running products ``_running_products`` streams a block of
+    events at a time: step j survives with S_(j+1) / S_j. The grid takes one
+    block, about 256 KiB, and arrays of one entry per node or event.
+    Couplings on a lattice (the rule is in ``fold_kernels``) also get the
+    final state, with amplitudes the coefficients of prod_j (s^2 + c^2
+    z^{n_j}), and take the total survival from its norm, the coefficients'
+    autocorrelation over the lags in the 1e-40 overlap reach, independent
+    of the grid. Every other channel reports no final state and the grid's
+    S_N as its total survival, with the accuracy ``protected_survival_spectral``
+    states.
     """
     ProbeState(theta)
     survivals, moments = _grid_survivals_and_moments(theta, sigma, realization.couplings)
-    state, norm_sq = fold_kernels(theta, sigma, realization.couplings)
+    state, total = fold_kernels(theta, sigma, realization.couplings) or (None, survivals[-1])
     steps = survivals[1:] / survivals[:-1]
     return RunReport(
         final_state=state,
-        total_survival=_clip01(norm_sq),
+        total_survival=_clip01(float(total)),
         step_survivals=tuple(np.clip(steps, 0.0, 1.0).tolist()),
         momentum_moments=tuple(moments.tolist()),
     )
@@ -323,8 +326,8 @@ def protected_survival_spectral(theta: float, sigma: float, couplings: Sequence[
     Exact to rounding on the grid of ``_momentum_grid`` for any non-negative
     couplings: within 1e-13 of the lattice sum up to lambda = sum(g) / (2 sigma)
     = 2000. The cost, about 1.4 (lambda + 18) N operations, stays linear in N
-    where the component-resolved run blows up (continuous couplings, N >> 10);
-    the memory is one block of ``_running_products``, about 256 KiB, plus a
+    for any couplings, where a component-resolved state of continuous
+    couplings holds 2^N copies; the memory is one block of ``_running_products``, about 256 KiB, plus a
     few arrays of one entry per node or event.
     """
     ProbeState(theta)

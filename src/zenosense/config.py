@@ -4,7 +4,7 @@ Grammar: blank lines and `#` comments are ignored; values are scalars or
 comma-separated lists; `none` clears an optional key. Each key's parser
 follows from its field's annotation. Unknown keys, duplicate keys and
 malformed values raise ``ConfigError`` naming the source and line, as do
-the checks of ``forced_config``.
+the field checks of ``ExperimentConfig``.
 Serialization is canonical, so parse -> serialize -> parse is the identity;
 string values therefore hold no `#`, no line break and no outer whitespace.
 """
@@ -58,40 +58,38 @@ class ExperimentConfig:
             ):
                 raise ConfigError(
                     f"{f.name} must not contain '#' or a line break, nor start or end "
-                    f"with whitespace, got {value!r}"
+                    f"with whitespace, got {value!r}",
+                    key=f.name,
                 )
-        if not (0.0 <= self.theta_rad <= math.pi / 2.0):
-            raise ConfigError(f"theta_rad must lie in [0, pi/2], got {self.theta_rad!r}")
-        if not (0.0 < self.sigma_um < math.inf):
-            raise ConfigError(f"sigma_um must be positive and finite, got {self.sigma_um!r}")
-        if self.unit_shift_um is not None and not (0.0 < self.unit_shift_um < math.inf):
-            raise ConfigError(f"unit_shift_um must be positive and finite, got {self.unit_shift_um!r}")
-        if not (0.0 < self.calibration_target < 1.0):
-            raise ConfigError(
-                f"calibration_target must lie in (0, 1), got {self.calibration_target!r}"
-            )
-        if self.n_events < 1:
-            raise ConfigError(f"n_events must be >= 1, got {self.n_events}")
-        if self.n_trials < 1:
-            raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
-        if self.photons_per_trial < 1:
-            raise ConfigError(f"photons_per_trial must be >= 1, got {self.photons_per_trial}")
-        if not (0.0 < self.pixel_pitch_um < math.inf):
-            raise ConfigError(f"pixel_pitch_um must be positive and finite, got {self.pixel_pitch_um!r}")
-        if not math.isfinite(self.detector_offset_um):
-            raise ConfigError(f"detector_offset_um must be finite, got {self.detector_offset_um!r}")
-        if self.pixel_count < 2:
-            raise ConfigError(f"pixel_count must be >= 2, got {self.pixel_count}")
-        if self.estimator not in ("l2", "moments"):
-            raise ConfigError(f"estimator must be 'l2' or 'moments', got {self.estimator!r}")
-        if self.master_seed < 0:
-            raise ConfigError(f"master_seed must be non-negative, got {self.master_seed}")
-        # delegate alphabet checks (lengths, integer multipliers, monotonicity,
-        # distribution)
-        try:
-            self.alphabet(unit_shift=1.0)
-        except ValueError as exc:
-            raise ConfigError(f"alphabet_multipliers, event_probabilities: {exc}") from exc
+        checks = (
+            ("theta_rad", 0.0 <= self.theta_rad <= math.pi / 2.0, "must lie in [0, pi/2]"),
+            ("sigma_um", 0.0 < self.sigma_um < math.inf, "must be positive and finite"),
+            (
+                "unit_shift_um",
+                self.unit_shift_um is None or 0.0 < self.unit_shift_um < math.inf,
+                "must be positive and finite",
+            ),
+            ("calibration_target", 0.0 < self.calibration_target < 1.0, "must lie in (0, 1)"),
+            ("n_events", self.n_events >= 1, "must be >= 1"),
+            ("n_trials", self.n_trials >= 1, "must be >= 1"),
+            ("photons_per_trial", self.photons_per_trial >= 1, "must be >= 1"),
+            ("pixel_pitch_um", 0.0 < self.pixel_pitch_um < math.inf, "must be positive and finite"),
+            ("detector_offset_um", math.isfinite(self.detector_offset_um), "must be finite"),
+            ("pixel_count", self.pixel_count >= 2, "must be >= 2"),
+            ("estimator", self.estimator in ("l2", "moments"), "must be 'l2' or 'moments'"),
+            ("master_seed", self.master_seed >= 0, "must be non-negative"),
+        )
+        for key, ok, rule in checks:
+            if not ok:
+                raise ConfigError(f"{key} {rule}, got {getattr(self, key)!r}", key=key)
+        # delegate the alphabet checks (integer, increasing multipliers) with
+        # uniform probabilities first, so that each error names its own field
+        uniform = (1.0 / max(len(self.alphabet_multipliers), 1),) * len(self.alphabet_multipliers)
+        for key, probabilities in (("alphabet_multipliers", uniform), ("event_probabilities", self.event_probabilities)):
+            try:
+                NoiseAlphabet(1.0, self.alphabet_multipliers, probabilities)
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}", key=key) from exc
         if self.forced_config is not None:
             # stored as a tuple of Python ints, the form of every configuration
             try:

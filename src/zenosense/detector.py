@@ -92,13 +92,17 @@ def _whole_numbers(values, what: str) -> np.ndarray:
     """``values`` as a new int64 array, rejecting any value that is not a whole number in int64's range.
 
     Integer arrays pass on their dtype alone; anything else is compared
-    with its truncation, so that 1.5 is an error instead of a 1.
+    with its truncation, so that 1.5 is an error instead of a 1. The error
+    names the first bad value and its index in the flattened input.
     """
     arr = np.asarray(values)
     if arr.dtype.kind not in "biu":
-        real = arr.astype(np.float64)
-        if not np.all((np.trunc(real) == real) & (np.abs(real) < 2.0**63)):
-            raise ValueError(f"{what}: expected whole numbers, got {values!r}")
+        real = arr.astype(np.float64).ravel()
+        bad = np.flatnonzero(~((np.trunc(real) == real) & (np.abs(real) < 2.0**63)))
+        if bad.size:
+            value = arr.ravel()[bad[0]]
+            value = value.item() if isinstance(value, np.generic) else value
+            raise ValueError(f"{what}: expected whole numbers, got {value!r} at flat index {bad[0]}")
     return arr.astype(np.int64)
 
 

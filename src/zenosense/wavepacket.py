@@ -14,9 +14,8 @@ and every quantity of interest has an exact pairwise closed form:
 
 (N(x; m, s^2) is the unit-mass normal density.) All public operations below
 are evaluated through these identities; the library never integrates
-numerically. ``inner_product`` sums over every pair of components. Every
-state the pipeline forms sits on a lattice of shifts, so its density is a
-mixture of normals shared by all lattice states.
+numerically. Every state the pipeline forms sits on a lattice of shifts, so
+its density is a mixture of normals shared by all lattice states.
 ``lattice_weights`` gives many states' weights on them at once, kept
 non-normalized on purpose: a row's sum is the state's squared norm, the
 survival probability of the polarization qubit. ``lattice_density`` gives
@@ -25,16 +24,15 @@ normals, cut at 9 sigma, in each of the detector's slots. Those masses
 depend only on the width, the unit shift and the detector, so they are
 cached and read-only; every simulated trial takes the product of one row
 of weights with them, and the candidate table keeps the two as factors.
-``fold_kernels`` builds the one ``GaussianSum`` the protected run reports,
-with its squared norm. Where every coupling is a multiple n_j of the
-smallest positive one, h, to within a residual that the merge tolerance
-bounds, and the multiples sum to fewer than 16 (N + 1), it takes the
-lattice path: the amplitude of the copy at k h is the coefficient of z^k in
-prod_j (s^2 + c^2 z^{n_j}), built by the helper ``lattice_weights`` uses,
-and the squared norm is the coefficients' autocorrelation over the lags
-whose overlap is at least 1e-40. Every other input takes the merge fold,
-one kernel step and merge per coupling, and the all-pairs
-``inner_product``.
+``fold_kernels`` builds the ``GaussianSum`` a protected run reports, with
+its squared norm, where the couplings sit on a lattice: every coupling a
+multiple n_j of a unit h = h_0 / q, h_0 the smallest positive coupling and
+q at most 16, to within a residual that the merge tolerance bounds, with
+the multiples summing to fewer than 16 (N + 1). The amplitude of the copy
+at k h is the coefficient of z^k in prod_j (s^2 + c^2 z^{n_j}), built by
+the helper ``lattice_weights`` uses, and the squared norm is the
+coefficients' autocorrelation over the lags whose overlap is at least
+1e-40. Couplings off every such lattice get no state.
 """
 
 from __future__ import annotations
@@ -51,8 +49,6 @@ from zenosense.detector import _whole_numbers
 
 __all__ = [
     "GaussianSum",
-    "make_gaussian",
-    "inner_product",
     "fold_kernels",
     "lattice_weights",
     "lattice_density",
@@ -60,9 +56,8 @@ __all__ = [
     "MERGE_TOLERANCE_FACTOR",
 ]
 
-# Components whose centers differ by less than this fraction of sigma are
-# combined by amplitude addition; keeps zero-shift kernels from doubling the
-# component list.
+# Centers closer than this fraction of sigma count as one lattice copy: the
+# residual bound of the lattice rule in ``fold_kernels`` must stay below it.
 MERGE_TOLERANCE_FACTOR = 1e-9
 
 @dataclass(frozen=True, eq=False)
@@ -77,12 +72,12 @@ class GaussianSum:
     amplitudes:
         Complex weights, one per component.
     centers:
-        Component centers, strictly increasing after canonicalization.
+        Component centers, as given; ``fold_kernels`` gives them increasing
+        and keeps only the copies of non-zero amplitude.
 
-    The constructor canonicalizes its input: components are sorted by
-    center, centers closer than ``MERGE_TOLERANCE_FACTOR * sigma`` are merged
-    by amplitude addition, and exactly-zero amplitudes are dropped (unless
-    that would empty the state). Instances are immutable and safe to share.
+    The constructor checks the width and that the components are finite,
+    1-d, of one length and at least one, and stores read-only copies.
+    Instances are immutable and safe to share.
     """
 
     sigma: float
@@ -93,15 +88,14 @@ class GaussianSum:
         sigma = float(self.sigma)
         if not (sigma > 0.0) or not math.isfinite(sigma):
             raise ValueError(f"packet width must be positive, got {self.sigma!r}")
-        amps = np.atleast_1d(np.asarray(self.amplitudes, dtype=np.complex128))
-        cents = np.atleast_1d(np.asarray(self.centers, dtype=np.float64))
+        amps = np.array(self.amplitudes, dtype=np.complex128, ndmin=1)
+        cents = np.array(self.centers, dtype=np.float64, ndmin=1)
         if amps.shape != cents.shape or amps.ndim != 1:
             raise ValueError("amplitudes and centers must be 1-d and the same length")
         if amps.size == 0:
             raise ValueError("a GaussianSum needs at least one component")
         if not np.all(np.isfinite(cents)) or not np.all(np.isfinite(amps)):
             raise ValueError("component amplitudes and centers must be finite")
-        amps, cents = _merge_components(amps, cents, MERGE_TOLERANCE_FACTOR * sigma)
         amps.setflags(write=False)
         cents.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)
@@ -112,142 +106,38 @@ class GaussianSum:
     def n_components(self) -> int:
         return int(self.amplitudes.size)
 
-    @property
-    def norm_sq(self) -> float:
-        """Squared norm <psi|psi> by ``inner_product``: finite and
-        >= 0 wherever its sums fit in a double, and a ``ValueError`` naming
-        the overflow where they do not (amplitudes of 1e200, say)."""
-        val = inner_product(self, self).real
-        return max(val, 0.0)
-
-
-def _merge_components(
-    amps: np.ndarray, cents: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical form: sorted centers, tolerance groups summed, zeros dropped.
-
-    A stable argsort orders the components by center. A group starts
-    wherever the gap to the previous center is at least ``tol`` and keeps
-    its first member's center. Its amplitude is one segmented sum over the
-    group starts (``np.add.reduceat``), which adds a pair as a + b but a
-    group of three or more as a + (b + c); such a group is summed again
-    left to right, ((a + b) + c) + ... It needs two input centers within
-    2 ``tol`` of each other, which states on a lattice of shifts wider than
-    that never have. Exactly-zero amplitudes are then dropped, unless every
-    one is zero. Every group thus sums as adding its members into zeros in
-    input order would, except that a part summing to negative zero stays
-    negative zero.
-    """
-    order = np.argsort(cents, kind="stable")
-    cents = cents[order]
-    amps = amps[order]
-    new = np.empty(cents.size, dtype=bool)
-    new[0] = True
-    np.greater_equal(cents[1:] - cents[:-1], tol, out=new[1:])
-    starts = new.nonzero()[0]
-    merged = np.add.reduceat(amps, starts)
-    # two members in a row that start no group belong to a group of three or more
-    if not (new[1:] | new[:-1]).all():
-        ends = np.append(starts[1:], amps.size)
-        for i in np.flatnonzero(ends - starts > 2):
-            merged[i] = np.add.accumulate(amps[starts[i] : ends[i]])[-1]
-    cents = cents[starts]
-    nonzero = np.count_nonzero(merged)
-    if 0 < nonzero < merged.size:
-        keep = merged != 0.0
-        merged = merged[keep]
-        cents = cents[keep]
-    return merged, cents
-
-
-def make_gaussian(sigma: float) -> GaussianSum:
-    """Unit-norm single Gaussian centered at the origin.
-
-    Raises ``ValueError`` for non-positive ``sigma``.
-    """
-    return GaussianSum(sigma, np.ones(1, dtype=np.complex128), np.zeros(1))
-
-
-def _check_same_width(a: GaussianSum, b: GaussianSum) -> float:
-    if abs(a.sigma - b.sigma) > 1e-12 * max(a.sigma, b.sigma):
-        raise ValueError(
-            f"mismatched packet widths: {a.sigma!r} vs {b.sigma!r}"
-        )
-    return a.sigma
-
-
-def _overlaps(distances: np.ndarray, sigma: float) -> np.ndarray:
-    """exp(-(d / sigma)^2 / 8) in place; no squared distance or width overflows."""
-    distances /= sigma
-    distances *= distances
-    distances *= -0.125
-    return np.exp(distances, out=distances)
-
-
-def inner_product(a: GaussianSum, b: GaussianSum) -> complex:
-    """Overlap <a|b> of two states with equal packet width.
-
-    Pairwise form: sum_{m,m'} conj(a_m) b_{m'} exp(-(s_m - s_{m'})^2 / (8 sigma^2))
-    over all M_a M_b pairs, each overlap taken as exp(-((s_m - s_m') /
-    sigma)^2 / 8). With O the real overlap matrix and x = Re b, y = Im b,
-    Ox = O x and Oy = O y, and
-
-        <a|b> = (Re a) . Ox + (Im a) . Oy + i ((Re a) . Oy - (Im a) . Ox).
-
-    Conjugate-symmetric to rounding; rejects mismatched widths, and raises
-    ``ValueError`` where the sums overflow.
-    """
-    sigma = _check_same_width(a, b)
-    # a center distance may round to inf, whose overlap is 0; sums that
-    # overflow are caught below
-    with np.errstate(over="ignore", invalid="ignore"):
-        overlap = _overlaps(a.centers[:, None] - b.centers, sigma)
-        ox = overlap @ b.amplitudes.real
-        oy = overlap @ b.amplitudes.imag
-        ar, ai = a.amplitudes.real, a.amplitudes.imag
-        value = complex(ar @ ox + ai @ oy, ar @ oy - ai @ ox)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise ValueError(f"overlap overflows: the sums over the components reach {value!r}")
-    return value
-
-
-def _kernel_step(
-    amps: np.ndarray, cents: np.ndarray, c2: float, s2: float, g: float, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (amplitudes, centers) after one kernel, merged at ``tol``."""
-    return _merge_components(np.concatenate((amps * s2, amps * c2)), np.concatenate((cents, cents + g)), tol)
-
 
 # The lattice path keeps sum(n_j) + 1 coefficients, most of them zero when
-# the multiples are spread, and touches all of them on each event, while
-# the merge loop's work follows the occupied components. Up to this many
-# coefficients per event covers every alphabet whose multipliers reach 15
-# times the smallest positive one (the default and benchmark alphabets reach
-# 4) and keeps couplings such as (h, 1e6 h) from allocating a million.
+# the multiples are spread, and touches all of them on each event. Up to
+# this many coefficients per event covers every alphabet whose multipliers
+# reach 15 times the smallest positive one (the default and benchmark
+# alphabets reach 4) and keeps couplings such as (h, 1e6 h) from allocating
+# a million; it also bounds the divisors q of the unit search.
 _MAX_SLOTS_PER_EVENT = 16
 
 
 def _slot_multiples(tol: float, couplings: list[float]) -> tuple[float, list[int]] | None:
-    """The smallest positive coupling h and the multiples n_j of it, or None
-    off the lattice (the rule is in ``fold_kernels``)."""
-    positive = [g for g in couplings if g > 0.0]
-    if not positive:
-        return None
+    """The lattice unit h and the multiples n_j of it, or None off every
+    lattice (the rule is in ``fold_kernels``); needs a positive coupling."""
     g = np.asarray(couplings)
-    h = min(positive)
-    with np.errstate(over="ignore"):
-        n = np.rint(g / h)
-        bound = float(np.abs(g - n * h).sum() + g.size * sys.float_info.epsilon * g.sum())
-    if not (2.0 * bound < tol <= h - 2.0 * bound) or n.sum() >= _MAX_SLOTS_PER_EVENT * (g.size + 1):
-        return None
-    return h, n.astype(np.intp).tolist()
+    h0 = float(g[g > 0.0].min())
+    for q in range(1, _MAX_SLOTS_PER_EVENT + 1):
+        h = h0 / q
+        if h < tol:  # no finer unit passes either
+            return None
+        with np.errstate(over="ignore"):
+            n = np.rint(g / h)
+            bound = float(np.abs(g - n * h).sum() + g.size * sys.float_info.epsilon * g.sum())
+        if 2.0 * bound < tol <= h - 2.0 * bound and n.sum() < _MAX_SLOTS_PER_EVENT * (g.size + 1):
+            return h, n.astype(np.intp).tolist()
+    return None
 
 
 def _lattice_coefficients(c2: float, s2: float, multipliers: Sequence[int], counts: np.ndarray) -> np.ndarray:
     """Coefficients of z^a in prod_k (s^2 + c^2 z^{m_k})^{counts[r, k]}, one row per row of ``counts``.
 
     Built one factor s^2 + c^2 z^m at a time, in the order of the
-    multipliers, in the arithmetic of one kernel step of ``fold_kernels``:
+    multipliers, in the arithmetic of one kernel step s^2 I + c^2 T_g:
     c_a becomes s^2 c_a + c^2 c_(a - m). The t-th factor of a multiplier
     goes to the rows with more than t of them, gathered and written back;
     where every row takes it, as in the one row of a protected run, it is
@@ -286,27 +176,33 @@ def _lags_in_reach(size: int, h: float, sigma: float):
         yield d, overlap
 
 
-def fold_kernels(theta: float, sigma: float, couplings: Iterable[float]) -> tuple[GaussianSum, float]:
+def fold_kernels(theta: float, sigma: float, couplings: Iterable[float]) -> tuple[GaussianSum, float] | None:
     """Bath state after one noise kernel per coupling, in the given order, and its squared norm.
 
     Starts from the unit Gaussian of width ``sigma``. Each kernel is the
     non-unitary B = cos^2(theta) T_g + sin^2(theta) I, where T_g shifts
     every component center by +g (the horizontally polarized sub-packet
     moves toward positive x); every coupling is checked to be finite and
-    non-negative before any kernel runs, and the first that is not raises.
-    The kernels commute, so the order only moves the last bits; the squared
-    norm is the protected survival probability of the whole sequence.
+    non-negative, and the width positive and finite, before any kernel
+    runs, and the first coupling that is not raises. The kernels commute,
+    so the order only moves the last bits; the squared norm is the
+    protected survival probability of the whole sequence.
 
-    Lattice path. Let h be the smallest positive coupling, n_j =
-    rint(g_j / h), E = sum_j |g_j - n_j h| + N eps sum_j g_j and tol =
-    ``MERGE_TOLERANCE_FACTOR`` sigma. Every center a sequence of shifts
-    reaches in floats lies within E of its k h, so where 2 E < tol <= h -
-    2 E the merge fold's tolerance groups are exactly the multiples of h.
-    There, and where sum_j n_j < ``_MAX_SLOTS_PER_EVENT`` (N + 1), the state
-    is prod_j (s^2 + c^2 T_{n_j h}) applied to the Gaussian: the copy
-    centered at k h has as amplitude the coefficient c_k of z^k in prod_j
-    (s^2 + c^2 z^{n_j}), one factor per event in event order, and copies
-    whose coefficient is zero are left out. The squared norm is
+    Couplings that are all zero apply the identity: one copy of amplitude 1
+    at the origin, of squared norm exactly 1.
+
+    Otherwise let h_0 be the smallest positive coupling and try the units
+    h = h_0 / q for q = 1, 2, ... up to ``_MAX_SLOTS_PER_EVENT``, keeping
+    the first that passes this rule. Let n_j = rint(g_j / h), E = sum_j
+    |g_j - n_j h| + N eps sum_j g_j and tol = ``MERGE_TOLERANCE_FACTOR``
+    sigma. Every center a sequence of shifts reaches in floats lies within
+    E of its k h, so where 2 E < tol <= h - 2 E the copies are exactly the
+    multiples of h. There, and where sum_j n_j < ``_MAX_SLOTS_PER_EVENT``
+    (N + 1), the state is prod_j (s^2 + c^2 T_{n_j h}) applied to the
+    Gaussian: the copy centered at k h has as amplitude the coefficient c_k
+    of z^k in prod_j (s^2 + c^2 z^{n_j}), one factor per event in event
+    order, and copies whose coefficient is zero are left out. The squared
+    norm is
 
         sum_d (2 - [d = 0]) exp(-(d h / sigma)^2 / 8) sum_k c_k c_(k+d)
 
@@ -316,12 +212,10 @@ def fold_kernels(theta: float, sigma: float, couplings: Iterable[float]) -> tupl
     of sigma; the rule keeps it between 1e-9 (tol <= h) and 1 / (2e9 eps)
     (2 N eps h < tol), so no square of it leaves the doubles.
 
-    Merge path, for every other input: continuous couplings, tolerance
-    chains, all-zero couplings and lattices whose smallest coupling is not
-    their unit, such as {2, 3} h. Each kernel step concatenates the
-    component list and its shifted copy, scaled by s^2 and c^2, and merges
-    them at tol; the squared norm is ``GaussianSum.norm_sq``, over all
-    pairs of components.
+    Returns None where no unit passes: continuous couplings, tolerance
+    chains and couplings whose multiples would be too many, such as
+    (h, 1e6 h). ``run_protected`` then takes the survival from its
+    momentum grid.
     """
     values = []
     for g in couplings:
@@ -329,27 +223,24 @@ def fold_kernels(theta: float, sigma: float, couplings: Iterable[float]) -> tupl
         if not (g >= 0.0) or not math.isfinite(g):
             raise ValueError(f"coupling shift must be non-negative, got {g!r}")
         values.append(g)
-    # a width that is not positive and finite fails the lattice rule, and
-    # the merge fold's unit Gaussian rejects it
-    tol = MERGE_TOLERANCE_FACTOR * float(sigma)
+    if not (0.0 < sigma < math.inf):
+        raise ValueError(f"packet width must be positive, got {sigma!r}")
+    if not any(values):
+        return GaussianSum(sigma, [1.0], [0.0]), 1.0
+    lattice = _slot_multiples(MERGE_TOLERANCE_FACTOR * float(sigma), values)
+    if lattice is None:
+        return None
+    h, multiples = lattice
     c2 = math.cos(theta) ** 2
     s2 = math.sin(theta) ** 2
-    lattice = _slot_multiples(tol, values)
-    if lattice is None:
-        state = make_gaussian(sigma)
-        amps, cents = state.amplitudes, state.centers
-        for g in values:
-            amps, cents = _kernel_step(amps, cents, c2, s2, g, tol)
-        state = GaussianSum(state.sigma, amps, cents)
-        return state, state.norm_sq
-    h, multiples = lattice
     coef = _lattice_coefficients(c2, s2, multiples, np.ones((1, len(values)), dtype=np.int64))[0]
     size = coef.size
-    norm_sq = sum(
+    norm = sum(
         (2.0 if d else 1.0) * overlap * float(coef[: size - d] @ coef[d:])
         for d, overlap in _lags_in_reach(size, h / float(sigma), 1.0)
     )
-    return GaussianSum(sigma, coef, h * np.arange(size)), norm_sq
+    copies = np.flatnonzero(coef)
+    return GaussianSum(sigma, coef[copies], h * copies), norm
 
 
 def _lattice_spacing(sigma: float, unit_shift: float) -> float:

@@ -5,8 +5,8 @@ and integrates with adaptive quadrature (piecewise between packet centers,
 tolerance 1e-12 on a support of +/- 10 sigma beyond the outermost centers).
 ``density_at`` evaluates the normalized density of any ``GaussianSum``
 from its components, and ``dense_overlap`` the overlap of two of them over
-all M_a M_b component pairs in complex arithmetic: the reference for the
-package's ``inner_product``. The pair-sum accessors evaluate any ``GaussianSum``
+all M_a M_b component pairs in complex arithmetic: the squared norm of
+every state the tests check. The pair-sum accessors evaluate any ``GaussianSum``
 (lattice or not) as a sum over all M^2 component pairs: spatial and
 momentum moments, the CDF, pixel masses and the detector's slot masses.
 ``clipped_lattice_masses`` is the lattice formula with the normal CDF
@@ -14,8 +14,8 @@ momentum moments, the CDF, pixel masses and the detector's slot masses.
 edges (``slot_edges`` builds the detector's), and ``lattice_weights`` its
 weights with the diagonal loop run to any cutoff. ``fold_by_events``
 folds one kernel per coupling on raw arrays and merges each event by
-adding every tolerance group into zeros; it is the reference for both of
-the package's fold paths, the merge loop and the lattice coefficients, and
+adding every tolerance group into zeros, for any couplings; it is the
+reference for the package's lattice coefficients, and
 ``folded_state`` wraps its result in a
 ``GaussianSum``, which ``theoretical_state`` (one kernel per event of a
 configuration) and ``lattice_state`` (one lattice row) return.
@@ -26,7 +26,7 @@ and one candidate's moment neighbours by plain loops over pairs and rows.
 The l2 oracles keep the whole profile matrix, as the table once did, and
 take every candidate's distance and the rounded-row partners from it.
 None of it shares code with the fold, lattice and estimator paths it
-checks: from ``zenosense`` it takes only ``GaussianSum`` and
+checks: from ``zenosense`` it takes only the ``GaussianSum`` record and
 ``MERGE_TOLERANCE_FACTOR`` (``tests/test_exports.py`` holds it to that).
 """
 
@@ -108,7 +108,10 @@ def dense_overlap(a, b) -> complex:
     The real overlap matrix O_mm' = exp(-(s_m - s_m')^2 / (8 sigma^2)) is
     taken against the real and imaginary parts of a and of b, x = Re b,
     y = Im b: <a|b> = (Re a) O x + (Im a) O y + i ((Re a) O y - (Im a) O x).
+    The closed form holds for equal widths only; others raise.
     """
+    if a.sigma != b.sigma:
+        raise ValueError(f"mismatched packet widths: {a.sigma!r} vs {b.sigma!r}")
     sigma = a.sigma
     overlap = a.centers[:, None] - b.centers[None, :]
     overlap *= overlap
@@ -141,7 +144,7 @@ def density_at(state, x):
 
     Accepts a scalar or array of positions; rejects zero-norm states.
     """
-    norm = state.norm_sq
+    norm = dense_overlap(state, state).real
     if not (norm > 0.0):
         raise ValueError("density undefined for a zero-norm state")
     xs = np.asarray(x, dtype=np.float64)
@@ -305,7 +308,7 @@ def _pair_weights(state):
 
 
 def _require_normalizable(state) -> float:
-    n = state.norm_sq
+    n = dense_overlap(state, state).real
     if not (n > 0.0):
         raise ValueError("operation undefined for a zero-norm state")
     return n
@@ -436,8 +439,8 @@ def merge_by_add_at(amps, cents, tol):
 def fold_by_events(theta, sigma, couplings):
     """Raw ``(amplitudes, centers)`` of the unit Gaussian after one kernel per coupling.
 
-    Each event applies s^2 I + c^2 T_g to the whole component list, as one
-    kernel step of ``fold_kernels`` does, and merges it by ``merge_by_add_at``.
+    Each event applies s^2 I + c^2 T_g to the whole component list and
+    merges it by ``merge_by_add_at``.
     """
     from zenosense.wavepacket import MERGE_TOLERANCE_FACTOR
 

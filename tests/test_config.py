@@ -72,6 +72,25 @@ class TestParsing:
             parse_config("just some words\n")
 
 
+# one bad line per field that ExperimentConfig checks, with the start of its message
+FIELD_CASES = [
+    ("theta_rad = 3.0", r"theta_rad must lie in \[0, pi/2\], got 3\.0"),
+    ("sigma_um = 0.0", "sigma_um must be positive and finite"),
+    ("unit_shift_um = inf", "unit_shift_um must be positive and finite"),
+    ("calibration_target = 1.5", r"calibration_target must lie in \(0, 1\)"),
+    ("alphabet_multipliers = 0, 1, 1.5, 3, 4", "alphabet_multipliers: alphabet multipliers must be integers"),
+    ("event_probabilities = 0.5, 0.5, 0.5, 0.5, 0.5", "event_probabilities: event probabilities must sum to 1"),
+    ("n_events = 0", "n_events must be >= 1, got 0"),
+    ("n_trials = 0", "n_trials must be >= 1, got 0"),
+    ("photons_per_trial = 0", "photons_per_trial must be >= 1, got 0"),
+    ("pixel_pitch_um = -13.0", "pixel_pitch_um must be positive and finite"),
+    ("pixel_count = 1", "pixel_count must be >= 2, got 1"),
+    ("detector_offset_um = nan", "detector_offset_um must be finite"),
+    ("master_seed = -1", "master_seed must be non-negative, got -1"),
+    ("estimator = magic", "estimator must be 'l2' or 'moments', got 'magic'"),
+]
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -101,7 +120,7 @@ class TestValidation:
             ExperimentConfig(**kwargs)
 
     def test_non_integer_multiplier_names_key(self):
-        with pytest.raises(ConfigError, match=r"cfg\.txt: alphabet_multipliers.*integers"):
+        with pytest.raises(ConfigError, match=r"cfg\.txt:1: alphabet_multipliers: .*integers"):
             parse_config("alphabet_multipliers = 0, 1, 1.5, 3, 4\n", source="cfg.txt")
         # the float form written by serialize_config still parses
         assert parse_config("alphabet_multipliers = 0.0, 1.0, 2.0, 3.0, 4.0\n") == ExperimentConfig()
@@ -141,6 +160,17 @@ class TestValidation:
         text = f"# header\nforced_config = {value}\nn_events = 6\n"
         with pytest.raises(ConfigError, match=rf"^cfg\.txt:2: {match}"):
             parse_config(text, source="cfg.txt")
+
+    @pytest.mark.parametrize("line, match", FIELD_CASES, ids=[line.split(" =")[0] for line, _ in FIELD_CASES])
+    def test_field_rejection_names_its_line(self, line, match):
+        with pytest.raises(ConfigError, match=rf"^cfg\.txt:2: {match}") as info:
+            parse_config(f"# header\n{line}\n", source="cfg.txt")
+        assert info.value.key == line.split(" =")[0]
+
+    def test_string_field_rejection_names_its_key(self):
+        with pytest.raises(ConfigError, match="output_dir must not contain") as info:
+            ExperimentConfig(output_dir="run#1")
+        assert info.value.key == "output_dir"
 
     def test_forced_config_accepted(self):
         config = ExperimentConfig(forced_config=(2, 0, 2, 2, 0))

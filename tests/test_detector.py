@@ -24,7 +24,7 @@ from zenosense.estimator import pixel_moments
 from zenosense.noise_model import NoiseAlphabet, enumerate_configurations
 from zenosense.pipeline import resolve_unit_shift, simulate_trials
 from zenosense.seeds import make_rng
-from zenosense.wavepacket import GaussianSum, lattice_density, lattice_weights, make_gaussian, normal_masses
+from zenosense.wavepacket import GaussianSum, lattice_density, lattice_weights, normal_masses
 
 import oracles
 from oracles import theoretical_state
@@ -110,7 +110,7 @@ class TestSamplePositions:
 
     def test_mean_within_clt_bound(self):
         # pixel centers are symmetric about 0, so pixelation adds no bias
-        hist = detect(make_gaussian(1.0), 1_000_000, pitch=0.01, n_pixels=2000, offset=-10.0, seed=5)
+        hist = detect(GaussianSum(1.0, [1.0], [0.0]), 1_000_000, pitch=0.01, n_pixels=2000, offset=-10.0, seed=5)
         mean, _ = histogram_moments(hist)
         assert abs(mean) < 4.0 / math.sqrt(1_000_000)
 
@@ -131,7 +131,7 @@ class TestSamplePositions:
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
-            detect(make_gaussian(1.0), 0, pitch=1.0, n_pixels=10, offset=-5.0, seed=1)
+            detect(GaussianSum(1.0, [1.0], [0.0]), 0, pitch=1.0, n_pixels=10, offset=-5.0, seed=1)
 
     @pytest.mark.parametrize(
         "masses",
@@ -460,6 +460,14 @@ class TestHistogramGeometry:
         with pytest.raises(ValueError, match=f"{what}: expected whole numbers"):
             SpatialHistogram(1.0, 0.0, counts, overflow=overflow)
 
+    def test_bad_count_is_named_by_value_and_index(self):
+        # a 1024-pixel histogram of halves names its first entry, not all 1024
+        counts = np.full(1024, 7.0)
+        counts[300:] = 0.5
+        with pytest.raises(ValueError, match=r"^pixel counts: expected whole numbers, got 0\.5 at flat index 300$") as info:
+            SpatialHistogram(13.0, -6656.0, counts)
+        assert len(str(info.value)) < 200
+
     def test_whole_float_counts_kept(self):
         hist = SpatialHistogram(1.0, 0.0, np.array([1.0, 2.0]), overflow=np.float64(3.0))
         assert hist.counts.dtype == np.int64 and hist.counts.tolist() == [1, 2] and hist.overflow == 3
@@ -495,7 +503,7 @@ class TestPixelation:
         state = theoretical_state(config, QUARTER, 1.0, ALPHABET.values)
         slots = lattice_slots(config, 0.1, 400, -10.0)
         # the slots carry the state's squared norm, the pixels all of it
-        assert slots.sum() == pytest.approx(state.norm_sq, rel=1e-12)
+        assert slots.sum() == pytest.approx(oracles.dense_overlap(state, state).real, rel=1e-12)
         assert slots[1:-1].sum() / slots.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_second_moment_bias_quadratic_in_pitch(self):
@@ -520,7 +528,7 @@ class TestPixelation:
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
-        hist = detect(make_gaussian(30.0), 10_000, pitch=13.0, n_pixels=64, offset=-416.0, seed=1)
+        hist = detect(GaussianSum(30.0, [1.0], [0.0]), 10_000, pitch=13.0, n_pixels=64, offset=-416.0, seed=1)
         path = tmp_path / "hist.csv"
         write_histogram_csv(hist, path)
         back = read_histogram_csv(path)

@@ -30,7 +30,7 @@ def test_package_reexports_are_listed():
 
 def test_oracles_take_only_the_gaussian_sum_from_the_package():
     # the oracles check the fold, lattice and estimator paths, so they may
-    # share only the canonical Gaussian sum and its merge tolerance
+    # share only the Gaussian-sum record and the merge tolerance
     tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
     taken = set()
     for node in ast.walk(tree):
