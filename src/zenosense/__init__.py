@@ -7,7 +7,6 @@ import scipy  # noqa: F401
 
 from zenosense.channel import (
     ChannelRealization,
-    ProbeState,
     RunReport,
     ScalingRow,
     calibrate_unit_shift,

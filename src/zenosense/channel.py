@@ -21,6 +21,7 @@ always computed exactly from norms.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -28,9 +29,9 @@ import numpy as np
 
 from zenosense.seeds import make_rng
 from zenosense.wavepacket import GaussianSum, fold_kernels, lattice_weights
+from zenosense.wavepacket import _check_multiples, _check_positive, _check_shifts, _check_theta
 
 __all__ = [
-    "ProbeState",
     "ChannelRealization",
     "RunReport",
     "ScalingRow",
@@ -48,35 +49,15 @@ DECAY_MODES = ("fixed-bath", "evolving-bath", "single-measurement")
 
 
 @dataclass(frozen=True)
-class ProbeState:
-    """Polarization qubit cos(theta)|H> + sin(theta)|V>, theta in [0, pi/2]."""
-
-    theta: float
-
-    def __post_init__(self) -> None:
-        t = float(self.theta)
-        if not (0.0 <= t <= math.pi / 2.0):
-            raise ValueError(f"theta must lie in [0, pi/2], got {self.theta!r}")
-        object.__setattr__(self, "theta", t)
-
-    @property
-    def delta_s_squared(self) -> float:
-        """Variance sin^2(theta) cos^2(theta) of the dephasing projector."""
-        return math.sin(self.theta) ** 2 * math.cos(self.theta) ** 2
-
-
-@dataclass(frozen=True)
 class ChannelRealization:
     """Ordered sequence of non-negative coupling shifts g_1..g_N."""
 
     couplings: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        cs = tuple(float(g) for g in self.couplings)
+        cs = tuple(_check_shifts(self.couplings).tolist())
         if len(cs) < 1:
             raise ValueError("a realization needs at least one coupling")
-        if any(not (g >= 0.0) or not math.isfinite(g) for g in cs):
-            raise ValueError("couplings must be finite and non-negative")
         object.__setattr__(self, "couplings", cs)
 
     @property
@@ -107,11 +88,6 @@ def _clip01(p: float) -> float:
     return min(1.0, max(0.0, p))
 
 
-def _check_sigma(sigma: float) -> None:
-    if not (0.0 < sigma < math.inf):
-        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
-
-
 def run_protected(theta: float, sigma: float, realization: ChannelRealization) -> RunReport:
     """Run the Zeno-protected protocol: kernel + projection per event.
 
@@ -127,7 +103,7 @@ def run_protected(theta: float, sigma: float, realization: ChannelRealization) -
     S_N as its total survival, with the accuracy ``protected_survival_spectral``
     states.
     """
-    ProbeState(theta)
+    _check_theta(theta)
     survivals, moments = _grid_survivals_and_moments(theta, sigma, realization.couplings)
     state, total = fold_kernels(theta, sigma, realization.couplings) or (None, survivals[-1])
     steps = survivals[1:] / survivals[:-1]
@@ -145,16 +121,17 @@ def run_unprotected(theta: float, sigma: float, realization: ChannelRealization)
     All events compose into one shift G = sum(g_j), so the survival is
     cos^4 + sin^4 + 2 sin^2 cos^2 exp(-G^2 / (8 sigma^2)) exactly.
     """
-    ProbeState(theta)
-    _check_sigma(sigma)
+    _check_theta(theta)
+    sigma = _check_positive("sigma", sigma)
     return _unprotected_survival(theta, sigma, realization.total)
 
 
 def _unprotected_survival(theta: float, sigma: float, total: float) -> float:
-    """cos^4 + sin^4 + 2 sin^2 cos^2 exp(-G^2 / (8 sigma^2)) for the total shift G."""
+    """cos^4 + sin^4 + 2 sin^2 cos^2 exp(-z^2 / 8) for the total shift G = z sigma, at any width."""
     c2 = math.cos(theta) ** 2
     s2 = math.sin(theta) ** 2
-    overlap = math.exp(-(total * total) / (8.0 * sigma * sigma))
+    z = total / sigma
+    overlap = math.exp(-(z * z) / 8.0)
     return _clip01(c2 * c2 + s2 * s2 + 2.0 * c2 * s2 * overlap)
 
 
@@ -170,20 +147,24 @@ def decay_parameter(
     ``fixed-bath`` reuses the initial bath momentum moment B2_1 = 1/(4 sigma^2)
     for every step; ``evolving-bath`` takes the per-step moments that a
     protected run records, from the momentum grid alone (no kernel fold);
-    ``single-measurement`` is J_1 = DeltaS^2 * B2_1 * (sum g_j)^2.
+    ``single-measurement`` is J_1 = DeltaS^2 * B2_1 * (sum g_j)^2. These two
+    take the shifts in units of sigma, so they hold at any width; where the
+    grid moments leave the doubles (sigma = 1e200 or 1e-170) ``evolving-bath`` raises.
     """
-    probe = ProbeState(theta)
-    _check_sigma(sigma)
-    ds2 = probe.delta_s_squared
-    v1 = 1.0 / (4.0 * sigma * sigma)
+    _check_theta(theta)
+    sigma = _check_positive("sigma", sigma)
+    ds2 = math.sin(theta) ** 2 * math.cos(theta) ** 2
     g = np.asarray(realization.couplings, dtype=np.float64)
     if mode == "single-measurement":
-        return float(ds2 * v1 * g.sum() ** 2)
+        return float(ds2 * (g.sum() / sigma) ** 2 / 4.0)
     if mode == "fixed-bath":
-        return float(ds2 * v1 * np.sum(g * g))
+        return float(ds2 * np.sum((g / sigma) ** 2) / 4.0)
     if mode == "evolving-bath":
         _, b2 = _grid_survivals_and_moments(theta, sigma, realization.couplings)
-        return float(ds2 * np.sum(g * g * b2))
+        j = float(ds2 * np.sum(g * g * b2))
+        if not math.isfinite(j):
+            raise ValueError(f"evolving-bath J is not finite at sigma = {sigma!r}: the grid moments leave the doubles")
+        return j
     raise ValueError(f"unknown decay mode {mode!r}; expected one of {DECAY_MODES}")
 
 
@@ -225,10 +206,10 @@ def _momentum_grid(sigma: float, couplings: Sequence[float]) -> tuple[np.ndarray
     A grid of more than ``_GRID_MAX_ENTRIES`` entries raises before anything
     is allocated.
     """
-    _check_sigma(sigma)
-    g = np.asarray(couplings, dtype=np.float64)
-    if not np.all(np.isfinite(g) & (g >= 0.0)):
-        raise ValueError("couplings must be finite and non-negative")
+    sigma = _check_positive("sigma", sigma)
+    g = _check_shifts(couplings)
+    if g.size == 0:
+        raise ValueError("couplings must be non-empty")
     sp = 1.0 / (2.0 * sigma)
     total = float(g.sum())
     span = total + 4.0 * _GRID_SPREADS * sigma
@@ -330,9 +311,7 @@ def protected_survival_spectral(theta: float, sigma: float, couplings: Sequence[
     couplings holds 2^N copies; the memory is one block of ``_running_products``, about 256 KiB, plus a
     few arrays of one entry per node or event.
     """
-    ProbeState(theta)
-    if len(couplings) == 0:
-        raise ValueError("couplings must be non-empty")
+    _check_theta(theta)
     p, w, g = _momentum_grid(sigma, couplings)
     for block in _running_products(theta, p, g):
         pass
@@ -346,8 +325,7 @@ CouplingSampler = Callable[[np.random.Generator, int], np.ndarray]
 
 def constant_coupling(g: float) -> CouplingSampler:
     """Sampler producing N identical couplings g (finite, non-negative)."""
-    if not (0.0 <= g < math.inf):
-        raise ValueError(f"coupling scale must be finite and non-negative, got {g!r}")
+    _check_shifts(g, "coupling scale")
 
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, float(g))
@@ -357,8 +335,7 @@ def constant_coupling(g: float) -> CouplingSampler:
 
 def uniform_coupling(high: float) -> CouplingSampler:
     """Sampler of i.i.d. couplings uniform on [0, high) (high finite, non-negative)."""
-    if not (0.0 <= high < math.inf):
-        raise ValueError(f"coupling scale must be finite and non-negative, got {high!r}")
+    _check_shifts(high, "coupling scale")
 
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(0.0, float(high), size=n)
@@ -396,15 +373,19 @@ def qze_scaling_report(
     evaluated on the first ``survival_samples`` members (default:
     min(ensemble, 128)). One independent RNG stream per (N index, member) is
     derived from the seed, so the report is deterministic and members are
-    reproducible in isolation.
+    reproducible in isolation. Every argument is checked before any member is drawn.
     """
+    _check_theta(theta)
+    sigma = _check_positive("sigma", sigma)
+    n_values = [operator.index(n) for n in n_values]
+    ensemble_size = operator.index(ensemble_size)
     if len(n_values) == 0:
         raise ValueError("n_values must be non-empty")
     if ensemble_size < 1:
         raise ValueError("ensemble_size must be at least 1")
-    if survival_samples is not None and survival_samples < 0:
+    k_surv = min(ensemble_size, 128) if survival_samples is None else operator.index(survival_samples)
+    if k_surv < 0:
         raise ValueError(f"survival_samples must be non-negative, got {survival_samples}")
-    k_surv = survival_samples if survival_samples is not None else min(ensemble_size, 128)
     k_surv = min(k_surv, ensemble_size)
     rows: list[ScalingRow] = []
     for ni, n in enumerate(n_values):
@@ -416,9 +397,9 @@ def qze_scaling_report(
         unprotected = np.empty(k_surv)
         for m in range(ensemble_size):
             rng = make_rng(seed, ni, m)
-            g = np.asarray(sampler(rng, int(n)), dtype=np.float64)
-            if g.shape != (n,) or np.any(g < 0.0):
-                raise ValueError("sampler must return n non-negative couplings")
+            g = _check_shifts(sampler(rng, n), "sampled couplings")
+            if g.shape != (n,):
+                raise ValueError(f"sampler must return {n} couplings, got shape {g.shape}")
             total = g.sum()
             if total <= 0.0:
                 raise ValueError("sampler produced an all-zero realization")
@@ -433,7 +414,7 @@ def qze_scaling_report(
         no_surv = k_surv == 0
         rows.append(
             ScalingRow(
-                n_events=int(n),
+                n_events=n,
                 j_ratio_mean=float(j_ratios.mean()),
                 j_ratio_std=float(j_ratios.std()),
                 survival_ratio_mean=math.nan if no_surv else float(ratios.mean()),
@@ -467,12 +448,10 @@ def calibrate_unit_shift(sigma: float, target_survival: float, shift_multiples: 
     on u converges for any attainable target. Raises for targets at or above
     1 and at or below the floor.
     """
-    _check_sigma(sigma)
-    multiples = tuple(shift_multiples)
-    if len(multiples) == 0 or not all(float(m).is_integer() and m >= 0 for m in multiples):
-        raise ValueError(f"shift multiples must be non-negative integers and non-empty, got {multiples!r}")
-    if all(m == 0 for m in multiples):
-        raise ValueError("all shift multiples are zero: survival is identically 1")
+    sigma = _check_positive("sigma", sigma)
+    multiples = _check_multiples(shift_multiples, "shift multiples")
+    if not any(multiples):
+        raise ValueError(f"shift multiples {multiples!r} are empty or all zero: survival is identically 1")
     one_each = [[1] * len(multiples)]
 
     def survival_at(u: float) -> float:

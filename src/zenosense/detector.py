@@ -55,8 +55,7 @@ class SpatialHistogram:
     overflow: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.pitch < math.inf) or not math.isfinite(self.offset):
-            raise ValueError(f"pixel pitch must be positive and finite and the offset finite, got {self.pitch!r}, {self.offset!r}")
+        _check_pixels(self.pitch, self.offset)
         counts = _whole_numbers(self.counts, "pixel counts")
         if counts.ndim != 1 or counts.size < 2:
             raise ValueError("histogram needs at least 2 pixels")
@@ -86,6 +85,12 @@ class SpatialHistogram:
 def pixel_centers(n_pixels: int, pitch: float, offset: float) -> np.ndarray:
     """Centers ``offset + (i + 0.5) * pitch`` of the pixels i < ``n_pixels``: the one pixel grid."""
     return offset + (np.arange(n_pixels) + 0.5) * pitch
+
+
+def _check_pixels(pitch: float, offset: float) -> None:
+    """The pixel grid: a positive finite pitch and a finite offset."""
+    if not (0.0 < pitch < math.inf) or not math.isfinite(offset):
+        raise ValueError(f"pixel pitch must be positive and finite and the offset finite, got {pitch!r}, {offset!r}")
 
 
 def _whole_numbers(values, what: str) -> np.ndarray:

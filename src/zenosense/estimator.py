@@ -214,7 +214,9 @@ def estimate_from_masses(
     alphabet: NoiseAlphabet,
     method: str = "moments",
 ) -> TrialEstimate:
-    """Core reconstruction from pixel masses or raw counts, divided here by their sum."""
+    """Core reconstruction from pixel masses or raw counts, divided here by their sum; the method is checked first."""
+    if method not in ("l2", "moments"):
+        raise ValueError(f"unknown estimator {method!r}; expected 'l2' or 'moments'")
     if len(candidates) == 0:
         raise ValueError("candidate list is empty")
     masses = np.asarray(masses, dtype=np.float64)
@@ -243,10 +245,8 @@ def estimate_from_masses(
     )
     if method == "l2":
         return _estimate_l2(masses, cand)
-    if method == "moments":
-        m1, central2 = pixel_moments(masses, pitch, offset)
-        return _estimate_moments(float(m1), float(central2), cand)
-    raise ValueError(f"unknown estimator {method!r}; expected 'l2' or 'moments'")
+    m1, central2 = pixel_moments(masses, pitch, offset)
+    return _estimate_moments(float(m1), float(central2), cand)
 
 
 def _top_candidates(

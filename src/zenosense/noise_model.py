@@ -13,6 +13,7 @@ import numpy as np
 
 from zenosense.channel import ChannelRealization
 from zenosense.seeds import as_rng
+from zenosense.wavepacket import _check_multiples, _check_positive
 
 __all__ = [
     "NoiseAlphabet",
@@ -28,8 +29,8 @@ class NoiseAlphabet:
 
     Values are stored as dimensionless multiples of a unit shift g
     (e.g. (0, g, 2g, 3g, 4g)), so a single calibrated g/sigma drives the
-    whole channel. The multipliers must be integers (stored as floats), so
-    every output state lives on the lattice of shifts k * g.
+    whole channel. The multipliers must be whole numbers (stored as floats),
+    so every output state lives on the lattice of shifts k * g.
     """
 
     unit_shift: float
@@ -37,21 +38,15 @@ class NoiseAlphabet:
     probabilities: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        g = float(self.unit_shift)
-        mult = tuple(float(m) for m in self.multipliers)
+        g = _check_positive("unit shift", self.unit_shift)
+        mult = tuple(map(float, _check_multiples(self.multipliers, "alphabet multipliers")))
         probs = tuple(float(p) for p in self.probabilities)
-        if not (g > 0.0) or not math.isfinite(g):
-            raise ValueError(f"unit shift must be positive, got {self.unit_shift!r}")
         if len(mult) < 1:
             raise ValueError("alphabet needs at least one value")
         if len(mult) != len(probs):
             raise ValueError("multipliers and probabilities must have equal length")
-        if not all(math.isfinite(x) for x in mult + probs):
-            raise ValueError("alphabet multipliers and event probabilities must be finite")
-        if any(m < 0.0 for m in mult):
-            raise ValueError("alphabet values must be non-negative")
-        if not all(m.is_integer() for m in mult):
-            raise ValueError(f"alphabet multipliers must be integers, got {mult!r}")
+        if not all(math.isfinite(p) for p in probs):
+            raise ValueError("event probabilities must be finite")
         if any(b <= a for a, b in zip(mult, mult[1:])):
             raise ValueError("alphabet values must be strictly increasing")
         if any(p < 0.0 for p in probs):

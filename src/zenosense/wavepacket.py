@@ -41,11 +41,11 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from zenosense.detector import _whole_numbers
+from zenosense.detector import _check_pixels, _whole_numbers
 
 __all__ = [
     "GaussianSum",
@@ -59,6 +59,39 @@ __all__ = [
 # Centers closer than this fraction of sigma count as one lattice copy: the
 # residual bound of the lattice rule in ``fold_kernels`` must stay below it.
 MERGE_TOLERANCE_FACTOR = 1e-9
+
+
+# One check per input rule; every public function that takes the input calls it.
+
+
+def _check_theta(theta: float) -> None:
+    """The probe angle of cos(theta)|H> + sin(theta)|V> lies in [0, pi/2]."""
+    if not (0.0 <= theta <= math.pi / 2.0):
+        raise ValueError(f"theta must lie in [0, pi/2], got {theta!r}")
+
+
+def _check_positive(name: str, value: float) -> float:
+    """A width or unit shift as a float, which must be positive and finite."""
+    if not (0.0 < float(value) < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
+def _check_shifts(values, what: str = "couplings") -> np.ndarray:
+    """Shifts as a float64 array, each finite and non-negative; the first that is not is named, with its flat index."""
+    arr = np.asarray(values, dtype=np.float64)
+    bad = np.flatnonzero(~(np.isfinite(arr) & (arr >= 0.0)))
+    if bad.size:
+        where = f" at index {bad[0]}" if arr.ndim else ""
+        raise ValueError(f"{what} must be finite and non-negative, got {arr.ravel()[bad[0]].item()!r}{where}")
+    return arr
+
+
+def _check_multiples(multiples, what: str) -> tuple[int, ...]:
+    """Multiples of a lattice unit as Python ints: non-negative shifts that are whole numbers."""
+    _check_shifts(multiples, what)
+    return tuple(_whole_numbers(multiples, what).tolist())
+
 
 @dataclass(frozen=True, eq=False)
 class GaussianSum:
@@ -85,9 +118,7 @@ class GaussianSum:
     centers: np.ndarray
 
     def __post_init__(self) -> None:
-        sigma = float(self.sigma)
-        if not (sigma > 0.0) or not math.isfinite(sigma):
-            raise ValueError(f"packet width must be positive, got {self.sigma!r}")
+        sigma = _check_positive("sigma", self.sigma)
         amps = np.array(self.amplitudes, dtype=np.complex128, ndmin=1)
         cents = np.array(self.centers, dtype=np.float64, ndmin=1)
         if amps.shape != cents.shape or amps.ndim != 1:
@@ -116,10 +147,9 @@ class GaussianSum:
 _MAX_SLOTS_PER_EVENT = 16
 
 
-def _slot_multiples(tol: float, couplings: list[float]) -> tuple[float, list[int]] | None:
+def _slot_multiples(tol: float, g: np.ndarray) -> tuple[float, list[int]] | None:
     """The lattice unit h and the multiples n_j of it, or None off every
     lattice (the rule is in ``fold_kernels``); needs a positive coupling."""
-    g = np.asarray(couplings)
     h0 = float(g[g > 0.0].min())
     for q in range(1, _MAX_SLOTS_PER_EVENT + 1):
         h = h0 / q
@@ -176,16 +206,16 @@ def _lags_in_reach(size: int, h: float, sigma: float):
         yield d, overlap
 
 
-def fold_kernels(theta: float, sigma: float, couplings: Iterable[float]) -> tuple[GaussianSum, float] | None:
+def fold_kernels(theta: float, sigma: float, couplings: Sequence[float]) -> tuple[GaussianSum, float] | None:
     """Bath state after one noise kernel per coupling, in the given order, and its squared norm.
 
     Starts from the unit Gaussian of width ``sigma``. Each kernel is the
     non-unitary B = cos^2(theta) T_g + sin^2(theta) I, where T_g shifts
     every component center by +g (the horizontally polarized sub-packet
-    moves toward positive x); every coupling is checked to be finite and
-    non-negative, and the width positive and finite, before any kernel
-    runs, and the first coupling that is not raises. The kernels commute,
-    so the order only moves the last bits; the squared norm is the
+    moves toward positive x); theta, the width and the couplings are checked
+    before any kernel runs, and the first bad coupling is named with its
+    index. The kernels commute, so the order only moves the last bits; the
+    squared norm is the
     protected survival probability of the whole sequence.
 
     Couplings that are all zero apply the identity: one copy of amplitude 1
@@ -217,37 +247,25 @@ def fold_kernels(theta: float, sigma: float, couplings: Iterable[float]) -> tupl
     (h, 1e6 h). ``run_protected`` then takes the survival from its
     momentum grid.
     """
-    values = []
-    for g in couplings:
-        g = float(g)
-        if not (g >= 0.0) or not math.isfinite(g):
-            raise ValueError(f"coupling shift must be non-negative, got {g!r}")
-        values.append(g)
-    if not (0.0 < sigma < math.inf):
-        raise ValueError(f"packet width must be positive, got {sigma!r}")
-    if not any(values):
+    _check_theta(theta)
+    values = _check_shifts(couplings)
+    sigma = _check_positive("sigma", sigma)
+    if not values.any():
         return GaussianSum(sigma, [1.0], [0.0]), 1.0
-    lattice = _slot_multiples(MERGE_TOLERANCE_FACTOR * float(sigma), values)
+    lattice = _slot_multiples(MERGE_TOLERANCE_FACTOR * sigma, values)
     if lattice is None:
         return None
     h, multiples = lattice
     c2 = math.cos(theta) ** 2
     s2 = math.sin(theta) ** 2
-    coef = _lattice_coefficients(c2, s2, multiples, np.ones((1, len(values)), dtype=np.int64))[0]
+    coef = _lattice_coefficients(c2, s2, multiples, np.ones((1, values.size), dtype=np.int64))[0]
     size = coef.size
     norm = sum(
         (2.0 if d else 1.0) * overlap * float(coef[: size - d] @ coef[d:])
-        for d, overlap in _lags_in_reach(size, h / float(sigma), 1.0)
+        for d, overlap in _lags_in_reach(size, h / sigma, 1.0)
     )
     copies = np.flatnonzero(coef)
     return GaussianSum(sigma, coef[copies], h * copies), norm
-
-
-def _lattice_spacing(sigma: float, unit_shift: float) -> float:
-    h = float(unit_shift)
-    if not (0.0 < h < math.inf) or not (0.0 < sigma < math.inf):
-        raise ValueError(f"unit shift and packet width must be positive, got {unit_shift!r}, {sigma!r}")
-    return h
 
 
 def lattice_weights(
@@ -280,15 +298,16 @@ def lattice_weights(
     are ``W[r] @ normal_masses(sigma, unit_shift, n, ...)[:2M - 1]`` for
     any n >= 2M - 1. Not normalized: a row summed over the whole line is the
     squared norm of its state, the protected survival probability.
-    Multipliers and counts must be non-negative whole numbers; a count of
-    2.5, NaN or 1e20 raises ``ValueError``. A unit shift and width whose
+    Theta, the width and unit shift are checked, and multipliers and counts
+    must be non-negative whole numbers: a count of 2.5, NaN or 1e20 raises
+    ``ValueError``. A unit shift and width whose
     overlaps leave the doubles, such as h = sigma = 1e200 ((d h)^2 overflows)
     or 1e-170 (sigma^2 underflows), raise ``ValueError``.
     """
-    if not all(float(m).is_integer() and m >= 0 for m in multipliers):
-        raise ValueError(f"lattice multipliers must be non-negative integers, got {multipliers!r}")
-    mult = tuple(int(m) for m in multipliers)
-    h = _lattice_spacing(sigma, unit_shift)
+    _check_theta(theta)
+    mult = _check_multiples(multipliers, "lattice multipliers")
+    sigma = _check_positive("sigma", sigma)
+    h = _check_positive("unit shift", unit_shift)
     counts = _whole_numbers(counts, "lattice counts")
     if counts.ndim != 2 or counts.shape[1] != len(mult) or np.any(counts < 0):
         raise ValueError("counts must be non-negative, one row per state and one column per multiplier")
@@ -315,7 +334,8 @@ def lattice_density(weights: np.ndarray, sigma: float, unit_shift: float, x) -> 
     ``(rows, len(x))``. Rejects a row whose weights sum to zero, the
     squared norm of a state that does not survive.
     """
-    h = _lattice_spacing(sigma, unit_shift)
+    sigma = _check_positive("sigma", sigma)
+    h = _check_positive("unit shift", unit_shift)
     weights = np.asarray(weights, dtype=np.float64)
     totals = weights.sum(axis=1)
     if not np.all(totals > 0.0):
@@ -358,11 +378,11 @@ def normal_masses(
     entry. That pays wherever a process makes more than one
     ``simulate_trials`` or estimate call at one geometry.
     """
-    h = _lattice_spacing(sigma, unit_shift)
+    sigma = _check_positive("sigma", sigma)
+    h = _check_positive("unit shift", unit_shift)
     if n_normals < 1 or n_pixels < 1:
         raise ValueError(f"need at least one normal and one pixel, got {n_normals!r}, {n_pixels!r}")
-    if not (0.0 < pitch < math.inf) or not math.isfinite(offset):
-        raise ValueError(f"pixel pitch must be positive and finite and the offset finite, got {pitch!r}, {offset!r}")
+    _check_pixels(pitch, offset)
     pixel_edges = offset + np.arange(n_pixels + 1) * pitch
     if not np.all(np.diff(pixel_edges) > 0.0):
         raise ValueError(f"pixel edges must be strictly increasing, got pitch {pitch!r} at offset {offset!r}")

@@ -13,7 +13,6 @@ import pytest
 
 from zenosense.channel import (
     ChannelRealization,
-    ProbeState,
     calibrate_unit_shift,
     constant_coupling,
     decay_parameter,
@@ -240,7 +239,7 @@ def test_criterion_6_analytics_oracle_suite():
     # residual of the second-order expansion 1 - G^2 DeltaS^2 / (4 sigma^2)
     # (sigma = 1) shrinks 16x (+/- 10%) when G halves
     def second_order(g_total):
-        return 1.0 - g_total**2 * ProbeState(QUARTER).delta_s_squared / 4.0
+        return 1.0 - g_total**2 * (math.sin(QUARTER) ** 2 * math.cos(QUARTER) ** 2) / 4.0
 
     residual_ok = True
     for g_total in (0.4, 0.2, 0.1):

@@ -13,7 +13,6 @@ from zenosense.channel import (
     CALIBRATION_THETA,
     CALIBRATION_TOLERANCE,
     ChannelRealization,
-    ProbeState,
     calibrate_unit_shift,
     constant_coupling,
     decay_parameter,
@@ -24,9 +23,11 @@ from zenosense.channel import (
     uniform_coupling,
 )
 from zenosense.config import ExperimentConfig
+from zenosense.detector import SpatialHistogram
+from zenosense.estimator import candidate_table, estimate_from_masses, estimate_histogram
 from zenosense.noise_model import NoiseAlphabet, config_realization, enumerate_configurations
 from zenosense.pipeline import resolve_unit_shift
-from zenosense.wavepacket import fold_kernels
+from zenosense.wavepacket import GaussianSum, fold_kernels, lattice_density, lattice_weights, normal_masses
 
 import oracles
 
@@ -34,18 +35,6 @@ QUARTER = math.pi / 4.0
 
 
 class TestTypes:
-    def test_probe_state_range(self):
-        ProbeState(0.0)
-        ProbeState(math.pi / 2)
-        with pytest.raises(ValueError):
-            ProbeState(-0.1)
-        with pytest.raises(ValueError):
-            ProbeState(2.0)
-
-    def test_delta_s_squared(self):
-        assert ProbeState(QUARTER).delta_s_squared == pytest.approx(0.25)
-        assert ProbeState(0.0).delta_s_squared == 0.0
-
     def test_realization_validation(self):
         with pytest.raises(ValueError):
             ChannelRealization(())
@@ -54,6 +43,10 @@ class TestTypes:
 
 
 WIDTH_REALIZATION = ChannelRealization((0.5, 1.0))
+# a small estimate: the ten candidates of two events on a four-value alphabet, at the default detector
+ESTIMATE_ALPHABET = NoiseAlphabet(114.05, (0.0, 1.0, 2.0, 3.0), (0.25,) * 4)
+ESTIMATE_CANDIDATES = tuple(enumerate_configurations(4, 2))
+ESTIMATE_HISTOGRAM = SpatialHistogram(13.0, -6656.0, np.ones(1024, dtype=np.int64))
 WIDTH_CALLS = {
     "run_protected": lambda sigma: run_protected(QUARTER, sigma, WIDTH_REALIZATION),
     "run_unprotected": lambda sigma: run_unprotected(QUARTER, sigma, WIDTH_REALIZATION),
@@ -62,6 +55,14 @@ WIDTH_CALLS = {
     ),
     "qze_scaling_report": lambda sigma: qze_scaling_report(QUARTER, sigma, constant_coupling(0.5), [2], 1, seed=0),
     "calibrate_unit_shift": lambda sigma: calibrate_unit_shift(sigma, 0.58, (0, 0, 2, 2, 3, 3)),
+    "fold_kernels": lambda sigma: fold_kernels(QUARTER, sigma, WIDTH_REALIZATION.couplings),
+    "lattice_weights": lambda sigma: lattice_weights(QUARTER, sigma, 0.5, (1, 2), [[1, 1]]),
+    "lattice_density": lambda sigma: lattice_density([[1.0]], sigma, 0.5, [0.0]),
+    "normal_masses": lambda sigma: normal_masses(sigma, 0.5, 3, 1.0, 4, -2.0),
+    "estimate_from_masses": lambda sigma: estimate_from_masses(
+        ESTIMATE_HISTOGRAM.counts, 13.0, -6656.0, ESTIMATE_CANDIDATES, QUARTER, sigma, ESTIMATE_ALPHABET
+    ),
+    "GaussianSum": lambda sigma: GaussianSum(sigma, [1.0], [0.0]),
 }
 for _mode in ("fixed-bath", "evolving-bath", "single-measurement"):
     WIDTH_CALLS[f"decay_parameter-{_mode}"] = lambda sigma, mode=_mode: decay_parameter(
@@ -74,6 +75,111 @@ for _mode in ("fixed-bath", "evolving-bath", "single-measurement"):
 def test_width_must_be_positive_and_finite(call, sigma):
     with pytest.raises(ValueError, match="sigma"):
         WIDTH_CALLS[call](sigma)
+
+
+THETA_CALLS = {
+    "run_protected": lambda theta: run_protected(theta, 1.0, WIDTH_REALIZATION),
+    "run_unprotected": lambda theta: run_unprotected(theta, 1.0, WIDTH_REALIZATION),
+    "protected_survival_spectral": lambda theta: protected_survival_spectral(theta, 1.0, WIDTH_REALIZATION.couplings),
+    # no member's survival is taken, so the check must come before the members
+    "qze_scaling_report": lambda theta: qze_scaling_report(
+        theta, 1.0, constant_coupling(0.5), [2], 1, seed=0, survival_samples=0
+    ),
+    "fold_kernels": lambda theta: fold_kernels(theta, 1.0, WIDTH_REALIZATION.couplings),
+    "lattice_weights": lambda theta: lattice_weights(theta, 1.0, 0.5, (1, 2), [[1, 1]]),
+    "candidate_table": lambda theta: candidate_table(
+        ESTIMATE_ALPHABET.multipliers, 114.05, theta, 150.0, ESTIMATE_CANDIDATES, 13.0, 1024, -6656.0
+    ),
+    "estimate_from_masses": lambda theta: estimate_from_masses(
+        ESTIMATE_HISTOGRAM.counts, 13.0, -6656.0, ESTIMATE_CANDIDATES, theta, 150.0, ESTIMATE_ALPHABET
+    ),
+    "estimate_histogram": lambda theta: estimate_histogram(
+        ESTIMATE_HISTOGRAM, ESTIMATE_CANDIDATES, theta, 150.0, ESTIMATE_ALPHABET, method="l2"
+    ),
+}
+for _mode in ("fixed-bath", "evolving-bath", "single-measurement"):
+    THETA_CALLS[f"decay_parameter-{_mode}"] = lambda theta, mode=_mode: decay_parameter(
+        theta, 1.0, WIDTH_REALIZATION, mode
+    )
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -0.1, math.pi / 2 + 1e-9])
+@pytest.mark.parametrize("call", sorted(THETA_CALLS))
+def test_theta_must_lie_in_the_quarter_turn(call, theta):
+    with pytest.raises(ValueError, match=re.escape(f"theta must lie in [0, pi/2], got {theta!r}")):
+        THETA_CALLS[call](theta)
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 2])
+@pytest.mark.parametrize("call", sorted(THETA_CALLS))
+def test_theta_at_the_ends_of_the_quarter_turn_accepted(call, theta):
+    THETA_CALLS[call](theta)
+
+
+SHIFT_CALLS = {
+    "ChannelRealization": lambda bad: ChannelRealization((1.0, bad)),
+    "fold_kernels": lambda bad: fold_kernels(QUARTER, 1.0, [1.0, bad]),
+    "protected_survival_spectral": lambda bad: protected_survival_spectral(QUARTER, 1.0, [1.0, bad]),
+    "qze_scaling_report": lambda bad: qze_scaling_report(
+        QUARTER, 1.0, lambda rng, n: np.array([1.0, bad]), [2], 1, seed=0
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+@pytest.mark.parametrize("call", sorted(SHIFT_CALLS))
+def test_shifts_must_be_finite_and_non_negative(call, bad):
+    # one check, one message: the first bad shift by value and index
+    with pytest.raises(ValueError, match=rf"couplings must be finite and non-negative, got {re.escape(repr(bad))} at index 1$"):
+        SHIFT_CALLS[call](bad)
+
+
+MULTIPLE_CALLS = {
+    "NoiseAlphabet": ("alphabet multipliers", lambda m: NoiseAlphabet(1.0, (0.0, m), (0.5, 0.5))),
+    "lattice_weights": ("lattice multipliers", lambda m: lattice_weights(QUARTER, 1.0, 1.0, (0, m), [[1, 1]])),
+    "calibrate_unit_shift": ("shift multiples", lambda m: calibrate_unit_shift(1.0, 0.5, (0, m))),
+}
+
+
+@pytest.mark.parametrize(
+    "bad,rule",
+    [
+        (-1.0, " must be finite and non-negative, got -1.0 at index 1"),
+        (math.nan, " must be finite and non-negative, got nan at index 1"),
+        (1.5, ": expected whole numbers, got 1.5 at flat index 1"),
+    ],
+)
+@pytest.mark.parametrize("call", sorted(MULTIPLE_CALLS))
+def test_multiples_must_be_non_negative_whole_numbers(call, bad, rule):
+    # the shift rule, then the whole-number rule, by one helper for every caller
+    what, function = MULTIPLE_CALLS[call]
+    with pytest.raises(ValueError, match=f"^{re.escape(what + rule)}$"):
+        function(bad)
+
+
+class TestExtremeWidths:
+    """The closed forms take the shifts in units of sigma, so they hold where G^2 or sigma^2 leaves the doubles."""
+
+    @pytest.mark.parametrize("sigma", [1e200, 1e-170])
+    def test_unprotected_survival(self, sigma):
+        got = run_unprotected(QUARTER, sigma, ChannelRealization((sigma,)))
+        assert got == run_unprotected(QUARTER, 1.0, ChannelRealization((1.0,))) == 0.9412484512922977
+        # one event: the protected and unprotected channels agree
+        assert got == pytest.approx(run_protected(QUARTER, 1.0, ChannelRealization((1.0,))).total_survival, rel=1e-13)
+
+    @pytest.mark.parametrize("mode", ["fixed-bath", "single-measurement"])
+    @pytest.mark.parametrize("sigma", [1e200, 1e-170])
+    def test_fixed_moment_decay_parameters(self, sigma, mode):
+        got = decay_parameter(QUARTER, sigma, ChannelRealization((sigma,)), mode)
+        assert got == decay_parameter(QUARTER, 1.0, ChannelRealization((1.0,)), mode)
+        assert got == pytest.approx(0.0625, rel=1e-15)
+
+    @pytest.mark.parametrize("sigma", [1e200, 1e-170])
+    def test_evolving_bath_raises_naming_the_width(self, sigma):
+        # its grid moments, about 1 / (4 sigma^2), leave the doubles
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=re.escape(f"not finite at sigma = {sigma!r}")):
+                decay_parameter(QUARTER, sigma, ChannelRealization((sigma,)), "evolving-bath")
 
 
 class TestRunProtected:
@@ -247,7 +353,7 @@ class TestSecondOrderSurvival:
     def test_quartic_residual_shrinkage(self):
         # the short-interval expansion 1 - G^2 DeltaS^2 / (4 sigma^2)
         sigma = 1.0
-        ds2 = ProbeState(QUARTER).delta_s_squared
+        ds2 = math.sin(QUARTER) ** 2 * math.cos(QUARTER) ** 2
         ratios = []
         for g_total in (0.4, 0.2, 0.1):
             exact = run_unprotected(QUARTER, sigma, ChannelRealization((g_total,)))
@@ -543,6 +649,19 @@ class TestScalingReport:
     def test_rejects_negative_survival_samples(self):
         with pytest.raises(ValueError, match="survival_samples"):
             qze_scaling_report(QUARTER, 1.0, constant_coupling(1.0), [2], 5, seed=0, survival_samples=-2)
+
+    @pytest.mark.parametrize(
+        "kwargs", [dict(n_values=[2, 2.5]), dict(ensemble_size=2.5), dict(survival_samples=1.5)], ids=["n", "ensemble", "samples"]
+    )
+    def test_integer_arguments_must_be_integers(self, kwargs):
+        args = dict(n_values=[2], ensemble_size=2, survival_samples=None) | kwargs
+        with pytest.raises(TypeError):
+            qze_scaling_report(QUARTER, 1.0, constant_coupling(1.0), seed=0, **args)
+
+    def test_numpy_integers_accepted(self):
+        rows = qze_scaling_report(QUARTER, 1.0, constant_coupling(1.0), np.array([1, 3]), np.int64(2), seed=0)
+        assert [row.n_events for row in rows] == [1, 3]
+        assert all(type(row.n_events) is int for row in rows)
 
 
 class TestCalibration:

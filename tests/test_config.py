@@ -78,7 +78,7 @@ FIELD_CASES = [
     ("sigma_um = 0.0", "sigma_um must be positive and finite"),
     ("unit_shift_um = inf", "unit_shift_um must be positive and finite"),
     ("calibration_target = 1.5", r"calibration_target must lie in \(0, 1\)"),
-    ("alphabet_multipliers = 0, 1, 1.5, 3, 4", "alphabet_multipliers: alphabet multipliers must be integers"),
+    ("alphabet_multipliers = 0, 1, 1.5, 3, 4", "alphabet_multipliers: alphabet multipliers: expected whole numbers, got 1.5 at flat index 2"),
     ("event_probabilities = 0.5, 0.5, 0.5, 0.5, 0.5", "event_probabilities: event probabilities must sum to 1"),
     ("n_events = 0", "n_events must be >= 1, got 0"),
     ("n_trials = 0", "n_trials must be >= 1, got 0"),
@@ -120,7 +120,7 @@ class TestValidation:
             ExperimentConfig(**kwargs)
 
     def test_non_integer_multiplier_names_key(self):
-        with pytest.raises(ConfigError, match=r"cfg\.txt:1: alphabet_multipliers: .*integers"):
+        with pytest.raises(ConfigError, match=r"cfg\.txt:1: alphabet_multipliers: .*whole numbers"):
             parse_config("alphabet_multipliers = 0, 1, 1.5, 3, 4\n", source="cfg.txt")
         # the float form written by serialize_config still parses
         assert parse_config("alphabet_multipliers = 0.0, 1.0, 2.0, 3.0, 4.0\n") == ExperimentConfig()

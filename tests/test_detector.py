@@ -441,6 +441,8 @@ class TestHistogramGeometry:
     def test_non_finite_geometry_rejected(self, pitch, offset):
         with pytest.raises(ValueError, match="pixel pitch must be positive and finite and the offset finite"):
             SpatialHistogram(pitch, offset, [1, 2])
+        with pytest.raises(ValueError, match="pixel pitch must be positive and finite and the offset finite"):
+            normal_masses(1.0, 1.0, 3, pitch, 4, offset)
 
     def test_negative_overflow_rejected(self):
         with pytest.raises(ValueError, match="overflow count must be non-negative, got -5"):

@@ -146,6 +146,14 @@ class TestFiniteStatistics:
         with pytest.raises(ValueError):
             estimate_histogram(hist, (), QUARTER, SIGMA, ALPHABET, method="moments")
 
+    def test_unknown_method_rejected_before_the_table_is_built(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("the candidate table was built")
+
+        monkeypatch.setattr(estimator, "candidate_table", no_table)
+        with pytest.raises(ValueError, match="unknown estimator 'L2'"):
+            estimate_from_masses(noiseless_masses(TRUTH), 13.0, -6656.0, CANDIDATES, QUARTER, SIGMA, ALPHABET, "L2")
+
 
 def last_pixel_spike():
     """One photon in the last pixel, far right of every candidate mean."""
@@ -340,7 +348,7 @@ class TestLatticeTable:
             candidate_table(ALPHABET.multipliers, G, QUARTER, SIGMA, CANDIDATES[:1], *geometry)
 
     def test_non_integer_multipliers_rejected(self):
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match=r"^lattice multipliers: expected whole numbers, got 1\.5 at flat index 1$"):
             candidate_table((0.0, 1.5), G, QUARTER, SIGMA, ((1, 1),), 13.0, 1024, -6656.0)
 
 

@@ -42,8 +42,8 @@ GOLDEN = {
     "rep_fig3c/fig3c_table.txt": "0db911d85ff03c77cd41d2d2aeb38b436b28c1d10cf25d1c373fe57353370a3e",
     "rep_scaling/scaling.svg": "17c11668458c63aae8c2408107e3555bc626632c95bda1a247cc40538837a9e7",
     "rep_scaling/scaling_constant.csv": "49d96817fb338ba1b4c87860c805082225236f40d5bd4784adf0d51b94199c21",
-    "rep_scaling/scaling_uniform.csv": "144e9e77fa6701d2de864c9ea65f12030e2e6bac377c837acb74a19c79492024",
-    "scal/scaling_report.csv": "b4364853edebf18715e6cd01c67cef5ffeb54b677c2d571bad62a61086befab3",
+    "rep_scaling/scaling_uniform.csv": "4094517ceed362dfa01c3564b932c98c329e880012905e2fd2d0569fc55db599",
+    "scal/scaling_report.csv": "5436748b9008c4f5705572271a039b7f57f3421127abfa55c706fe8fec18ef00",
     "sim/config.txt": "650611994f5ae59d427b5c17c99aef04aa49b3ea00fc63b64cdfb5533567bdfd",
     "sim/manifest.json": "2c44e411eff7b00890df8fc19409a96d1d14f46991cf9754d527b4d739131b22",
     "sim/run_report_000.json": "07a8e777ab2da77cd5d94bd822ca14f80d8acd9ed4121acdad55bf39ad21a841",

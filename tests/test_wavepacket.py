@@ -52,7 +52,7 @@ class TestMakeGaussian:
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
     def test_invalid_width_rejected(self, sigma):
-        with pytest.raises(ValueError, match="packet width must be positive"):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
             shifted(sigma, 0.0)
 
     def test_peak_density(self):
@@ -132,13 +132,13 @@ class TestKernel:
 
     @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
     def test_negative_shift_rejected(self, bad):
-        with pytest.raises(ValueError, match="coupling shift must be non-negative"):
+        with pytest.raises(ValueError, match="couplings must be finite and non-negative"):
             fold_kernels(0.3, 1.0, [bad])
 
     def test_bad_shift_after_lattice_couplings_rejected(self):
         # -1e-12 rounds to multiple 0 well within the merge tolerance, so the
         # couplings would otherwise take the lattice path; the first bad one is named
-        with pytest.raises(ValueError, match=r"non-negative, got -1e-12$"):
+        with pytest.raises(ValueError, match=r"non-negative, got -1e-12 at index 3$"):
             fold_kernels(0.3, 1.0, [1.0, 2.0, 1.0, -1e-12, math.nan])
 
     @given(
