@@ -13,6 +13,9 @@ product of one momentum filter per measurement over an exact momentum grid,
 streamed a block of events at a time: a grid holds one block of running
 products, not a nodes x events array.
 
+Each entry point divides its lengths by sigma once (z = g / sigma, nodes
+p sigma), so at sigma = g every width gives the unit-width results.
+
 The approximate decay parameters J (survival ~ exp(-J)) from the
 short-interval expansion are provided for analysis only: survival itself is
 always computed exactly from norms.
@@ -27,9 +30,10 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from zenosense.detector import _check_non_negative
 from zenosense.seeds import make_rng
 from zenosense.wavepacket import GaussianSum, fold_kernels, lattice_weights
-from zenosense.wavepacket import _check_multiples, _check_positive, _check_shifts, _check_theta
+from zenosense.wavepacket import _check_multiples, _check_positive, _check_theta
 
 __all__ = [
     "ChannelRealization",
@@ -55,7 +59,7 @@ class ChannelRealization:
     couplings: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        cs = tuple(_check_shifts(self.couplings).tolist())
+        cs = tuple(_check_non_negative(self.couplings, "couplings").tolist())
         if len(cs) < 1:
             raise ValueError("a realization needs at least one coupling")
         object.__setattr__(self, "couplings", cs)
@@ -94,7 +98,8 @@ def run_protected(theta: float, sigma: float, realization: ChannelRealization) -
     The survival S_j after j events and the moments come from the momentum
     grid, whose running products ``_running_products`` streams a block of
     events at a time: step j survives with S_(j+1) / S_j. The grid takes one
-    block, about 256 KiB, and arrays of one entry per node or event.
+    block, about 256 KiB, and arrays of one entry per node or event. Its
+    moments, in units of 1 / sigma^2, are divided by sigma twice here.
     Couplings on a lattice (the rule is in ``fold_kernels``) also get the
     final state, with amplitudes the coefficients of prod_j (s^2 + c^2
     z^{n_j}), and take the total survival from its norm, the coefficients'
@@ -111,7 +116,7 @@ def run_protected(theta: float, sigma: float, realization: ChannelRealization) -
         final_state=state,
         total_survival=_clip01(float(total)),
         step_survivals=tuple(np.clip(steps, 0.0, 1.0).tolist()),
-        momentum_moments=tuple(moments.tolist()),
+        momentum_moments=tuple((moments / sigma / sigma).tolist()),
     )
 
 
@@ -123,14 +128,13 @@ def run_unprotected(theta: float, sigma: float, realization: ChannelRealization)
     """
     _check_theta(theta)
     sigma = _check_positive("sigma", sigma)
-    return _unprotected_survival(theta, sigma, realization.total)
+    return _unprotected_survival(theta, realization.total / sigma)
 
 
-def _unprotected_survival(theta: float, sigma: float, total: float) -> float:
-    """cos^4 + sin^4 + 2 sin^2 cos^2 exp(-z^2 / 8) for the total shift G = z sigma, at any width."""
+def _unprotected_survival(theta: float, z: float) -> float:
+    """cos^4 + sin^4 + 2 sin^2 cos^2 exp(-z^2 / 8) for the total shift G = z sigma."""
     c2 = math.cos(theta) ** 2
     s2 = math.sin(theta) ** 2
-    z = total / sigma
     overlap = math.exp(-(z * z) / 8.0)
     return _clip01(c2 * c2 + s2 * s2 + 2.0 * c2 * s2 * overlap)
 
@@ -147,25 +151,23 @@ def decay_parameter(
     ``fixed-bath`` reuses the initial bath momentum moment B2_1 = 1/(4 sigma^2)
     for every step; ``evolving-bath`` takes the per-step moments that a
     protected run records, from the momentum grid alone (no kernel fold);
-    ``single-measurement`` is J_1 = DeltaS^2 * B2_1 * (sum g_j)^2. These two
-    take the shifts in units of sigma, so they hold at any width; where the
-    grid moments leave the doubles (sigma = 1e200 or 1e-170) ``evolving-bath`` raises.
+    ``single-measurement`` is J_1 = DeltaS^2 * B2_1 * (sum g_j)^2. Every
+    mode takes z_j = g_j / sigma and B2 in units of 1 / sigma^2, so it
+    holds at any width.
     """
     _check_theta(theta)
     sigma = _check_positive("sigma", sigma)
     ds2 = math.sin(theta) ** 2 * math.cos(theta) ** 2
-    g = np.asarray(realization.couplings, dtype=np.float64)
-    if mode == "single-measurement":
-        return float(ds2 * (g.sum() / sigma) ** 2 / 4.0)
-    if mode == "fixed-bath":
-        return float(ds2 * np.sum((g / sigma) ** 2) / 4.0)
     if mode == "evolving-bath":
         _, b2 = _grid_survivals_and_moments(theta, sigma, realization.couplings)
-        j = float(ds2 * np.sum(g * g * b2))
-        if not math.isfinite(j):
-            raise ValueError(f"evolving-bath J is not finite at sigma = {sigma!r}: the grid moments leave the doubles")
-        return j
-    raise ValueError(f"unknown decay mode {mode!r}; expected one of {DECAY_MODES}")
+    elif mode not in DECAY_MODES:
+        raise ValueError(f"unknown decay mode {mode!r}; expected one of {DECAY_MODES}")
+    z = np.asarray(realization.couplings, dtype=np.float64) / sigma
+    if mode == "single-measurement":
+        return float(ds2 * z.sum() ** 2 / 4.0)
+    if mode == "fixed-bath":
+        return float(ds2 * np.sum(z * z) / 4.0)
+    return float(ds2 * np.sum(z * z * b2))
 
 
 # --- momentum-space survival ------------------------------------------------
@@ -195,36 +197,39 @@ _GROUPED_GRID_MIN = 2048
 
 
 def _momentum_grid(sigma: float, couplings: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Momentum nodes p, trapezoid weights w and the couplings as an array.
+    """Momentum nodes k = p sigma, trapezoid weights w and the couplings z = g / sigma.
 
-    Each measurement multiplies the momentum density N(p; 0, 1/(4 sigma^2)) by
-    |beta_j(p)|^2 = c^4 + s^4 + 2 c^2 s^2 cos(p g_j): the survival after j
+    Each measurement multiplies the momentum density N(k; 0, 1/4) by
+    |beta_j|^2 = c^4 + s^4 + 2 c^2 s^2 cos(k z_j): the survival after j
     events is a Gaussian average of a cosine series with frequencies up to
-    sum(g). The trapezoid rule with spacing h = 2 pi / (sum(g) + 4 T sigma) is
+    sum(z). The trapezoid rule with spacing h = 2 pi / (sum(z) + 4 T) is
     exact for it up to aliasing below exp(-2 T^2); the integrand is even, so
-    nodes p = k h run over [0, T / (2 sigma)] with doubled weights for k >= 1.
-    A grid of more than ``_GRID_MAX_ENTRIES`` entries raises before anything
-    is allocated.
+    nodes k = i h run over [0, T / 2] with doubled weights for i >= 1. The
+    width enters only as the divisor of the couplings, so the grid of
+    (sigma, g) is that of (1, g / sigma) bit for bit. A grid of more than
+    ``_GRID_MAX_ENTRIES`` entries raises before anything is allocated.
     """
     sigma = _check_positive("sigma", sigma)
-    g = _check_shifts(couplings)
+    g = _check_non_negative(couplings, "couplings")
     if g.size == 0:
         raise ValueError("couplings must be non-empty")
-    sp = 1.0 / (2.0 * sigma)
-    total = float(g.sum())
-    span = total + 4.0 * _GRID_SPREADS * sigma
-    # the node count as a product, which overflows to inf rather than raising
+    # a ratio, sum or node count past the doubles is inf, which the budget rejects
+    with np.errstate(over="ignore"):
+        z = g / sigma
+        total = float(z.sum())
+    sp = 0.5  # the momentum spread 1 / (2 sigma), in units of 1 / sigma
+    span = total + 4.0 * _GRID_SPREADS
     nodes = _GRID_SPREADS * sp * span / (2.0 * math.pi) + 1.0
     if not nodes * (g.size + 1) <= _GRID_MAX_ENTRIES:
         raise ValueError(
             f"momentum grid of {nodes:.3g} nodes x {g.size + 1} columns exceeds {_GRID_MAX_ENTRIES} entries, "
-            f"for couplings summing to {total!r} at width {sigma!r}"
+            f"for couplings summing to {float(g.sum())!r} at width {sigma!r}"
         )
     h = 2.0 * math.pi / span
     p = h * np.arange(math.ceil(_GRID_SPREADS * sp / h) + 1)
     w = (h / (sp * math.sqrt(2.0 * math.pi))) * np.exp(-0.5 * (p / sp) ** 2)
     w[1:] *= 2.0
-    return p, w, g
+    return p, w, z
 
 
 def _running_products(theta: float, p: np.ndarray, g: np.ndarray) -> Iterator[np.ndarray]:
@@ -282,16 +287,16 @@ def _grid_survivals_and_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Survivals S_0..S_N and the bath momentum second moments before each event.
 
-    ``moments[j]`` is <P^2> after j surviving measurements,
-    ``(w p^2) @ P_j / S_j`` on the momentum grid, for j < N; both sums of
-    each row are taken as its block passes.
+    ``moments[j]`` is sigma^2 <P^2> after j surviving measurements,
+    ``(w k^2) @ P_j / S_j`` on the momentum grid, for j < N: the moment in
+    units of 1 / sigma^2. Both sums of each row are taken as its block passes.
     """
-    p, w, g = _momentum_grid(sigma, couplings)
+    p, w, z = _momentum_grid(sigma, couplings)
     wp2 = w * p * p
-    survivals = np.empty(g.size + 1)
-    moments = np.empty(g.size)
+    survivals = np.empty(z.size + 1)
+    moments = np.empty(z.size)
     j = 0
-    for block in _running_products(theta, p, g):
+    for block in _running_products(theta, p, z):
         rows = block[:-1]
         np.matmul(rows, w, out=survivals[j : j + rows.shape[0]])
         np.matmul(rows, wp2, out=moments[j : j + rows.shape[0]])
@@ -312,8 +317,8 @@ def protected_survival_spectral(theta: float, sigma: float, couplings: Sequence[
     few arrays of one entry per node or event.
     """
     _check_theta(theta)
-    p, w, g = _momentum_grid(sigma, couplings)
-    for block in _running_products(theta, p, g):
+    p, w, z = _momentum_grid(sigma, couplings)
+    for block in _running_products(theta, p, z):
         pass
     return _clip01(float(w @ block[-1]))
 
@@ -325,7 +330,7 @@ CouplingSampler = Callable[[np.random.Generator, int], np.ndarray]
 
 def constant_coupling(g: float) -> CouplingSampler:
     """Sampler producing N identical couplings g (finite, non-negative)."""
-    _check_shifts(g, "coupling scale")
+    _check_non_negative(g, "coupling scale")
 
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, float(g))
@@ -335,7 +340,7 @@ def constant_coupling(g: float) -> CouplingSampler:
 
 def uniform_coupling(high: float) -> CouplingSampler:
     """Sampler of i.i.d. couplings uniform on [0, high) (high finite, non-negative)."""
-    _check_shifts(high, "coupling scale")
+    _check_non_negative(high, "coupling scale")
 
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(0.0, float(high), size=n)
@@ -397,7 +402,7 @@ def qze_scaling_report(
         unprotected = np.empty(k_surv)
         for m in range(ensemble_size):
             rng = make_rng(seed, ni, m)
-            g = _check_shifts(sampler(rng, n), "sampled couplings")
+            g = _check_non_negative(sampler(rng, n), "sampled couplings")
             if g.shape != (n,):
                 raise ValueError(f"sampler must return {n} couplings, got shape {g.shape}")
             total = g.sum()
@@ -407,7 +412,7 @@ def qze_scaling_report(
             if m < k_surv:
                 p = protected_survival_spectral(theta, sigma, g)
                 # the sequential sum of ChannelRealization.total, as run_unprotected takes
-                u = _unprotected_survival(theta, sigma, sum(g.tolist()))
+                u = _unprotected_survival(theta, sum(g.tolist()) / sigma)
                 protected[m] = p
                 unprotected[m] = u
                 ratios[m] = p / u

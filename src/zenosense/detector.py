@@ -111,6 +111,16 @@ def _whole_numbers(values, what: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _check_non_negative(values, what: str) -> np.ndarray:
+    """Values as a float64 array, each finite and non-negative; the first that is not is named, with its flat index."""
+    arr = np.asarray(values, dtype=np.float64)
+    bad = np.flatnonzero(~(np.isfinite(arr) & (arr >= 0.0)))
+    if bad.size:
+        where = f" at index {bad[0]}" if arr.ndim else ""
+        raise ValueError(f"{what} must be finite and non-negative, got {arr.ravel()[bad[0]].item()!r}{where}")
+    return arr
+
+
 def sample_histogram(
     slot_masses: np.ndarray,
     photons: int,
@@ -154,11 +164,9 @@ def sample_histogram(
     """
     if photons < 1:
         raise ValueError(f"sample count must be >= 1, got {photons}")
-    masses = np.asarray(slot_masses, dtype=np.float64)
+    masses = _check_non_negative(slot_masses, "slot masses")
     if masses.ndim != 1 or masses.size < 4:
         raise ValueError("slot masses must be 1-d: left overflow, at least 2 pixels, right overflow")
-    if not np.all(np.isfinite(masses)) or np.any(masses < 0.0):
-        raise ValueError("slot masses must be finite and non-negative")
     with np.errstate(over="ignore"):
         total = float(masses.sum())
     if not (0.0 < total < math.inf):

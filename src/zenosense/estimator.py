@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from zenosense.detector import SpatialHistogram, pixel_centers
+from zenosense.detector import SpatialHistogram, _check_non_negative, pixel_centers
 from zenosense.noise_model import NoiseAlphabet
 from zenosense.wavepacket import lattice_weights, normal_masses
 
@@ -219,13 +219,9 @@ def estimate_from_masses(
         raise ValueError(f"unknown estimator {method!r}; expected 'l2' or 'moments'")
     if len(candidates) == 0:
         raise ValueError("candidate list is empty")
-    masses = np.asarray(masses, dtype=np.float64)
+    masses = _check_non_negative(masses, "mass vector")
     if masses.ndim != 1 or masses.size < 2:
         raise ValueError("mass vector must be 1-d with at least 2 pixels")
-    if not np.isfinite(masses).all():
-        raise ValueError("mass vector has a non-finite entry")
-    if (masses < 0.0).any():
-        raise ValueError("mass vector has a negative entry")
     with np.errstate(over="ignore"):
         total = masses.sum()
     if not (total > 0.0):

@@ -6,12 +6,13 @@ the alphabet, is its count tuple: a tuple of D non-negative Python ints.
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from zenosense.channel import ChannelRealization
+from zenosense.detector import _check_non_negative
 from zenosense.seeds import as_rng
 from zenosense.wavepacket import _check_multiples, _check_positive
 
@@ -40,17 +41,13 @@ class NoiseAlphabet:
     def __post_init__(self) -> None:
         g = _check_positive("unit shift", self.unit_shift)
         mult = tuple(map(float, _check_multiples(self.multipliers, "alphabet multipliers")))
-        probs = tuple(float(p) for p in self.probabilities)
+        probs = tuple(_check_non_negative(self.probabilities, "event probabilities").tolist())
         if len(mult) < 1:
             raise ValueError("alphabet needs at least one value")
         if len(mult) != len(probs):
             raise ValueError("multipliers and probabilities must have equal length")
-        if not all(math.isfinite(p) for p in probs):
-            raise ValueError("event probabilities must be finite")
         if any(b <= a for a, b in zip(mult, mult[1:])):
             raise ValueError("alphabet values must be strictly increasing")
-        if any(p < 0.0 for p in probs):
-            raise ValueError("event probabilities must be non-negative")
         if abs(sum(probs) - 1.0) > 1e-12:
             raise ValueError(f"event probabilities must sum to 1, got {sum(probs)!r}")
         object.__setattr__(self, "unit_shift", g)
@@ -72,13 +69,15 @@ def sample_realization(
 ) -> tuple[tuple[int, ...], ChannelRealization]:
     """Draw N i.i.d. couplings from the alphabet; counts are multinomial.
 
-    Returns the drawn configuration and the couplings in draw order.
+    Returns the drawn configuration and the couplings in draw order. The
+    event count must be an integer: 2.5 raises ``TypeError``.
     """
+    n_events = operator.index(n_events)
     if n_events < 1:
         raise ValueError(f"n_events must be >= 1, got {n_events}")
     rng = as_rng(seed)
     values = np.asarray(alphabet.values)
-    idx = rng.choice(alphabet.size, size=int(n_events), p=alphabet.probabilities)
+    idx = rng.choice(alphabet.size, size=n_events, p=alphabet.probabilities)
     config = tuple(np.bincount(idx, minlength=alphabet.size).tolist())
     return config, ChannelRealization(tuple(values[idx]))
 

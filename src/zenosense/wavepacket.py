@@ -18,12 +18,14 @@ numerically. Every state the pipeline forms sits on a lattice of shifts, so
 its density is a mixture of normals shared by all lattice states.
 ``lattice_weights`` gives many states' weights on them at once, kept
 non-normalized on purpose: a row's sum is the state's squared norm, the
-survival probability of the polarization qubit. ``lattice_density`` gives
-the rows' normalized densities, and ``normal_masses`` the masses of the
-normals, cut at 9 sigma, in each of the detector's slots. Those masses
-depend only on the width, the unit shift and the detector, so they are
-cached and read-only; every simulated trial takes the product of one row
-of weights with them, and the candidate table keeps the two as factors.
+survival probability of the polarization qubit. The overlaps see the
+lattice only through its spacing in widths, h / sigma, so every width gives
+weights. ``lattice_density`` gives the rows' normalized densities, and
+``normal_masses`` the masses of the normals, cut at 9 sigma, in each of
+the detector's slots. Those masses depend only on the width, the unit
+shift and the detector, so they are cached and read-only; every simulated
+trial takes the product of one row of weights with them, and the
+candidate table keeps the two as factors.
 ``fold_kernels`` builds the ``GaussianSum`` a protected run reports, with
 its squared norm, where the couplings sit on a lattice: every coupling a
 multiple n_j of a unit h = h_0 / q, h_0 the smallest positive coupling and
@@ -38,6 +40,7 @@ coefficients' autocorrelation over the lags whose overlap is at least
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -45,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from zenosense.detector import _check_pixels, _whole_numbers
+from zenosense.detector import _check_non_negative, _check_pixels, _whole_numbers
 
 __all__ = [
     "GaussianSum",
@@ -77,19 +80,9 @@ def _check_positive(name: str, value: float) -> float:
     return float(value)
 
 
-def _check_shifts(values, what: str = "couplings") -> np.ndarray:
-    """Shifts as a float64 array, each finite and non-negative; the first that is not is named, with its flat index."""
-    arr = np.asarray(values, dtype=np.float64)
-    bad = np.flatnonzero(~(np.isfinite(arr) & (arr >= 0.0)))
-    if bad.size:
-        where = f" at index {bad[0]}" if arr.ndim else ""
-        raise ValueError(f"{what} must be finite and non-negative, got {arr.ravel()[bad[0]].item()!r}{where}")
-    return arr
-
-
 def _check_multiples(multiples, what: str) -> tuple[int, ...]:
     """Multiples of a lattice unit as Python ints: non-negative shifts that are whole numbers."""
-    _check_shifts(multiples, what)
+    _check_non_negative(multiples, what)
     return tuple(_whole_numbers(multiples, what).tolist())
 
 
@@ -193,14 +186,15 @@ def _lattice_coefficients(c2: float, s2: float, multipliers: Sequence[int], coun
     return coef
 
 
-def _lags_in_reach(size: int, h: float, sigma: float):
-    """Lags d < ``size`` of a lattice of spacing h with their overlaps
-    exp(-(d h)^2 / (8 sigma^2)), up to the first overlap below 1e-40.
-    A (d h)^2 or sigma^2 outside the doubles raises ``OverflowError`` or
-    ``ZeroDivisionError``; ``fold_kernels`` passes the spacing in units of
-    sigma, and sigma = 1."""
-    for d in range(size):
-        overlap = math.exp(-((d * h) ** 2) / (8.0 * sigma * sigma))
+def _lags_in_reach(size: int, spacing: float):
+    """Lags d < ``size`` of a lattice whose spacing is ``spacing`` widths, with
+    their overlaps: 1 at lag 0, then exp(-x x / 8) at x = d spacing, up to
+    the first overlap below 1e-40. A spacing of 0 keeps every lag, and one
+    whose x x overflows to inf keeps lag 0 alone."""
+    yield 0, 1.0
+    for d in range(1, size):
+        x = d * spacing
+        overlap = math.exp(-x * x / 8.0)
         if overlap < 1e-40:
             return
         yield d, overlap
@@ -238,9 +232,7 @@ def fold_kernels(theta: float, sigma: float, couplings: Sequence[float]) -> tupl
 
     over the lags d whose overlap is at least 1e-40, the cut of
     ``lattice_weights``; the coefficients are non-negative and sum to 1, so
-    the lags left out carry less than 2e-40. The spacing is taken in units
-    of sigma; the rule keeps it between 1e-9 (tol <= h) and 1 / (2e9 eps)
-    (2 N eps h < tol), so no square of it leaves the doubles.
+    the lags left out carry less than 2e-40.
 
     Returns None where no unit passes: continuous couplings, tolerance
     chains and couplings whose multiples would be too many, such as
@@ -248,7 +240,7 @@ def fold_kernels(theta: float, sigma: float, couplings: Sequence[float]) -> tupl
     momentum grid.
     """
     _check_theta(theta)
-    values = _check_shifts(couplings)
+    values = _check_non_negative(couplings, "couplings")
     sigma = _check_positive("sigma", sigma)
     if not values.any():
         return GaussianSum(sigma, [1.0], [0.0]), 1.0
@@ -262,7 +254,7 @@ def fold_kernels(theta: float, sigma: float, couplings: Sequence[float]) -> tupl
     size = coef.size
     norm = sum(
         (2.0 if d else 1.0) * overlap * float(coef[: size - d] @ coef[d:])
-        for d, overlap in _lags_in_reach(size, h / sigma, 1.0)
+        for d, overlap in _lags_in_reach(size, h / sigma)
     )
     copies = np.flatnonzero(coef)
     return GaussianSum(sigma, coef[copies], h * copies), norm
@@ -286,12 +278,13 @@ def lattice_weights(
     the 2M - 1 normals N(x; s h / 2, sigma^2) shared by all rows, with
     weights
 
-        W_s = sum_{a+b=s} c_a c_b exp(-(a - b)^2 h^2 / (8 sigma^2)),
+        W_s = sum_{a+b=s} c_a c_b exp(-((a - b) h / sigma)^2 / 8),
 
-    accumulated one diagonal a - b at a time until the overlap falls below
-    1e-40. The coefficients are non-negative and sum to 1, so the diagonals
-    left out carry less than 2e-40 of a row's mass, far below the cut of
-    the normals in ``normal_masses``.
+    accumulated one diagonal a - b at a time, with the spacing h / sigma
+    formed once, until the overlap falls below 1e-40. The coefficients are
+    non-negative and sum to 1, so the diagonals left out carry less than
+    2e-40 of a row's mass, far below the cut of the normals in
+    ``normal_masses``.
 
     Returns W, shape ``(rows, 2M - 1)``, where M - 1 is the largest
     ``counts[r] @ multipliers``. A row's masses over the detector's slots
@@ -300,9 +293,7 @@ def lattice_weights(
     squared norm of its state, the protected survival probability.
     Theta, the width and unit shift are checked, and multipliers and counts
     must be non-negative whole numbers: a count of 2.5, NaN or 1e20 raises
-    ``ValueError``. A unit shift and width whose
-    overlaps leave the doubles, such as h = sigma = 1e200 ((d h)^2 overflows)
-    or 1e-170 (sigma^2 underflows), raise ``ValueError``.
+    ``ValueError``.
     """
     _check_theta(theta)
     mult = _check_multiples(multipliers, "lattice multipliers")
@@ -313,14 +304,8 @@ def lattice_weights(
         raise ValueError("counts must be non-negative, one row per state and one column per multiplier")
     coef = _lattice_coefficients(math.cos(theta) ** 2, math.sin(theta) ** 2, mult, counts)
     size = coef.shape[1]
-    try:
-        lags = list(_lags_in_reach(size, h, sigma))
-    except (OverflowError, ZeroDivisionError):
-        raise ValueError(
-            f"lattice overlaps leave the doubles at unit shift {unit_shift!r} and packet width {sigma!r}"
-        ) from None
     weights = np.zeros((counts.shape[0], 2 * size - 1))
-    for d, overlap in lags:
+    for d, overlap in _lags_in_reach(size, h / sigma):
         # pairs (a, a + d) and (a + d, a) sit at s = 2a + d
         weights[:, d : 2 * size - 1 - d : 2] += (2.0 if d else 1.0) * overlap * coef[:, : size - d] * coef[:, d:]
     return weights
@@ -331,12 +316,15 @@ def lattice_density(weights: np.ndarray, sigma: float, unit_shift: float, x) -> 
 
     Row r of the result is sum_s W_rs N(x; s h / 2, sigma^2) / sum_s W_rs
     at each position of the 1-d ``x``, with h = ``unit_shift``: shape
-    ``(rows, len(x))``. Rejects a row whose weights sum to zero, the
-    squared norm of a state that does not survive.
+    ``(rows, len(x))``. The weights must be 2-d, finite and non-negative;
+    a row whose weights sum to zero, the squared norm of a state that does
+    not survive, is rejected.
     """
     sigma = _check_positive("sigma", sigma)
     h = _check_positive("unit shift", unit_shift)
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = _check_non_negative(weights, "lattice weights")
+    if weights.ndim != 2:
+        raise ValueError(f"lattice weights must be 2-d, one row per state, got shape {weights.shape}")
     totals = weights.sum(axis=1)
     if not np.all(totals > 0.0):
         raise ValueError("density undefined for a zero-norm state")
@@ -376,10 +364,12 @@ def normal_masses(
     any of its truths can reach, and a candidate table over every
     configuration of N events asks for the same rows, so both read one
     entry. That pays wherever a process makes more than one
-    ``simulate_trials`` or estimate call at one geometry.
+    ``simulate_trials`` or estimate call at one geometry. The two counts
+    must be integers: 2.5 raises ``TypeError`` before anything is cached.
     """
     sigma = _check_positive("sigma", sigma)
     h = _check_positive("unit shift", unit_shift)
+    n_normals, n_pixels = operator.index(n_normals), operator.index(n_pixels)
     if n_normals < 1 or n_pixels < 1:
         raise ValueError(f"need at least one normal and one pixel, got {n_normals!r}, {n_pixels!r}")
     _check_pixels(pitch, offset)

@@ -247,7 +247,8 @@ def lattice_survival(theta: float, sigma: float, h: float, multipliers) -> float
 
 
 def lattice_weights(theta, sigma, unit_shift, multipliers, counts, cutoff=1e-40):
-    """Normal weights of ``wavepacket.lattice_weights`` in the same arithmetic.
+    """Normal weights of ``wavepacket.lattice_weights`` in the same arithmetic,
+    the overlap of lag d exp(-x x / 8) at x = d (h / sigma).
 
     The diagonal loop stops at the first overlap below ``cutoff``; a cutoff
     of 0 runs it until the overlap underflows to zero.
@@ -267,7 +268,8 @@ def lattice_weights(theta, sigma, unit_shift, multipliers, counts, cutoff=1e-40)
             coef[rows] = after
     weights = np.zeros((counts.shape[0], 2 * size - 1))
     for d in range(size):
-        overlap = math.exp(-((d * unit_shift) ** 2) / (8.0 * sigma * sigma))
+        x = d * (unit_shift / sigma)
+        overlap = math.exp(-x * x / 8.0)
         if overlap == 0.0 or overlap < cutoff:
             break
         weights[:, d : 2 * size - 1 - d : 2] += (2.0 if d else 1.0) * overlap * coef[:, : size - d] * coef[:, d:]

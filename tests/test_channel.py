@@ -23,7 +23,7 @@ from zenosense.channel import (
     uniform_coupling,
 )
 from zenosense.config import ExperimentConfig
-from zenosense.detector import SpatialHistogram
+from zenosense.detector import SpatialHistogram, sample_histogram
 from zenosense.estimator import candidate_table, estimate_from_masses, estimate_histogram
 from zenosense.noise_model import NoiseAlphabet, config_realization, enumerate_configurations
 from zenosense.pipeline import resolve_unit_shift
@@ -134,6 +134,28 @@ def test_shifts_must_be_finite_and_non_negative(call, bad):
         SHIFT_CALLS[call](bad)
 
 
+NON_NEGATIVE_CALLS = {
+    "sample_histogram": ("slot masses", lambda bad: sample_histogram([0.1, bad, 0.4, 0.1], 10, 1.0, 0.0, 1)),
+    "estimate_from_masses": (
+        "mass vector",
+        lambda bad: estimate_from_masses(
+            [1.0, bad] + [1.0] * 1022, 13.0, -6656.0, ESTIMATE_CANDIDATES, QUARTER, 150.0, ESTIMATE_ALPHABET
+        ),
+    ),
+    "NoiseAlphabet": ("event probabilities", lambda bad: NoiseAlphabet(1.0, (0.0, 1.0), (0.5, bad))),
+    "lattice_density": ("lattice weights", lambda bad: lattice_density([[1.0, bad]], 1.0, 0.5, [0.0])),
+}
+
+
+@pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+@pytest.mark.parametrize("call", sorted(NON_NEGATIVE_CALLS))
+def test_masses_and_weights_must_be_finite_and_non_negative(call, bad):
+    # the shifts' check and message, for every other value that must be finite and non-negative
+    what, function = NON_NEGATIVE_CALLS[call]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{what} must be finite and non-negative, got {bad!r} at index 1')}$"):
+        function(bad)
+
+
 MULTIPLE_CALLS = {
     "NoiseAlphabet": ("alphabet multipliers", lambda m: NoiseAlphabet(1.0, (0.0, m), (0.5, 0.5))),
     "lattice_weights": ("lattice multipliers", lambda m: lattice_weights(QUARTER, 1.0, 1.0, (0, m), [[1, 1]])),
@@ -157,10 +179,15 @@ def test_multiples_must_be_non_negative_whole_numbers(call, bad, rule):
         function(bad)
 
 
-class TestExtremeWidths:
-    """The closed forms take the shifts in units of sigma, so they hold where G^2 or sigma^2 leaves the doubles."""
+# g^2 overflows at 1e154 and up, and 1 / sigma^2 at 1e-155 and down
+EXTREME_WIDTHS = [1e200, 1e154, 1e-155, 1e-170]
 
-    @pytest.mark.parametrize("sigma", [1e200, 1e-170])
+
+class TestExtremeWidths:
+    """Lengths enter in units of sigma, so at sigma = g every width gives the
+    unit-width values, where g^2, sigma^2 or 1 / sigma^2 leave the doubles."""
+
+    @pytest.mark.parametrize("sigma", EXTREME_WIDTHS)
     def test_unprotected_survival(self, sigma):
         got = run_unprotected(QUARTER, sigma, ChannelRealization((sigma,)))
         assert got == run_unprotected(QUARTER, 1.0, ChannelRealization((1.0,))) == 0.9412484512922977
@@ -168,18 +195,46 @@ class TestExtremeWidths:
         assert got == pytest.approx(run_protected(QUARTER, 1.0, ChannelRealization((1.0,))).total_survival, rel=1e-13)
 
     @pytest.mark.parametrize("mode", ["fixed-bath", "single-measurement"])
-    @pytest.mark.parametrize("sigma", [1e200, 1e-170])
+    @pytest.mark.parametrize("sigma", EXTREME_WIDTHS)
     def test_fixed_moment_decay_parameters(self, sigma, mode):
         got = decay_parameter(QUARTER, sigma, ChannelRealization((sigma,)), mode)
         assert got == decay_parameter(QUARTER, 1.0, ChannelRealization((1.0,)), mode)
         assert got == pytest.approx(0.0625, rel=1e-15)
 
-    @pytest.mark.parametrize("sigma", [1e200, 1e-170])
-    def test_evolving_bath_raises_naming_the_width(self, sigma):
-        # its grid moments, about 1 / (4 sigma^2), leave the doubles
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match=re.escape(f"not finite at sigma = {sigma!r}")):
-                decay_parameter(QUARTER, sigma, ChannelRealization((sigma,)), "evolving-bath")
+    @pytest.mark.parametrize("sigma", EXTREME_WIDTHS)
+    def test_evolving_bath_matches_the_unit_width(self, sigma):
+        got = decay_parameter(QUARTER, sigma, ChannelRealization((sigma, 2.0 * sigma)), "evolving-bath")
+        assert got == decay_parameter(QUARTER, 1.0, ChannelRealization((1.0, 2.0)), "evolving-bath")
+        assert 0.0 < got < math.inf
+
+    @pytest.mark.parametrize("sigma", EXTREME_WIDTHS)
+    def test_lattice_weights_match_the_unit_width(self, sigma):
+        counts = enumerate_configurations(3, 4)
+        got = lattice_weights(0.3, sigma, sigma, (0, 1, 2), counts)
+        assert got.tobytes() == lattice_weights(0.3, 1.0, 1.0, (0, 1, 2), counts).tobytes()
+
+    @pytest.mark.parametrize("sigma", EXTREME_WIDTHS)
+    def test_step_survivals_match_the_unit_width(self, sigma):
+        unit = run_protected(0.3, 1.0, ChannelRealization((1.0, 0.5, 2.0)))
+        # the moments, about 1 / (4 sigma^2), overflow to inf at 1e-155 and 1e-170
+        with np.errstate(over="ignore"):
+            report = run_protected(0.3, sigma, ChannelRealization((sigma, 0.5 * sigma, 2.0 * sigma)))
+            moments = np.array(unit.momentum_moments) / sigma / sigma
+        assert np.array(report.step_survivals).tobytes() == np.array(unit.step_survivals).tobytes()
+        assert report.total_survival == unit.total_survival
+        assert np.array(report.momentum_moments).tobytes() == moments.tobytes()
+
+    def test_spacing_ratio_past_the_doubles_keeps_lag_zero(self):
+        # h / sigma = 1e310 is inf: no lag but 0 overlaps, as at 1e20 widths
+        got = lattice_weights(0.3, 1e-10, 1e300, (1, 2), [[2, 1], [0, 1]])
+        assert not got[:, 1::2].any()
+        assert got.tobytes() == lattice_weights(0.3, 1.0, 1e20, (1, 2), [[2, 1], [0, 1]]).tobytes()
+
+    def test_spacing_ratio_below_the_doubles_overlaps_every_lag(self):
+        # h / sigma = 5e-324 / 1e10 is 0: every copy overlaps fully, and a
+        # row sums to (sum_a c_a)^2 = 1
+        got = lattice_weights(0.3, 1e10, 5e-324, (1, 2), [[2, 1], [0, 1]])
+        assert got.sum(axis=1) == pytest.approx([1.0, 1.0], rel=1e-15)
 
 
 class TestRunProtected:
@@ -244,13 +299,14 @@ class TestRunProtected:
 
     @pytest.mark.parametrize(
         "sigma,couplings,nodes",
-        [(1e-3, (1e6,), "7.08e+08"), (1e-160, (1.0, 1.0), "1.42e+160")],
-        ids=["narrow-packet-long-shift", "width-1e-160"],
+        [(1e-3, (1e6,), "7.08e+08"), (1e-160, (1.0, 1.0), "1.42e+160"), (1e-10, (1e300,), "inf")],
+        ids=["narrow-packet-long-shift", "width-1e-160", "ratio-past-the-doubles"],
     )
     @pytest.mark.parametrize("call", ["run_protected", "protected_survival_spectral", "decay_parameter"])
     def test_momentum_grid_over_budget_raises(self, call, sigma, couplings, nodes):
-        # both grids pass every width and coupling check; the first would
-        # take gigabytes, the second more nodes than numpy can index
+        # every grid passes every width and coupling check; the first would
+        # take gigabytes, the second more nodes than numpy can index, and the
+        # third's g / sigma is inf
         functions = {
             "run_protected": lambda: run_protected(0.3, sigma, ChannelRealization(couplings)),
             "protected_survival_spectral": lambda: protected_survival_spectral(0.3, sigma, couplings),
@@ -531,13 +587,13 @@ class TestGridBitIdentity:
         # 4096 entries a block: D5-100 spans 4 blocks, constant-500 250
         monkeypatch.setattr(channel, "_BLOCK_ENTRIES", 2**12)
         couplings = GRID_CASES[case]
-        p, w, _ = channel._momentum_grid(150.0, couplings)
+        p, w, z = channel._momentum_grid(150.0, couplings)
         c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
         prefix = np.ones((len(couplings) + 1, p.size))
-        for j, g in enumerate(couplings):
+        for j, g in enumerate(z.tolist()):
             prefix[j + 1] = prefix[j] * (np.cos(p * g) * (2.0 * c2 * s2) + (c2 * c2 + s2 * s2))
         j, blocks = 0, 0
-        for block in channel._running_products(theta, p, np.asarray(couplings)):
+        for block in channel._running_products(theta, p, z):
             rows = block.shape[0] - 1
             assert np.array_equal(block.view(np.uint64), prefix[j : j + rows + 1].view(np.uint64))
             j, blocks = j + rows, blocks + 1
@@ -558,6 +614,7 @@ class TestGridBitIdentity:
         couplings = GRID_CASES[case]
         run = run_protected(theta, 150.0, ChannelRealization(couplings))
         survivals, moments = channel._grid_survivals_and_moments(theta, 150.0, couplings)
+        moments = moments / 150.0 / 150.0
         steps = [channel._clip01(float(s)) for s in survivals[1:] / survivals[:-1]]
         for got, expected in ((run.step_survivals, steps), (run.momentum_moments, [float(m) for m in moments])):
             assert type(got) is tuple and all(type(v) is float for v in got)

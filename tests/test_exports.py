@@ -39,3 +39,25 @@ def test_oracles_take_only_the_gaussian_sum_from_the_package():
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "zenosense":
             taken.update(alias.name for alias in node.names)
     assert taken <= {"GaussianSum", "MERGE_TOLERANCE_FACTOR"}
+
+
+# Each input rule has one check in one home module, which every other module imports it from.
+INPUT_CHECKS = {
+    "_check_non_negative": "zenosense.detector",
+    "_check_pixels": "zenosense.detector",
+    "_whole_numbers": "zenosense.detector",
+    "_check_multiples": "zenosense.wavepacket",
+    "_check_positive": "zenosense.wavepacket",
+    "_check_theta": "zenosense.wavepacket",
+}
+
+
+def test_modules_share_only_the_input_checks_from_their_home():
+    # any other private name taken across modules would be a second home for its job
+    taken = set()
+    for path in sorted(Path(zenosense.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "zenosense"):
+                taken.update((alias.name, node.module) for alias in node.names if alias.name.startswith("_"))
+    assert taken <= set(INPUT_CHECKS.items())
+    assert all(getattr(importlib.import_module(home), name).__module__ == home for name, home in INPUT_CHECKS.items())

@@ -74,6 +74,11 @@ class TestSampleRealization:
         with pytest.raises(ValueError):
             sample_realization(UNIFORM5, 0, seed=1)
 
+    def test_fractional_count_rejected(self):
+        # 2.5 once drew 2 events without a word
+        with pytest.raises(TypeError):
+            sample_realization(UNIFORM5, 2.5, seed=1)
+
 
 class TestEnumeration:
     def test_reference_size(self):

@@ -4,7 +4,6 @@ the lattice weights and the normal masses cut at 9 sigma against the
 clip-everything formula."""
 
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -556,6 +555,10 @@ class TestDensity:
         with pytest.raises(ValueError, match="zero-norm"):
             lattice_density([[0.5, 0.0, 0.5], [0.0, 0.0, 0.0]], 1.0, 1.0, [0.0])
 
+    def test_one_dimensional_weights_rejected(self):
+        with pytest.raises(ValueError, match=r"^lattice weights must be 2-d, one row per state, got shape \(3,\)$"):
+            lattice_density([0.5, 0.0, 0.5], 1.0, 1.0, [0.0])
+
     @pytest.mark.parametrize("sigma,unit_shift", [(0.0, 1.0), (math.inf, 1.0), (1.0, -1.0), (1.0, math.nan)])
     def test_bad_width_or_shift_rejected(self, sigma, unit_shift):
         with pytest.raises(ValueError, match="positive"):
@@ -693,6 +696,18 @@ class TestNormalMasses:
         with pytest.raises(ValueError):
             normal_masses(*args)
 
+    @pytest.mark.parametrize(
+        "args",
+        [(150.0, 114.0, 2.5, 13.0, 4, 0.0), (150.0, 114.0, 3, 13.0, 4.5, 0.0)],
+        ids=["n_normals", "n_pixels"],
+    )
+    def test_counts_must_be_integers(self, args):
+        # 2.5 normals built 3 rows and 4.5 pixels built 5, each cached under the float
+        cached = normal_masses.cache_info().currsize
+        with pytest.raises(TypeError):
+            normal_masses(*args)
+        assert normal_masses.cache_info().currsize == cached
+
     def test_cdf_and_masses_match_scipy_ndtr(self):
         # scipy's ndtr was the masses' CDF; the bound, 2**-51 absolute on
         # every mass, was fixed before the comparison was first run
@@ -740,13 +755,6 @@ class TestLatticeWeightCut:
         mass = (dropped @ diffs).sum(axis=1)
         assert mass.max() > 0.0
         assert mass.max() <= dropped.sum(axis=1).max() <= 2e-40
-
-    @pytest.mark.parametrize("width", [1e200, 1e-170])
-    def test_overlaps_outside_the_doubles_raise(self, width):
-        # (d h)^2 = 1e400 overflows at 1e200 and sigma^2 = 1e-340 underflows
-        # at 1e-170; both widths pass the spacing checks
-        with pytest.raises(ValueError, match=re.escape(f"unit shift {width!r} and packet width {width!r}")):
-            lattice_weights(0.3, width, width, (1,), [[2]])
 
     @pytest.mark.parametrize("theta", [math.pi / 4, 0.3, 0.0, math.pi / 2])
     def test_default_weights_unchanged(self, theta):
